@@ -149,6 +149,8 @@ def cmd_fragment(args) -> int:
     seed = _resolve_seed(args)
     first, _, last = args.seeds.partition(":")
     stream_ids = range(int(first), int(last) + 1) if last else [int(first)]
+    if not stream_ids:
+        raise ValueError(f"--seeds {args.seeds}: range end is below its start")
     kappa = max_spread(h).kappa
     lines = [_header(args, seed)]
     for sid in stream_ids:

@@ -47,9 +47,6 @@ class Hypergraph:
     def is_uniform(self) -> bool:
         return all(len(e) == self.r_bound for e in self.edges)
 
-    def edge_sizes(self) -> list[int]:
-        return [len(e) for e in self.edges]
-
     @staticmethod
     def from_edges(num_vertices: int, edges: Iterable[Sequence[int]], r_bound: int | None = None) -> "Hypergraph":
         canon = tuple(tuple(sorted(e)) for e in edges)

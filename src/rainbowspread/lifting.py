@@ -2,12 +2,11 @@
 
 The lift of H under q colors lives on X x [q]; an edge of size k produces
 (q)_k lifted edges (falling factorial).  Counts are kept as exact Python
-integers, with log-space helpers for quantities that only feed floats.
+integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -39,12 +38,6 @@ def falling_factorial(q: int, k: int) -> int:
     for i in range(k):
         out *= q - i
     return out
-
-
-def log_falling_factorial(q: int, k: int) -> float:
-    if k > q:
-        return float("-inf")
-    return math.lgamma(q + 1) - math.lgamma(q - k + 1)
 
 
 def lift_size(h: Hypergraph, q: int) -> int:

@@ -208,7 +208,7 @@ def exact_uncover_probability(g: Hypergraph, q: int, alpha: float) -> float:
     n = g.num_vertices
     if (q + 1) ** n > 5_000_000:
         raise RuntimeError("instance too large for exact enumeration")
-    flat, offsets = _kernels.flatten_edges(g.edges)
+    matrix, sizes = _kernels.pack_edges(g.edges)
     p_absent = 1.0 - alpha
     p_color = alpha / q
     total = 0.0
@@ -218,7 +218,7 @@ def exact_uncover_probability(g: Hypergraph, q: int, alpha: float) -> float:
         for v, s in enumerate(states):
             prob *= p_absent if s == 0 else p_color
             wcolor[v] = s
-        if _kernels.first_rainbow_edge(flat, offsets, wcolor) < 0:
+        if _kernels.first_rainbow_edge(matrix, sizes, wcolor) < 0:
             total += prob
     return total
 

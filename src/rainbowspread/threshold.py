@@ -56,7 +56,7 @@ class TrialPool:
         self.q = q
         self.rng = rng
         self.n = h.num_vertices
-        self.flat, self.offsets = _kernels.flatten_edges(h.edges)
+        self.matrix, self.sizes = _kernels.pack_edges(h.edges)
         self._colored: list[int] = []
         self._uncolored: list[int] = []
 
@@ -67,8 +67,8 @@ class TrialPool:
         for i, v in enumerate(perm):
             pos[v] = i
         colors = np.array([s.randint(1, self.q) for _ in range(self.n)], dtype=np.int64)
-        ct = _kernels.rainbow_hit_time(self.flat, self.offsets, pos, colors)
-        ut = _kernels.cover_hit_time(self.flat, self.offsets, pos)
+        ct = _kernels.rainbow_hit_time(self.matrix, self.sizes, pos, colors)
+        ut = _kernels.cover_hit_time(self.matrix, pos)
         return ct, ut
 
     def ensure(self, trials: int) -> None:
@@ -86,10 +86,14 @@ class TrialPool:
         return np.asarray(self._uncolored[:trials])
 
 
-def hit_probability(h: Hypergraph, q: int, m: int, trials: int, rng: RngStream):
-    """(p_hat, (ci_lo, ci_hi)) for a rainbow edge inside a colored m-sample."""
+def _check_trials(trials: int) -> None:
     if trials <= 0:
         raise ValueError("trials must be positive")
+
+
+def hit_probability(h: Hypergraph, q: int, m: int, trials: int, rng: RngStream):
+    """(p_hat, (ci_lo, ci_hi)) for a rainbow edge inside a colored m-sample."""
+    _check_trials(trials)
     if m > h.num_vertices:
         raise ValueError(f"m={m} exceeds ground set size {h.num_vertices}")
     pool = TrialPool(h, q, rng)
@@ -129,6 +133,9 @@ def estimate_threshold(
     Deterministic given the seed; converges in at most ceil(log2(N-r))
     bisection levels because each level halves the integer interval.
     """
+    _check_trials(trials)
+    if not 0 < target <= 1:
+        raise ValueError(f"target must be in (0, 1], got {target}")
     r = h.r_bound
     n = h.num_vertices
     min_edge = min(len(e) for e in h.edges)
@@ -179,6 +186,7 @@ def sweep(h: Hypergraph, q: int, m_list, trials: int, rng: RngStream):
     The uncolored column ignores colors (plain containment), so each row
     compares rainbow containment against ordinary containment at that m.
     """
+    _check_trials(trials)
     if sorted(m_list) != list(m_list):
         raise ValueError("m_list must be sorted")
     pool = TrialPool(h, q, rng)

@@ -89,6 +89,29 @@ def test_threshold_unreachable_exit(hc5_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--trials", "0"], "trials must be positive"),
+    (["--trials", "-5"], "trials must be positive"),
+    (["--trials", "0", "--m-list", "3,5"], "trials must be positive"),
+    (["--target", "0"], "target must be in (0, 1]"),
+    (["--target", "1.5"], "target must be in (0, 1]"),
+])
+def test_threshold_rejects_bad_trials_and_target(hc5_path, capsys, extra, message):
+    rc = main(["threshold", "--hypergraph", hc5_path, "--q", "5", *extra])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
+def test_fragment_rejects_reversed_seed_range(hc5_path, tmp_path, capsys):
+    out = tmp_path / "f.txt"
+    rc = main(["fragment", "--hypergraph", hc5_path, "--q", "5",
+               "--seeds", "5:3", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --seeds 5:3")
+    assert not out.exists()
+
+
 def test_fragment_reproducible(hc5_path, tmp_path):
     out_a = tmp_path / "fa.txt"
     out_b = tmp_path / "fb.txt"

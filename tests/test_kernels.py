@@ -1,70 +1,148 @@
-"""The compiled and pure-Python kernels must agree exactly."""
+"""The numpy kernels must agree exactly with plain scalar loops.
+
+The reference functions below walk every edge vertex by vertex; they are
+the specification the vectorised kernels in rainbowspread._kernels match.
+"""
 
 import numpy as np
 import pytest
 
 from rainbowspread._kernels import (
-    IMPLEMENTATION,
     cover_hit_time,
     first_rainbow_edge,
-    flatten_edges,
-    pyfallback,
+    pack_edges,
     rainbow_hit_time,
 )
 from rainbowspread.rng import RngStream
 
 
-def random_instance(stream_id):
-    rng = RngStream(777, stream_id)
-    n = rng.randint(2, 12)
+def ref_rainbow_hit_time(edges, pos, colors):
+    n = len(pos)
+    best = n + 1
+    for verts in edges:
+        ok = True
+        t = 0
+        for i in range(len(verts)):
+            ci = colors[verts[i]]
+            for j in range(i + 1, len(verts)):
+                if ci == colors[verts[j]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+            p = pos[verts[i]]
+            if p > t:
+                t = p
+        if ok and t + 1 < best:
+            best = t + 1
+    return best
+
+
+def ref_cover_hit_time(edges, pos):
+    n = len(pos)
+    best = n + 1
+    for verts in edges:
+        t = 0
+        for v in verts:
+            p = pos[v]
+            if p > t:
+                t = p
+        if t + 1 < best:
+            best = t + 1
+    return best
+
+
+def ref_first_rainbow_edge(edges, wcolor):
+    for ei, verts in enumerate(edges):
+        ok = True
+        for i in range(len(verts)):
+            ci = wcolor[verts[i]]
+            if ci == 0:
+                ok = False
+                break
+            for j in range(i + 1, len(verts)):
+                if ci == wcolor[verts[j]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return ei
+    return -1
+
+
+def random_instance(rng, n_range, max_edges, size_range, lo, hi):
+    """Edges of mixed sizes, colors drawn from [lo, hi], and a partial
+    coloring that leaves a vertex unsampled (0) for a draw of lo-1."""
+    n = rng.randint(*n_range)
     edges = []
-    for _ in range(rng.randint(1, 15)):
-        size = rng.randint(1, min(5, n))
+    for _ in range(rng.randint(1, max_edges)):
+        size = rng.randint(size_range[0], min(size_range[1], n))
         edges.append(tuple(rng.sample_without_replacement(n, size)))
-    flat, offsets = flatten_edges(edges)
     perm = rng.permutation(n)
     pos = np.empty(n, dtype=np.int64)
     for i, v in enumerate(perm):
         pos[v] = i
-    colors = np.array([rng.randint(1, 4) for _ in range(n)], dtype=np.int64)
-    wcolor = np.array([rng.randint(0, 4) for _ in range(n)], dtype=np.int64)
-    return n, flat, offsets, pos, colors, wcolor
+    colors = np.array([rng.randint(lo, hi) for _ in range(n)], dtype=np.int64)
+    wcolor = np.array([rng.randint(lo - 1, hi) for _ in range(n)], dtype=np.int64)
+    wcolor[wcolor < lo] = 0
+    return edges, pos, colors, wcolor
+
+
+def assert_agree(edges, pos, colors, wcolor):
+    matrix, sizes = pack_edges(edges)
+    assert rainbow_hit_time(matrix, sizes, pos, colors) == ref_rainbow_hit_time(edges, pos, colors)
+    assert cover_hit_time(matrix, pos) == ref_cover_hit_time(edges, pos)
+    assert first_rainbow_edge(matrix, sizes, wcolor) == ref_first_rainbow_edge(edges, wcolor)
 
 
 @pytest.mark.parametrize("stream_id", range(50))
 def test_implementations_agree(stream_id):
-    n, flat, offsets, pos, colors, wcolor = random_instance(stream_id)
-    assert rainbow_hit_time(flat, offsets, pos, colors) == pyfallback.rainbow_hit_time(
-        flat, offsets, pos, colors
-    )
-    assert cover_hit_time(flat, offsets, pos) == pyfallback.cover_hit_time(flat, offsets, pos)
-    assert first_rainbow_edge(flat, offsets, wcolor) == pyfallback.first_rainbow_edge(
-        flat, offsets, wcolor
-    )
+    rng = RngStream(777, stream_id)
+    assert_agree(*random_instance(rng, (2, 12), 15, (1, 5), lo=1, hi=4))
+
+
+# colors above 63 (up to q=300) would break a 64-bit color mask
+@pytest.mark.parametrize("lo,hi", [(250, 300), (60, 70), (1, 3)])
+@pytest.mark.parametrize("stream_id", range(20))
+def test_agree_wide_colors_mixed_sizes(stream_id, lo, hi):
+    rng = RngStream(778, stream_id)
+    assert_agree(*random_instance(rng, (9, 30), 10, (2, 9), lo, hi))
+
+
+def test_no_edges():
+    matrix, sizes = pack_edges([])
+    assert matrix.shape == (0, 1) and sizes.shape == (0,)
+    pos = np.array([1, 0, 2], dtype=np.int64)
+    colors = np.array([1, 2, 3], dtype=np.int64)
+    assert rainbow_hit_time(matrix, sizes, pos, colors) == 4
+    assert cover_hit_time(matrix, pos) == 4
+    assert first_rainbow_edge(matrix, sizes, colors) == -1
+    assert_agree([], pos, colors, colors)
+
+
+def test_pack_edges_pads_with_first_vertex():
+    matrix, sizes = pack_edges([(3,), (0, 2, 4), (1, 5)])
+    assert matrix.tolist() == [[3, 3, 3], [0, 2, 4], [1, 5, 1]]
+    assert sizes.tolist() == [1, 3, 2]
 
 
 def test_hit_time_semantics():
     # edge {0,1}: positions 2 and 0 -> covered at m=3; colors distinct
-    flat, offsets = flatten_edges([(0, 1)])
+    matrix, sizes = pack_edges([(0, 1)])
     pos = np.array([2, 0, 1], dtype=np.int64)
     colors = np.array([1, 2, 1], dtype=np.int64)
-    assert rainbow_hit_time(flat, offsets, pos, colors) == 3
-    assert cover_hit_time(flat, offsets, pos) == 3
+    assert rainbow_hit_time(matrix, sizes, pos, colors) == 3
+    assert cover_hit_time(matrix, pos) == 3
     # same color kills the rainbow hit but not the cover hit
     same = np.array([1, 1, 1], dtype=np.int64)
-    assert rainbow_hit_time(flat, offsets, pos, same) == 4  # sentinel n+1
-    assert cover_hit_time(flat, offsets, pos) == 3
+    assert rainbow_hit_time(matrix, sizes, pos, same) == 4  # sentinel n+1
+    assert cover_hit_time(matrix, pos) == 3
 
 
 def test_first_rainbow_edge_semantics():
-    flat, offsets = flatten_edges([(0, 1), (1, 2)])
-    assert first_rainbow_edge(flat, offsets, np.array([1, 1, 2], dtype=np.int64)) == 1
-    assert first_rainbow_edge(flat, offsets, np.array([2, 1, 2], dtype=np.int64)) == 0
-    assert first_rainbow_edge(flat, offsets, np.array([0, 1, 2], dtype=np.int64)) == 1
-    assert first_rainbow_edge(flat, offsets, np.array([1, 1, 1], dtype=np.int64)) == -1
-
-
-def test_compiled_extension_present():
-    # the build is expected to ship the extension; the fallback stays
-    # available behind RAINBOWSPREAD_PURE=1
-    assert IMPLEMENTATION in ("cython", "python")
+    matrix, sizes = pack_edges([(0, 1), (1, 2)])
+    assert first_rainbow_edge(matrix, sizes, np.array([1, 1, 2], dtype=np.int64)) == 1
+    assert first_rainbow_edge(matrix, sizes, np.array([2, 1, 2], dtype=np.int64)) == 0
+    assert first_rainbow_edge(matrix, sizes, np.array([0, 1, 2], dtype=np.int64)) == 1
+    assert first_rainbow_edge(matrix, sizes, np.array([1, 1, 1], dtype=np.int64)) == -1
