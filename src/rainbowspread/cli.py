@@ -17,6 +17,7 @@ from . import __version__
 from .fragmentation import run_fragmentation
 from .generators import GeneratorError, parse_spec
 from .hypergraph import HypergraphError, read_hypergraph, write_hypergraph
+from .lifting import LiftCapExceeded
 from .moments import chebyshev_report, janson_chain_check
 from .rng import RngStream
 from .sampling import (
@@ -248,7 +249,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (HypergraphError, GeneratorError, ThresholdUnreachable,
-            EnumerationCapExceeded, ValueError, OSError) as exc:
+            EnumerationCapExceeded, LiftCapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -269,10 +269,10 @@ class FragmentationTrace:
         return "\n".join(lines) + "\n"
 
 
-def initial_survivors(h: Hypergraph, q: int, lift_cap: int = 2_000_000):
+def initial_survivors(h: Hypergraph, q: int):
     """The full lift as a fragment multiset; reusable across seeded runs."""
     survivors: dict[tuple, tuple[int, tuple]] = {}
-    for le in lift_rainbow(h, q, cap=lift_cap):
+    for le in lift_rainbow(h, q):
         elems = tuple(zip(h.edges[le.base], le.colors))
         lineage = (le.base, le.colors)
         prev = survivors.get(elems)
@@ -291,7 +291,6 @@ def run_fragmentation(
     rng: RngStream,
     kappa: float | None = None,
     fixed_size_rounds: bool = False,
-    lift_cap: int = 2_000_000,
     survivors_init: dict | None = None,
 ) -> FragmentationTrace:
     """Run the full process once and record per-round statistics.
@@ -309,7 +308,7 @@ def run_fragmentation(
     sched = make_schedule(h.r_bound, kappa, gamma, C, strict=False)
 
     if survivors_init is None:
-        survivors_init = initial_survivors(h, q, lift_cap=lift_cap)
+        survivors_init = initial_survivors(h, q)
     survivors = dict(survivors_init)
     total_lift = sum(mult for mult, _ in survivors.values())
 

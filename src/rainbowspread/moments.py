@@ -71,23 +71,29 @@ def _pair_group_term(a: int, b: int, w: int, q: int, x: float) -> float:
     return total
 
 
+# entries of the m x m shared-vertex matrix held at once by _delta_aggregate
+DELTA_BLOCK_ELEMENTS = 1 << 18
+
+
 def _delta_aggregate(edges, q: int, x: float) -> float:
-    """Aggregation path: group ordered base pairs by (|E|, |F|, shared)."""
+    """Aggregation path: count ordered base pairs by the key (|E|, |F|, shared)."""
     m = len(edges)
     n = 1 + max((e[-1] for e in edges), default=0)
-    inc = np.zeros((m, n), dtype=np.int32)
+    inc = np.zeros((m, n))  # float64, so the product below runs in BLAS, exactly
     for i, e in enumerate(edges):
         inc[i, list(e)] = 1
-    shared = inc @ inc.T  # w for every ordered base pair
     sizes = np.array([len(e) for e in edges], dtype=np.int64)
-    a_mat = np.broadcast_to(sizes[:, None], (m, m))
-    b_mat = np.broadcast_to(sizes[None, :], (m, m))
-    mask = shared >= 1
-    keys = np.stack([a_mat[mask], b_mat[mask], shared[mask]], axis=1)
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
+    base = 1 + int(sizes.max(initial=0))
+    counts = np.zeros(base**3, dtype=np.int64)
+    rows = max(1, DELTA_BLOCK_ELEMENTS // max(m, 1))
+    for lo in range(0, m, rows):
+        shared = (inc[lo : lo + rows] @ inc.T).astype(np.int64)
+        keys = (sizes[lo : lo + rows, None] * base + sizes) * base + shared
+        counts += np.bincount(keys.ravel(), minlength=base**3)
     terms = [
-        cnt * _pair_group_term(int(a), int(b), int(w), q, x)
-        for (a, b, w), cnt in zip(uniq, counts)
+        cnt * _pair_group_term(a, b, w, q, x)
+        for (a, b, w), cnt in np.ndenumerate(counts.reshape(base, base, base))
+        if cnt and w
     ]
     return math.fsum(terms)
 

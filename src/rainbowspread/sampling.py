@@ -186,7 +186,3 @@ class RestrictedLift:
                         coloring[v] = self._assign[v]
                 out.append(LiftedEdge(base=i, colors=tuple(coloring[v] for v in e)))
         return out
-
-
-def restrict_lifted(h: Hypergraph, q: int, w: ColoredSet) -> RestrictedLift:
-    return RestrictedLift(h, q, w)

@@ -8,6 +8,8 @@ containment count 0 and its constraint is vacuous.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -40,18 +42,23 @@ def containment_count(h: Hypergraph, s) -> int:
     return sum(1 for e in h.edges if s.issubset(e))
 
 
-def _candidate_sets(h: Hypergraph, cap: int):
-    """All distinct nonempty subsets of edges, sorted for determinism."""
-    seen: set[tuple[int, ...]] = set()
+def _candidate_sets(h: Hypergraph, cap: int) -> list[tuple[tuple[int, ...], int]]:
+    """(S, containment count) for every distinct nonempty edge subset, sorted."""
+    counts: Counter = Counter()
     for e in h.edges:
         for k in range(1, len(e) + 1):
-            for s in combinations(e, k):
-                seen.add(s)
-                if len(seen) > cap:
-                    raise EnumerationCapExceeded(
-                        f"more than {cap} candidate sets; instance too large for the exact oracle"
-                    )
-    return sorted(seen)
+            counts.update(combinations(e, k))
+        if len(counts) > cap:
+            raise EnumerationCapExceeded(
+                f"more than {cap} candidate sets; instance too large for the exact oracle"
+            )
+    return sorted(counts.items())
+
+
+def _count_limit(m: int, kappa: float, k: int) -> int:
+    """floor(m / kappa^k), exact: cnt > it iff cnt * num^k > m * den^k."""
+    num, den = kappa.as_integer_ratio()
+    return m * den**k // num**k
 
 
 def max_spread(h: Hypergraph, cap: int = DEFAULT_CANDIDATE_CAP) -> SpreadCertificate:
@@ -60,30 +67,23 @@ def max_spread(h: Hypergraph, cap: int = DEFAULT_CANDIDATE_CAP) -> SpreadCertifi
     Equals min over nonempty S (subsets of edges) of (|H|/count(S))^(1/|S|).
     Ties are broken toward the lexicographically smallest witness; the
     comparison is done in exact integer arithmetic so the witness is
-    deterministic even when two candidates give equal kappa.
+    deterministic even when two candidates give equal kappa.  The float
+    kappa is rounded down, so `is_kappa_spread` accepts it.
     """
     if len(h.edges) == 0:
         raise HypergraphError("max_spread requires at least one edge")
     m = len(h.edges)
-    best: tuple[int, ...] | None = None
+    best: tuple[int, ...] = ()
     best_cnt = 0
-    for s in _candidate_sets(h, cap):
-        cnt = containment_count(h, s)
-        if cnt == 0:
-            continue
-        if best is None:
-            best, best_cnt = s, cnt
-            continue
+    for s, cnt in _candidate_sets(h, cap):
         # (m/cnt)^(1/|s|) < (m/best_cnt)^(1/|best|)
         #   <=>  m^|best| * best_cnt^|s| < m^|s| * cnt^|best|
-        lhs = m ** len(best) * best_cnt ** len(s)
-        rhs = m ** len(s) * cnt ** len(best)
-        if lhs < rhs:
+        if not best or m ** len(best) * best_cnt ** len(s) < m ** len(s) * cnt ** len(best):
             best, best_cnt = s, cnt
-        # equal kappa: sorted iteration already visited the lexicographically
-        # smaller candidate first, so keep the current best
-    assert best is not None
     kappa = (m / best_cnt) ** (1.0 / len(best))
+    # kappa <= the exact minimum iff the witness itself is within its limit
+    while best_cnt > _count_limit(m, kappa, len(best)):
+        kappa = math.nextafter(kappa, 0.0)
     return SpreadCertificate(kappa=kappa, witness=best, containment_count=best_cnt)
 
 
@@ -92,12 +92,11 @@ def is_kappa_spread(h: Hypergraph, kappa: float, cap: int = DEFAULT_CANDIDATE_CA
 
     The returned witness is the lexicographically smallest violator.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    m = len(h.edges)
-    for s in _candidate_sets(h, cap):
-        cnt = containment_count(h, s)
-        if cnt > m / kappa ** len(s):
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError("kappa must be positive and finite")
+    limits = [_count_limit(len(h.edges), kappa, k) for k in range(h.r_bound + 1)]
+    for s, cnt in _candidate_sets(h, cap):
+        if cnt > limits[len(s)]:
             return s
     return None
 

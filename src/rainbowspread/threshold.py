@@ -126,7 +126,6 @@ def estimate_threshold(
     target: float,
     trials: int,
     rng: RngStream,
-    kappa: float | None = None,
 ) -> ThresholdEstimate:
     """Bisection for the smallest m with hit probability >= target.
 
@@ -136,6 +135,8 @@ def estimate_threshold(
     _check_trials(trials)
     if not 0 < target <= 1:
         raise ValueError(f"target must be in (0, 1], got {target}")
+    if not h.edges:
+        raise ThresholdUnreachable("hypergraph has no edges")
     r = h.r_bound
     n = h.num_vertices
     min_edge = min(len(e) for e in h.edges)
@@ -167,8 +168,7 @@ def estimate_threshold(
 
     hits_star = int(np.count_nonzero(times <= m_star))
     ci_lo, ci_hi = wilson_interval(hits_star, trials)
-    if kappa is None:
-        kappa = max_spread(h).kappa
+    kappa = max_spread(h).kappa
     return ThresholdEstimate(
         m_star=m_star,
         target=target,

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from rainbowspread.cli import main
-from rainbowspread.generators import gen_hamilton
-from rainbowspread.hypergraph import write_hypergraph
+from rainbowspread.generators import gen_hamilton, gen_perfect_matching
+from rainbowspread.hypergraph import Hypergraph, write_hypergraph
 
 
 @pytest.fixture()
@@ -14,6 +14,11 @@ def hc5_path(tmp_path):
     path = tmp_path / "hc5.json"
     write_hypergraph(gen_hamilton(5), str(path))
     return str(path)
+
+
+def _single_error(capsys, message):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
 def test_spread_ok_and_check(hc5_path, capsys):
@@ -25,6 +30,16 @@ def test_spread_ok_and_check(hc5_path, capsys):
     assert main(["spread", hc5_path, "--check-kappa", "50"]) == 2
     out = capsys.readouterr().out
     assert "violating S" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["spread", "{h}", "--check-kappa", "nan"],
+    ["spread", "{h}", "--check-kappa", "inf"],
+    ["moments", "{h}", "--janson", "--q", "5", "--kappa", "nan"],
+])
+def test_non_finite_kappa_rejected(hc5_path, capsys, argv):
+    assert main([a.format(h=hc5_path) for a in argv]) == 1
+    _single_error(capsys, "kappa must be positive and finite")
 
 
 def test_generate_and_roundtrip(tmp_path, capsys):
@@ -55,6 +70,16 @@ def test_moments_janson(hc5_path, tmp_path, capsys):
     assert report["checks"]["delta_le_intermediate"] is True
     human = capsys.readouterr().out
     assert "mu" in human and "pass" in human
+
+
+def test_moments_janson_accepts_own_kappa(tmp_path):
+    # max_spread's kappa for pm(6,3) must pass the spread check it feeds
+    path = tmp_path / "pm63.json"
+    write_hypergraph(gen_perfect_matching(6, 3), str(path))
+    out = tmp_path / "m.json"
+    rc = main(["moments", str(path), "--janson", "--q", "3", "--p", "0.05", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text().split("\n")[1])["checks"]["delta_le_intermediate"] is True
 
 
 def test_moments_chebyshev(hc5_path, tmp_path):
@@ -95,12 +120,16 @@ def test_threshold_unreachable_exit(hc5_path):
     (["--trials", "0", "--m-list", "3,5"], "trials must be positive"),
     (["--target", "0"], "target must be in (0, 1]"),
     (["--target", "1.5"], "target must be in (0, 1]"),
+    # a second --hypergraph replaces the first
+    (["--hypergraph", "edgeless.json"], "hypergraph has no edges"),
 ])
-def test_threshold_rejects_bad_trials_and_target(hc5_path, capsys, extra, message):
+def test_threshold_rejects_bad_trials_and_target(hc5_path, tmp_path, monkeypatch, capsys,
+                                                  extra, message):
+    write_hypergraph(Hypergraph(5, (), 2), str(tmp_path / "edgeless.json"))
+    monkeypatch.chdir(tmp_path)
     rc = main(["threshold", "--hypergraph", hc5_path, "--q", "5", *extra])
     assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    _single_error(capsys, message)
 
 
 def test_fragment_rejects_reversed_seed_range(hc5_path, tmp_path, capsys):
@@ -110,6 +139,14 @@ def test_fragment_rejects_reversed_seed_range(hc5_path, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: --seeds 5:3")
     assert not out.exists()
+
+
+def test_fragment_lift_over_cap(tmp_path, capsys):
+    # pm(8,2) at q=40 lifts to 230,302,800 edges, above the lift cap
+    path = tmp_path / "pm82.json"
+    write_hypergraph(gen_perfect_matching(8, 2), str(path))
+    assert main(["fragment", "--hypergraph", str(path), "--q", "40"]) == 1
+    _single_error(capsys, "lift has 230302800 edges")
 
 
 def test_fragment_reproducible(hc5_path, tmp_path):

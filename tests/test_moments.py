@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from rainbowspread import moments
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import falling_factorial, lift_rainbow, lift_size
@@ -38,6 +39,16 @@ def test_delta_dual_paths_agree(h, q, p):
     agg = janson_delta_exact(h, q, p, method="aggregate")
     brute = janson_delta_exact(h, q, p, method="pairs")
     assert math.isclose(agg, brute, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("h,q,p", DUAL_PATH_CASES)
+def test_delta_aggregate_row_blocks(h, q, p, monkeypatch):
+    one_block = janson_delta_exact(h, q, p)
+    # a budget below one row puts every edge in its own block
+    monkeypatch.setattr(moments, "DELTA_BLOCK_ELEMENTS", 1)
+    blocked = janson_delta_exact(h, q, p)
+    assert blocked == one_block
+    assert math.isclose(blocked, janson_delta_exact(h, q, p, method="pairs"), rel_tol=1e-10)
 
 
 def test_delta_single_edge_closed_form():

@@ -18,7 +18,6 @@ from rainbowspread.sampling import (
     RestrictedLift,
     contains_rainbow_edge,
     expected_color_collisions,
-    restrict_lifted,
     sample_binomial_subset,
     sample_colored_m,
     sample_colored_p,
@@ -194,8 +193,7 @@ def test_restricted_lift_matches_brute_force():
     rng = RngStream(109, 0)
     for _ in range(20):
         w = sample_colored_p(5, 0.4, q, rng)
-        rl = restrict_lifted(h, q, w)
-        assert isinstance(rl, RestrictedLift)
+        rl = RestrictedLift(h, q, w)
         wmap = w.as_dict()
         # an edge survives when its colors agree with w on every shared vertex
         brute = [
@@ -210,7 +208,7 @@ def test_restricted_lift_matches_brute_force():
 
 def test_restricted_lift_empty_restriction_is_whole_lift():
     h = gen_hamilton(4)
-    rl = restrict_lifted(h, 4, ColoredSet.from_dict({}))
+    rl = RestrictedLift(h, 4, ColoredSet.from_dict({}))
     assert rl.cardinality() == len(lift_rainbow(h, 4))
 
 

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -91,10 +93,38 @@ def test_containment_never_exceeds_size(h):
 @given(small_hypergraphs())
 def test_max_spread_is_the_boundary(h):
     cert = max_spread(h)
+    assert is_kappa_spread(h, cert.kappa) is None
     # nudge off the exact boundary: kappa**s vs the integer count can land
     # a few ulps on either side
     assert is_kappa_spread(h, cert.kappa * (1 - 1e-9)) is None
     assert is_kappa_spread(h, cert.kappa * (1 + 1e-9)) is not None
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (8, 2)])
+def test_max_spread_passes_its_own_check(n, k):
+    # the float (m/count)^(1/|S|) rounds above the exact value on these
+    h = gen_perfect_matching(n, k)
+    cert = max_spread(h)
+    assert is_kappa_spread(h, cert.kappa) is None
+    assert is_kappa_spread(h, math.nextafter(cert.kappa, math.inf)) == cert.witness
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+def test_is_kappa_spread_rejects_bad_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        is_kappa_spread(gen_hamilton(4), kappa)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_hypergraphs(), st.floats(0.5, 4.0))
+def test_is_kappa_spread_matches_exact_reference(h, kappa):
+    # reference: rescan the edges per candidate, compare in rationals
+    cands = sorted({s for e in h.edges for k in range(1, len(e) + 1) for s in combinations(e, k)})
+    exact = Fraction(kappa)
+    expected = next(
+        (s for s in cands if containment_count(h, s) * exact ** len(s) > len(h.edges)), None
+    )
+    assert is_kappa_spread(h, kappa) == expected
 
 
 def test_pad_examples():
