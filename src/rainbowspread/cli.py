@@ -120,13 +120,17 @@ def cmd_threshold(args) -> int:
     seed = _resolve_seed(args)
     rng = RngStream(seed)
     lines = [_header(args, seed)]
-    if args.m_list:
-        m_list = [int(tok) for tok in args.m_list.split(",")]
+    m_list = [int(tok) for tok in args.m_list.split(",")] if args.m_list else []
+    if m_list != sorted(m_list):
+        raise ValueError("--m-list must be sorted")
+    # the estimate validates the instance before the sweep draws any trial;
+    # both read only rng.child(t), so the call order leaves the bytes alone
+    est = estimate_threshold(h, args.q, args.target, args.trials, rng)
+    if m_list:
         rows = sweep(h, args.q, m_list, args.trials, rng)
         lines.append("m,hits,trials,p_hat,ci_lo,ci_hi,uncolored_hits")
         for m, hits, trials, p_hat, lo, hi, uhits in rows:
             lines.append(f"{m},{hits},{trials},{p_hat:.6f},{lo:.6f},{hi:.6f},{uhits}")
-    est = estimate_threshold(h, args.q, args.target, args.trials, rng)
     lines.append(
         json.dumps(
             {

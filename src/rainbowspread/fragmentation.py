@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .hypergraph import Hypergraph
-from .lifting import lift_rainbow
+from .lifting import lift_rainbow, lift_size
 from .rng import RngStream, round_half_up
 from .sampling import ColoredSet, contains_rainbow_edge
 from .spread import max_spread
@@ -168,10 +168,9 @@ def apply_round(survivors: dict, wmap: dict[int, int], r_i: float):
     """One fragmentation round against an already-sampled colored set.
 
     survivors: {elements: (multiplicity, lineage)}.  Returns the new
-    survivor dict plus (before, compatible, good) counts with
-    multiplicity.  Good means the chosen remainder has size <= r_i.
+    survivor dict plus (compatible, good) counts with multiplicity.  Good
+    means the chosen remainder has size <= r_i.
     """
-    before = sum(mult for mult, _ in survivors.values())
     fragments = [(elems, mult, lin) for elems, (mult, lin) in sorted(survivors.items())]
     picks = _psi_round(fragments, wmap)
 
@@ -190,7 +189,7 @@ def apply_round(survivors: dict, wmap: dict[int, int], r_i: float):
                 new_survivors[chi] = (mult, chi_lineage)
             else:
                 new_survivors[chi] = (prev[0] + mult, min(prev[1], chi_lineage))
-    return new_survivors, before, compatible, good
+    return new_survivors, compatible, good
 
 
 @dataclass
@@ -269,10 +268,15 @@ class FragmentationTrace:
         return "\n".join(lines) + "\n"
 
 
-def initial_survivors(h: Hypergraph, q: int):
-    """The full lift as a fragment multiset; reusable across seeded runs."""
+def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]):
+    """The lift restricted to wmap as a fragment multiset.
+
+    These are the fragments compatible with round 1's sample wmap.  The
+    clashing ones are left out: psi never indexes them, so round 1 picks
+    the same remainders as it would over the full lift.
+    """
     survivors: dict[tuple, tuple[int, tuple]] = {}
-    for le in lift_rainbow(h, q):
+    for le in lift_rainbow(h, q, wmap):
         elems = tuple(zip(h.edges[le.base], le.colors))
         lineage = (le.base, le.colors)
         prev = survivors.get(elems)
@@ -291,7 +295,6 @@ def run_fragmentation(
     rng: RngStream,
     kappa: float | None = None,
     fixed_size_rounds: bool = False,
-    survivors_init: dict | None = None,
 ) -> FragmentationTrace:
     """Run the full process once and record per-round statistics.
 
@@ -307,22 +310,18 @@ def run_fragmentation(
         kappa = max_spread(h).kappa
     sched = make_schedule(h.r_bound, kappa, gamma, C, strict=False)
 
-    if survivors_init is None:
-        survivors_init = initial_survivors(h, q)
-    survivors = dict(survivors_init)
-    total_lift = sum(mult for mult, _ in survivors.values())
-
     trace = FragmentationTrace(
         seed=rng.master_seed,
         stream_id=rng.stream_id,
         q=q,
         schedule=sched,
-        lift_size=total_lift,
+        lift_size=lift_size(h, q),
     )
 
     residual = list(range(h.num_vertices))
     w_union: dict[int, int] = {}
     all_successful = True
+    before = trace.lift_size
 
     for i in range(1, sched.ell + 1):
         if fixed_size_rounds:
@@ -331,10 +330,10 @@ def run_fragmentation(
         else:
             chosen = [v for v in residual if rng.bernoulli(sched.p)]
         wmap = {v: rng.randint(1, q) for v in chosen}
+        if i == 1:
+            survivors = initial_survivors(h, q, wmap)
 
-        new_survivors, before, compatible, good = apply_round(
-            survivors, wmap, sched.r_bounds[i]
-        )
+        new_survivors, compatible, good = apply_round(survivors, wmap, sched.r_bounds[i])
         after = sum(mult for mult, _ in new_survivors.values())
         successful = after >= (1.0 - sched.delta) * before
         all_successful = all_successful and successful
@@ -350,6 +349,7 @@ def run_fragmentation(
             )
         )
         survivors = new_survivors
+        before = after
         for v, c in wmap.items():
             w_union[v] = c
         residual = [v for v in residual if v not in wmap]

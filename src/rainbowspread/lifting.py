@@ -40,24 +40,56 @@ def falling_factorial(q: int, k: int) -> int:
     return out
 
 
-def lift_size(h: Hypergraph, q: int) -> int:
-    """|H*| = sum over edges of (q)_{|edge|}, exact."""
-    return sum(falling_factorial(q, len(e)) for e in h.edges)
+def _edge_pins(e: tuple[int, ...], q: int, w: dict[int, int]) -> list[int] | None:
+    """The colors w pins on edge e, or None when no injective coloring of e
+    agrees with them (a pinned color repeats or lies outside [1, q])."""
+    pinned = [w[v] for v in e if v in w]
+    if len(set(pinned)) != len(pinned) or not all(1 <= c <= q for c in pinned):
+        return None
+    return pinned
 
 
-def lift_rainbow(h: Hypergraph, q: int, cap: int = DEFAULT_LIFT_CAP) -> list[LiftedEdge]:
-    """Materialize every (edge, injective coloring) pair.
+def lift_size(h: Hypergraph, q: int, w: dict[int, int] | None = None) -> int:
+    """|H*| = sum over edges of (q)_{|edge|}, exact.
+
+    With a partial coloring w (vertex -> color), the size of the restricted
+    lift H*_w instead: per edge, the pinned colors are fixed and the free
+    vertices are colored injectively avoiding them, (q-s)_{|edge|-s}.
+    """
+    w = w or {}
+    total = 0
+    for e in h.edges:
+        pinned = _edge_pins(e, q, w)
+        if pinned is not None:
+            total += falling_factorial(q - len(pinned), len(e) - len(pinned))
+    return total
+
+
+def lift_rainbow(
+    h: Hypergraph, q: int, w: dict[int, int] | None = None, cap: int = DEFAULT_LIFT_CAP
+) -> list[LiftedEdge]:
+    """Materialize every (edge, injective coloring) pair, or with a partial
+    coloring w only those that agree with w on every shared vertex.
 
     Order is canonical: by base edge index, then colors lexicographically.
+    The cap is checked against `lift_size` before anything is built.
     """
     if q < h.r_bound:
         raise ChromaticityError(f"q={q} < r_bound={h.r_bound}")
-    total = lift_size(h, q)
+    w = w or {}
+    total = lift_size(h, q, w)
     if total > cap:
         raise LiftCapExceeded(f"lift has {total} edges, above cap {cap}; use the implicit counting path")
     out = []
     for i, e in enumerate(h.edges):
-        for colors in permutations(range(1, q + 1), len(e)):
+        pinned = _edge_pins(e, q, w)
+        if pinned is None:
+            continue
+        avail = [c for c in range(1, q + 1) if c not in pinned]
+        for colors in permutations(avail, len(e) - len(pinned)):
+            if pinned:
+                free = iter(colors)
+                colors = tuple(w[v] if v in w else next(free) for v in e)
             out.append(LiftedEdge(base=i, colors=colors))
     return out
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .hypergraph import Hypergraph, HypergraphError
 from .lifting import ChromaticityError, falling_factorial, lift_rainbow, lift_size
-from .spread import is_kappa_spread, pad_to_uniform
+from .spread import EnumerationCapExceeded, is_kappa_spread, pad_to_uniform
 
 
 @dataclass
@@ -98,11 +98,13 @@ def _delta_aggregate(edges, q: int, x: float) -> float:
     return math.fsum(terms)
 
 
-def _delta_pairs(h: Hypergraph, q: int, x: float, cap: int = 3000) -> float:
+# largest lift whose ordered pairs _delta_pairs enumerates
+PAIRS_LIFT_CAP = 3000
+
+
+def _delta_pairs(h: Hypergraph, q: int, x: float) -> float:
     """Brute-force path over the materialized lift; tiny instances only."""
-    lifted = lift_rainbow(h, q)
-    if len(lifted) > cap:
-        raise RuntimeError(f"lift too large for pair enumeration ({len(lifted)} > {cap})")
+    lifted = lift_rainbow(h, q, cap=PAIRS_LIFT_CAP)
     elems = [le.elements(h) for le in lifted]
     sizes = [len(e) for e in elems]
     weight_counts: dict[int, int] = {}
@@ -213,7 +215,7 @@ def exact_uncover_probability(g: Hypergraph, q: int, alpha: float) -> float:
 
     n = g.num_vertices
     if (q + 1) ** n > 5_000_000:
-        raise RuntimeError("instance too large for exact enumeration")
+        raise EnumerationCapExceeded(f"{(q + 1) ** n} vertex states; too large for exact enumeration")
     matrix, sizes = _kernels.pack_edges(g.edges)
     p_absent = 1.0 - alpha
     p_color = alpha / q

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from . import _kernels
 from .hypergraph import Hypergraph
-from .lifting import ChromaticityError, LiftedEdge, falling_factorial
 from .rng import RngStream
 
 
@@ -144,45 +142,3 @@ def contains_rainbow_edge(h: Hypergraph, w: ColoredSet):
     matrix, sizes = _kernels.pack_edges(h.edges)
     idx = _kernels.first_rainbow_edge(matrix, sizes, wcolor)
     return h.edges[idx] if idx >= 0 else None
-
-
-class RestrictedLift:
-    """Implicit H*_{W*}: lifted edges whose colors agree with W where shared."""
-
-    def __init__(self, h: Hypergraph, q: int, w: ColoredSet):
-        if q < h.r_bound:
-            raise ChromaticityError(f"q={q} < r_bound={h.r_bound}")
-        self.h = h
-        self.q = q
-        self.w = w
-        self._assign = w.as_dict()
-
-    def _edge_term(self, edge: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
-        pinned = [self._assign[v] for v in edge if v in self._assign]
-        free = [v for v in edge if v not in self._assign]
-        if len(set(pinned)) != len(pinned):
-            return 0, pinned, free  # W forces a repeated color on this edge
-        return falling_factorial(self.q - len(pinned), len(free)), pinned, free
-
-    def cardinality(self) -> int:
-        """|H*_{W*}|, exact: per edge, pinned colors fixed and the rest
-        injective avoiding them."""
-        return sum(self._edge_term(e)[0] for e in self.h.edges)
-
-    def materialize(self, cap: int = 500_000) -> list[LiftedEdge]:
-        total = self.cardinality()
-        if total > cap:
-            raise RuntimeError(f"restricted lift has {total} edges, above cap {cap}")
-        out = []
-        for i, e in enumerate(self.h.edges):
-            count, pinned, free = self._edge_term(e)
-            if count == 0:
-                continue
-            avail = [c for c in range(1, self.q + 1) if c not in pinned]
-            for choice in permutations(avail, len(free)):
-                coloring = dict(zip(free, choice))
-                for v in e:
-                    if v in self._assign:
-                        coloring[v] = self._assign[v]
-                out.append(LiftedEdge(base=i, colors=tuple(coloring[v] for v in e)))
-        return out

@@ -87,7 +87,7 @@ def max_spread(h: Hypergraph, cap: int = DEFAULT_CANDIDATE_CAP) -> SpreadCertifi
     return SpreadCertificate(kappa=kappa, witness=best, containment_count=best_cnt)
 
 
-def is_kappa_spread(h: Hypergraph, kappa: float, cap: int = DEFAULT_CANDIDATE_CAP):
+def is_kappa_spread(h: Hypergraph, kappa: float):
     """None when the kappa-spread bound holds for all S, else a violating S.
 
     The returned witness is the lexicographically smallest violator.
@@ -95,7 +95,7 @@ def is_kappa_spread(h: Hypergraph, kappa: float, cap: int = DEFAULT_CANDIDATE_CA
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError("kappa must be positive and finite")
     limits = [_count_limit(len(h.edges), kappa, k) for k in range(h.r_bound + 1)]
-    for s, cnt in _candidate_sets(h, cap):
+    for s, cnt in _candidate_sets(h, DEFAULT_CANDIDATE_CAP):
         if cnt > limits[len(s)]:
             return s
     return None

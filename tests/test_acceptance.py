@@ -10,11 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from rainbowspread.fragmentation import (
-    initial_survivors,
-    make_schedule,
-    run_fragmentation,
-)
+from rainbowspread.fragmentation import make_schedule, run_fragmentation
 from rainbowspread.generators import (
     count_formula_hamilton,
     count_formula_loose_hamilton,
@@ -179,12 +175,9 @@ def test_acceptance_06_chebyshev_endgame():
 def test_acceptance_07_fragmentation_consistency():
     cases = [(gen_perfect_matching(8, 2), 4), (gen_hamilton(6), 6)]
     for h, q in cases:
-        init = initial_survivors(h, q)
-        star = sum(mult for mult, _ in init.values())
+        star = lift_size(h, q)
         for sid in range(200):
-            tr = run_fragmentation(
-                h, q, 0.3, 1.0, RngStream(700, sid), survivors_init=init
-            )
+            tr = run_fragmentation(h, q, 0.3, 1.0, RngStream(700, sid))
             if tr.endgame_hit:
                 assert tr.outcome_rainbow  # (a)
             for i, rec in enumerate(tr.rounds, start=1):  # (b) via good counting
@@ -193,9 +186,7 @@ def test_acceptance_07_fragmentation_consistency():
             if tr.all_rounds_successful:  # (d)
                 assert 2 * tr.final_survivors > star
             if sid < 25:  # (c)
-                again = run_fragmentation(
-                    h, q, 0.3, 1.0, RngStream(700, sid), survivors_init=init
-                )
+                again = run_fragmentation(h, q, 0.3, 1.0, RngStream(700, sid))
                 assert tr.serialize().encode() == again.serialize().encode()
     report("fragmentation: 200 seeded runs per instance consistent, traces byte-identical")
 

@@ -7,6 +7,7 @@ import pytest
 from rainbowspread.cli import main
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph, write_hypergraph
+from rainbowspread.threshold import TrialPool
 
 
 @pytest.fixture()
@@ -132,6 +133,22 @@ def test_threshold_rejects_bad_trials_and_target(hc5_path, tmp_path, monkeypatch
     _single_error(capsys, message)
 
 
+@pytest.mark.parametrize("edges,m_list,message", [
+    ((), "2,3", "hypergraph has no edges"),
+    (((0, 1),), "3,2", "--m-list must be sorted"),
+])
+def test_threshold_validates_before_trials(tmp_path, monkeypatch, capsys, edges, m_list, message):
+    path = tmp_path / "h.json"
+    write_hypergraph(Hypergraph(5, edges, 2), str(path))
+
+    def no_trial(self, t):
+        raise AssertionError("trial drawn before the input was validated")
+
+    monkeypatch.setattr(TrialPool, "_run_trial", no_trial)
+    assert main(["threshold", "--hypergraph", str(path), "--q", "3", "--m-list", m_list]) == 1
+    _single_error(capsys, message)
+
+
 def test_fragment_rejects_reversed_seed_range(hc5_path, tmp_path, capsys):
     out = tmp_path / "f.txt"
     rc = main(["fragment", "--hypergraph", hc5_path, "--q", "5",
@@ -142,11 +159,21 @@ def test_fragment_rejects_reversed_seed_range(hc5_path, tmp_path, capsys):
 
 
 def test_fragment_lift_over_cap(tmp_path, capsys):
-    # pm(8,2) at q=40 lifts to 230,302,800 edges, above the lift cap
+    # pm(8,2) at q=40: round 1's restricted lift has 94,394,734 edges, above the cap
     path = tmp_path / "pm82.json"
     write_hypergraph(gen_perfect_matching(8, 2), str(path))
     assert main(["fragment", "--hypergraph", str(path), "--q", "40"]) == 1
-    _single_error(capsys, "lift has 230302800 edges")
+    _single_error(capsys, "lift has 94394734 edges")
+
+
+def test_fragment_full_lift_over_cap_runs(hc5_path, tmp_path):
+    # hc5 at q=20 lifts to 22,325,760 edges; only round 1's restricted lift is built
+    out = tmp_path / "f.txt"
+    argv = ["fragment", "--hypergraph", hc5_path, "--q", "20", "--seeds", "0:4", "--out", str(out)]
+    assert main(argv) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    heads = [rec for rec in records if "lift_size" in rec]
+    assert len(heads) == 5 and all(rec["lift_size"] == 22325760 for rec in heads)
 
 
 def test_fragment_reproducible(hc5_path, tmp_path):

@@ -1,6 +1,8 @@
 """Round schedule, psi/chi selection, and whole-process traces."""
 
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -14,6 +16,8 @@ from rainbowspread.fragmentation import (
     select_psi_chi,
 )
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
+from rainbowspread.hypergraph import Hypergraph
+from rainbowspread.lifting import lift_size
 from rainbowspread.rng import RngStream
 from rainbowspread.sampling import ColoredSet
 
@@ -92,8 +96,7 @@ def test_psi_chi_empty_sample_collapses_subsets():
 
 def test_apply_round_counts_and_merge():
     survivors = {FRAG_A[0]: (2, FRAG_A[2]), FRAG_B[0]: (3, FRAG_B[2])}
-    new, before, compatible, good = apply_round(survivors, {0: 1}, r_i=2.0)
-    assert before == 5
+    new, compatible, good = apply_round(survivors, {0: 1}, r_i=2.0)
     assert compatible == 5
     assert good == 5
     # both collapse onto the same remainder, multiplicities add
@@ -103,33 +106,32 @@ def test_apply_round_counts_and_merge():
 def test_apply_round_threshold_boundary():
     survivors = {FRAG_B[0]: (1, FRAG_B[2])}
     # remainder after removing vertex 0 has size 2; r_i below that drops it
-    new, _, compatible, good = apply_round(survivors, {0: 1}, r_i=1.9)
+    new, compatible, good = apply_round(survivors, {0: 1}, r_i=1.9)
     assert compatible == 1 and good == 0 and new == {}
-    new, _, _, good = apply_round(survivors, {0: 1}, r_i=2.0)
+    new, _, good = apply_round(survivors, {0: 1}, r_i=2.0)
     assert good == 1 and list(new) == [((1, 1), (2, 2))]
 
 
 def test_apply_round_full_coloring():
     survivors = {FRAG_A[0]: (1, FRAG_A[2])}
     # sample colors every vertex compatibly: remainder is empty
-    new, _, compatible, good = apply_round(survivors, {0: 1, 1: 1}, r_i=5.0)
+    new, compatible, good = apply_round(survivors, {0: 1, 1: 1}, r_i=5.0)
     assert compatible == 1 and good == 1
     assert new == {(): (1, FRAG_A[2])}
     # one wrong color and nothing survives
-    new, _, compatible, _ = apply_round(survivors, {0: 1, 1: 2}, r_i=5.0)
+    new, compatible, _ = apply_round(survivors, {0: 1, 1: 2}, r_i=5.0)
     assert compatible == 0 and new == {}
 
 
-def run_once(h, q, seed, stream=0, init=None):
-    return run_fragmentation(h, q, 0.3, 1.0, RngStream(seed, stream), survivors_init=init)
+def run_once(h, q, seed, stream=0):
+    return run_fragmentation(h, q, 0.3, 1.0, RngStream(seed, stream))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_trace_invariants(seed):
     h = gen_perfect_matching(6, 2)
     q = 4
-    init = initial_survivors(h, q)
-    tr = run_once(h, q, seed, init=init)
+    tr = run_once(h, q, seed)
     assert isinstance(tr, FragmentationTrace)
     assert len(tr.rounds) == tr.schedule.ell
     for i, rec in enumerate(tr.rounds, start=1):
@@ -137,6 +139,8 @@ def test_trace_invariants(seed):
         assert 0 <= rec.survivors_after <= rec.compatible <= rec.survivors_before
         assert 0.0 <= rec.good_fraction <= 1.0
     assert tr.rounds[0].survivors_before == tr.lift_size
+    for prev, rec in zip(tr.rounds, tr.rounds[1:]):
+        assert rec.survivors_before == prev.survivors_after
     assert tr.final_survivors == tr.rounds[-1].survivors_after
     if tr.endgame_hit:
         # an endgame-covered fragment is a rainbow piece of the union
@@ -157,17 +161,48 @@ def test_trace_deterministic_serialization():
         json.loads(line)
 
 
+def test_traces_frozen():
+    # sha256 of these traces as the full-lift implementation wrote them
+    digest = hashlib.sha256()
+    for h, q in [(gen_perfect_matching(6, 2), 4), (gen_hamilton(5), 6)]:
+        for sid in range(10):
+            for gamma in (0.1, 0.3):
+                digest.update(run_fragmentation(h, q, gamma, 1.0, RngStream(11, sid)).serialize().encode())
+    assert digest.hexdigest() == "0963f455239428733e2d5b51720000119f468dd92a8fe6724c22d1fdba7fe55f"
+
+
 def test_initial_survivors_multiset():
     h = gen_hamilton(4)
     q = 4
-    init = initial_survivors(h, q)
+    init = initial_survivors(h, q, {})
     total = sum(mult for mult, _ in init.values())
-    from rainbowspread.lifting import lift_size
-
     assert total == lift_size(h, q)
     # distinct base edges never share (vertex, color) element tuples here,
     # so every multiplicity is 1
     assert all(mult == 1 for mult, _ in init.values())
+
+
+def _random_hypergraph(rnd):
+    n = rnd.randint(4, 7)
+    edges = [tuple(rnd.sample(range(n), rnd.randint(1, 3))) for _ in range(rnd.randint(1, 6))]
+    edges += rnd.sample(edges, min(2, len(edges)))  # repeated edges
+    return Hypergraph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_round_one_from_restricted_lift(seed):
+    # psi never indexes a clashing fragment, so round 1 over the lift
+    # restricted to its sample gives what it gives over the full lift
+    rnd = random.Random(seed)
+    h = _random_hypergraph(rnd)
+    q = h.r_bound + rnd.randint(0, 2)
+    full = initial_survivors(h, q, {})
+    for _ in range(6):
+        w1 = {v: rnd.randint(1, q) for v in range(h.num_vertices) if rnd.random() < 0.4}
+        r_i = rnd.choice([0.5, 1.0, 2.0, 3.0])
+        restricted = apply_round(initial_survivors(h, q, w1), w1, r_i)
+        assert restricted == apply_round(full, w1, r_i)
+        assert restricted[1] == lift_size(h, q, w1)
 
 
 def test_run_rejects_small_q():

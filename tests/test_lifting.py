@@ -14,6 +14,7 @@ from rainbowspread.lifting import (
     lift_size,
     lifted_containment_count,
 )
+from rainbowspread.rng import RngStream
 from rainbowspread.spread import max_spread
 
 EDGE = Hypergraph.from_edges(2, [(0, 1)])
@@ -45,6 +46,46 @@ def test_lift_errors():
         lift_rainbow(EDGE, 1)
     with pytest.raises(LiftCapExceeded):
         lift_rainbow(gen_hamilton(6), 8, cap=100)
+
+
+# mixed sizes, repeated edges
+MIXED = Hypergraph.from_edges(5, [(0, 1), (1, 2, 3), (0, 1), (2,), (0, 2, 3, 4), (1, 2, 3)])
+
+
+def restricted_by_filter(h, q, w):
+    """Lifted edges whose colors agree with w on every shared vertex."""
+    return [le for le in lift_rainbow(h, q) if all(w.get(v, c) == c for v, c in le.elements(h))]
+
+
+@pytest.mark.parametrize("q", [4, 5, 6])
+def test_restricted_lift_matches_filter(q):
+    rng = RngStream(41, q)
+    for _ in range(40):
+        # colors up to q + 1: a pin outside [1, q] admits no coloring
+        w = {v: rng.randint(1, q + 1) for v in range(5) if rng.bernoulli(0.5)}
+        brute = restricted_by_filter(MIXED, q, w)
+        assert lift_size(MIXED, q, w) == len(brute)
+        assert lift_rainbow(MIXED, q, w) == brute
+
+
+def test_restricted_lift_clashing_pins():
+    # w colors vertices 1 and 2 alike, so both copies of (1, 2, 3) drop out;
+    # (0, 1) twice: 3 each, (2,): 1, (0, 2, 3, 4): (3)_3 = 6
+    w = {1: 2, 2: 2}
+    lifted = lift_rainbow(MIXED, 4, w)
+    assert lift_size(MIXED, 4, w) == len(lifted) == 13
+    assert {le.base for le in lifted} == {0, 2, 3, 4}
+    assert lifted == restricted_by_filter(MIXED, 4, w)
+
+
+def test_restricted_lift_cap():
+    h = gen_hamilton(6)
+    w = {v: v % 8 + 1 for v in range(0, 15, 2)}
+    n = lift_size(h, 8, w)
+    assert 0 < n < lift_size(h, 8)
+    assert len(lift_rainbow(h, 8, w, cap=n)) == n
+    with pytest.raises(LiftCapExceeded, match=f"lift has {n} edges"):
+        lift_rainbow(h, 8, w, cap=n - 1)
 
 
 def test_lifted_containment_examples():

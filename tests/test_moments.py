@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from rainbowspread import moments
+from rainbowspread import _kernels, lifting, moments
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
-from rainbowspread.lifting import falling_factorial, lift_rainbow, lift_size
+from rainbowspread.lifting import LiftCapExceeded, falling_factorial, lift_rainbow, lift_size
 from rainbowspread.moments import (
     binomial_median_check,
     chebyshev_miss_bound,
@@ -20,7 +20,7 @@ from rainbowspread.moments import (
 )
 from rainbowspread.rng import RngStream
 from rainbowspread.sampling import contains_rainbow_edge, sample_colored_p
-from rainbowspread.spread import max_spread
+from rainbowspread.spread import EnumerationCapExceeded, max_spread
 
 SINGLE = Hypergraph.from_edges(2, [(0, 1)])
 
@@ -170,6 +170,20 @@ def test_exact_uncover_probability_single_edge():
     for alpha in (0.3, 0.6):
         got = exact_uncover_probability(SINGLE, 2, alpha)
         assert math.isclose(got, 1 - alpha * alpha / 2, rel_tol=1e-12)
+
+
+def test_exact_paths_refuse_before_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(lifting, "permutations", no_work)
+    monkeypatch.setattr(_kernels, "pack_edges", no_work)
+    # hc6 at q=6 lifts to 43,200 edges, above the pair path's ceiling
+    with pytest.raises(LiftCapExceeded, match="lift has 43200 edges, above cap 3000"):
+        janson_delta_exact(gen_hamilton(6), 6, 0.05, method="pairs")
+    # 10 vertices at q=5: 6^10 states
+    with pytest.raises(EnumerationCapExceeded, match="60466176 vertex states"):
+        exact_uncover_probability(gen_hamilton(5), 5, 0.5)
 
 
 def test_exact_uncover_probability_vs_monte_carlo():
