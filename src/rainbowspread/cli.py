@@ -14,10 +14,10 @@ import os
 import sys
 
 from . import __version__
+from .errors import RainbowSpreadError
 from .fragmentation import run_fragmentation
-from .generators import GeneratorError, parse_spec
-from .hypergraph import HypergraphError, read_hypergraph, write_hypergraph
-from .lifting import LiftCapExceeded
+from .generators import parse_spec
+from .hypergraph import read_hypergraph, write_hypergraph
 from .moments import chebyshev_report, janson_chain_check
 from .rng import RngStream
 from .sampling import (
@@ -28,8 +28,8 @@ from .sampling import (
     sample_lifted_binomial,
     sample_uniform_subset,
 )
-from .spread import EnumerationCapExceeded, is_kappa_spread, max_spread
-from .threshold import ThresholdUnreachable, estimate_threshold, sweep
+from .spread import is_kappa_spread, max_spread
+from .threshold import TrialPool, estimate_threshold, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,16 +118,16 @@ def cmd_moments(args) -> int:
 def cmd_threshold(args) -> int:
     h = read_hypergraph(args.hypergraph)
     seed = _resolve_seed(args)
-    rng = RngStream(seed)
     lines = [_header(args, seed)]
     m_list = [int(tok) for tok in args.m_list.split(",")] if args.m_list else []
     if m_list != sorted(m_list):
         raise ValueError("--m-list must be sorted")
-    # the estimate validates the instance before the sweep draws any trial;
-    # both read only rng.child(t), so the call order leaves the bytes alone
-    est = estimate_threshold(h, args.q, args.target, args.trials, rng)
+    # one pool, so the sweep reads the trials the estimate drew; the
+    # estimate validates the instance before any trial is drawn
+    pool = TrialPool(h, args.q, RngStream(seed))
+    est = estimate_threshold(h, args.q, args.target, args.trials, pool)
     if m_list:
-        rows = sweep(h, args.q, m_list, args.trials, rng)
+        rows = sweep(h, args.q, m_list, args.trials, pool)
         lines.append("m,hits,trials,p_hat,ci_lo,ci_hi,uncolored_hits")
         for m, hits, trials, p_hat, lo, hi, uhits in rows:
             lines.append(f"{m},{hits},{trials},{p_hat:.6f},{lo:.6f},{hi:.6f},{uhits}")
@@ -252,8 +252,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (HypergraphError, GeneratorError, ThresholdUnreachable,
-            EnumerationCapExceeded, LiftCapExceeded, ValueError, OSError) as exc:
+    except (RainbowSpreadError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph
 from .lifting import lift_rainbow, lift_size
 from .rng import RngStream, round_half_up
@@ -24,7 +25,7 @@ from .sampling import ColoredSet, contains_rainbow_edge
 from .spread import max_spread
 
 
-class ScheduleInfeasibleError(ValueError):
+class ScheduleInfeasibleError(RainbowSpreadError, ValueError):
     pass
 
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph
 
 HAMILTON_N_LIMIT = 9
@@ -18,7 +19,7 @@ PERMUTATION_N_LIMIT = 8
 EDGE_COUNT_LIMIT = 1_000_000
 
 
-class GeneratorError(ValueError):
+class GeneratorError(RainbowSpreadError, ValueError):
     pass
 
 

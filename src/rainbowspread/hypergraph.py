@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
+
+from .errors import RainbowSpreadError
 
 FORMAT_NAME = "hypergraph"
 FORMAT_VERSION = 1
 
 
-class HypergraphError(ValueError):
+class HypergraphError(RainbowSpreadError, ValueError):
     pass
 
 
@@ -42,6 +45,16 @@ class Hypergraph:
 
     def __len__(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def packed(self):
+        """`_kernels.pack_edges(self.edges)`, built on first use and shared by
+        every kernel caller; both arrays are read-only."""
+        from . import _kernels  # here, so that importing the package does not load numpy
+
+        matrix, sizes = _kernels.pack_edges(self.edges)
+        matrix.flags.writeable = sizes.flags.writeable = False
+        return matrix, sizes
 
     @property
     def is_uniform(self) -> bool:

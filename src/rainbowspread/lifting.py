@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph, HypergraphError
 
 DEFAULT_LIFT_CAP = 2_000_000
 
 
-class LiftCapExceeded(RuntimeError):
+class LiftCapExceeded(RainbowSpreadError, RuntimeError):
     pass
 
 
@@ -94,7 +95,7 @@ def lift_rainbow(
     return out
 
 
-class ChromaticityError(ValueError):
+class ChromaticityError(RainbowSpreadError, ValueError):
     pass
 
 

@@ -206,29 +206,35 @@ def chebyshev_miss_bound(r: int, alpha: float, kappa: float) -> float:
     return 2.0 * math.e * r / (alpha * kappa)
 
 
+# (state, edge, slot) entries held at once by exact_uncover_probability
+UNCOVER_BLOCK_ELEMENTS = 1 << 18
+
+
 def exact_uncover_probability(g: Hypergraph, q: int, alpha: float) -> float:
     """Pr(colored alpha-sample contains no rainbow edge of G), by full
-    enumeration over all (q+1)^N vertex states.  Feasible for N*q <= ~24."""
-    from itertools import product
+    enumeration over all (q+1)^N vertex states.  Feasible for N*q <= ~24.
 
+    State s gives vertex v the base-(q+1) digit v of s (0 = unsampled);
+    a state's probability depends only on how many vertices it colors,
+    so uncovered states are counted by that number, one block at a time.
+    """
     from . import _kernels
 
     n = g.num_vertices
-    if (q + 1) ** n > 5_000_000:
-        raise EnumerationCapExceeded(f"{(q + 1) ** n} vertex states; too large for exact enumeration")
-    matrix, sizes = _kernels.pack_edges(g.edges)
+    states = (q + 1) ** n
+    if states > 5_000_000:
+        raise EnumerationCapExceeded(f"{states} vertex states; too large for exact enumeration")
+    matrix, sizes = g.packed
     p_absent = 1.0 - alpha
     p_color = alpha / q
-    total = 0.0
-    wcolor = np.zeros(n, dtype=np.int64)
-    for states in product(range(q + 1), repeat=n):
-        prob = 1.0
-        for v, s in enumerate(states):
-            prob *= p_absent if s == 0 else p_color
-            wcolor[v] = s
-        if _kernels.first_rainbow_edge(matrix, sizes, wcolor) < 0:
-            total += prob
-    return total
+    place = (q + 1) ** np.arange(n, dtype=np.int64)
+    rows = max(1, UNCOVER_BLOCK_ELEMENTS // max(matrix.size, n, 1))
+    uncovered = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, states, rows):
+        wcolor = np.arange(lo, min(lo + rows, states))[:, None] // place % (q + 1)
+        miss = wcolor[_kernels.first_rainbow_edge(matrix, sizes, wcolor) < 0]
+        uncovered += np.bincount(np.count_nonzero(miss, axis=1), minlength=n + 1)
+    return math.fsum(int(c) * p_color**k * p_absent ** (n - k) for k, c in enumerate(uncovered))
 
 
 def binomial_median_check(n: int, p: float) -> bool:

@@ -5,6 +5,12 @@ parallel Monte Carlo trials can each open their own stream (stream_id =
 trial index) and reproduce byte-identical results on any platform and
 with any worker count.  The mixing function is the SplitMix64 finalizer;
 test vectors are frozen in tests/test_rng.py.
+
+Because a draw depends on nothing but its stream key and counter, the
+array forms below (`mix64_array`, `child_keys`, `stream_draws`) compute
+the draws of many streams at once as uint64 operations, bit for bit the
+values the scalar methods return.  They import numpy when called, so
+importing the package stays free of it.
 """
 
 from __future__ import annotations
@@ -20,6 +26,48 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def mix64_array(z):
+    """mix64 of every element of a uint64 array (products wrap mod 2**64)."""
+    import numpy as np
+
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def child_keys(key: int, stream_ids):
+    """RngStream(key, t).key for each stream id t, as a uint64 array."""
+    import numpy as np
+
+    ids = np.asarray(stream_ids, dtype=np.uint64) + np.uint64(_STREAM_SALT)
+    return mix64_array(ids) ^ np.uint64(mix64(key))
+
+
+def stream_draws(keys, count: int):
+    """(len(keys), count) uint64 array: row k holds the first `count`
+    next_u64() values of the stream whose key is keys[k]."""
+    import numpy as np
+
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_PHI)
+    return mix64_array(keys[:, None] + steps)
+
+
+def accept_limits(moduli):
+    """Largest draw that randrange(m) accepts, per modulus m, as uint64.
+
+    randrange accepts v < (2**64 // m) * m; for a power of two m that
+    bound is 2**64 itself, one past what uint64 holds, so the limit is
+    kept as the bound minus 1.
+    """
+    import numpy as np
+
+    if not all(1 <= m <= _MASK for m in moduli):
+        raise ValueError("array draws need 1 <= n < 2**64")
+    return np.array([((_MASK + 1) // m) * m - 1 for m in moduli], dtype=np.uint64)
 
 
 class RngStream:

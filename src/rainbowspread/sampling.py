@@ -139,6 +139,5 @@ def contains_rainbow_edge(h: Hypergraph, w: ColoredSet):
     wcolor = np.zeros(h.num_vertices, dtype=np.int64)
     for v, c in w.assignment:
         wcolor[v] = c
-    matrix, sizes = _kernels.pack_edges(h.edges)
-    idx = _kernels.first_rainbow_edge(matrix, sizes, wcolor)
+    idx = _kernels.first_rainbow_edge(*h.packed, wcolor)
     return h.edges[idx] if idx >= 0 else None

@@ -13,12 +13,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph, HypergraphError
 
 DEFAULT_CANDIDATE_CAP = 20_000_000
 
 
-class EnumerationCapExceeded(RuntimeError):
+class EnumerationCapExceeded(RainbowSpreadError, RuntimeError):
     pass
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph
-from .rng import RngStream
+from .rng import RngStream, accept_limits, child_keys, stream_draws
 from .spread import max_spread
 
 Z95 = 1.959963984540054
@@ -33,7 +34,7 @@ def wilson_interval(hits: int, n: int, z: float = Z95) -> tuple[float, float]:
     return lo, hi
 
 
-class ThresholdUnreachable(RuntimeError):
+class ThresholdUnreachable(RainbowSpreadError, RuntimeError):
     pass
 
 
@@ -48,17 +49,35 @@ class ThresholdEstimate:
     implied_C: float = 0.0  # m_star * kappa / (N log r)
 
 
+# a block of trials holds about this many (trial, edge, slot) entries at once
+BLOCK_ELEMENTS = 1 << 17
+
+
+def _rejected_rows(draws: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """Rows holding a draw that RngStream.randrange would reject."""
+    return np.flatnonzero((draws > limits).any(axis=1))
+
+
 class TrialPool:
-    """Caches per-trial hit times; trial t uses stream_id = t."""
+    """Caches per-trial hit times; trial t uses stream_id = t.
+
+    Trials are computed in blocks with array draws (`rng.stream_draws`)
+    and one batched kernel call each, bit-exact with `_run_trial`, the
+    scalar reference.  A trial with a draw that randrange would reject
+    (probability below max(n, q) / 2**64 per draw) is recomputed there.
+    """
 
     def __init__(self, h: Hypergraph, q: int, rng: RngStream):
         self.h = h
         self.q = q
         self.rng = rng
         self.n = h.num_vertices
-        self.matrix, self.sizes = _kernels.pack_edges(h.edges)
-        self._colored: list[int] = []
-        self._uncolored: list[int] = []
+        self.matrix, self.sizes = h.packed
+        # narrowest type holding every position, the sentinel n and every color
+        self._dtype = np.min_scalar_type(max(self.n, q))
+        self._block = max(1, BLOCK_ELEMENTS // max(self.matrix.size, 2 * self.n, 1))
+        self._colored = np.empty(0, dtype=np.int64)
+        self._uncolored = np.empty(0, dtype=np.int64)
 
     def _run_trial(self, t: int) -> tuple[int, int]:
         s = self.rng.child(t)
@@ -71,19 +90,47 @@ class TrialPool:
         ut = _kernels.cover_hit_time(self.matrix, pos)
         return ct, ut
 
+    def _run_block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Hit times of trials lo..hi-1, as _run_trial computes them."""
+        n = self.n
+        # a trial's draws: Fisher-Yates steps randrange(n), ..., randrange(2),
+        # then randint(1, q) for each vertex
+        moduli = [*range(n, 1, -1), *[self.q] * n]
+        limits = accept_limits(moduli)
+        draws = stream_draws(child_keys(self.rng.key, np.arange(lo, hi)), len(moduli))
+        picks = (draws % np.array(moduli, dtype=np.uint64)).astype(self._dtype)
+        rows = np.arange(hi - lo)
+        perm = np.tile(np.arange(n, dtype=self._dtype), (hi - lo, 1))
+        for step, i in enumerate(range(n - 1, 0, -1)):
+            j = picks[:, step]
+            swapped = perm[rows, j]
+            perm[rows, j] = perm[:, i]
+            perm[:, i] = swapped
+        pos = np.empty_like(perm)
+        pos[rows[:, None], perm] = np.arange(n, dtype=self._dtype)
+        colors = picks[:, max(n - 1, 0) :] + 1
+        ct = _kernels.rainbow_hit_time(self.matrix, self.sizes, pos, colors)
+        ut = _kernels.cover_hit_time(self.matrix, pos)
+        for row in _rejected_rows(draws, limits):
+            ct[row], ut[row] = self._run_trial(lo + int(row))
+        return ct, ut
+
     def ensure(self, trials: int) -> None:
-        while len(self._colored) < trials:
-            ct, ut = self._run_trial(len(self._colored))
-            self._colored.append(ct)
-            self._uncolored.append(ut)
+        starts = range(len(self._colored), trials, self._block)
+        blocks = [self._run_block(lo, min(lo + self._block, trials)) for lo in starts]
+        if blocks:
+            self._colored = np.concatenate([self._colored, *(ct for ct, _ in blocks)])
+            self._uncolored = np.concatenate([self._uncolored, *(ut for _, ut in blocks)])
+            # callers get slices of these arrays, so no caller may write them
+            self._colored.flags.writeable = self._uncolored.flags.writeable = False
 
     def colored_times(self, trials: int) -> np.ndarray:
         self.ensure(trials)
-        return np.asarray(self._colored[:trials])
+        return self._colored[:trials]
 
     def uncolored_times(self, trials: int) -> np.ndarray:
         self.ensure(trials)
-        return np.asarray(self._uncolored[:trials])
+        return self._uncolored[:trials]
 
 
 def _check_trials(trials: int) -> None:
@@ -91,12 +138,25 @@ def _check_trials(trials: int) -> None:
         raise ValueError("trials must be positive")
 
 
-def hit_probability(h: Hypergraph, q: int, m: int, trials: int, rng: RngStream):
-    """(p_hat, (ci_lo, ci_hi)) for a rainbow edge inside a colored m-sample."""
+def _pool(h: Hypergraph, q: int, rng) -> TrialPool:
+    """rng itself when it is a TrialPool, so callers share its trials;
+    else a new pool over the stream rng."""
+    if not isinstance(rng, TrialPool):
+        return TrialPool(h, q, rng)
+    if rng.h != h or rng.q != q:
+        raise ValueError("the trial pool was built for another hypergraph or q")
+    return rng
+
+
+def hit_probability(h: Hypergraph, q: int, m: int, trials: int, rng):
+    """(p_hat, (ci_lo, ci_hi)) for a rainbow edge inside a colored m-sample.
+
+    rng is an RngStream, or a TrialPool over (h, q) whose trials are reused.
+    """
     _check_trials(trials)
     if m > h.num_vertices:
         raise ValueError(f"m={m} exceeds ground set size {h.num_vertices}")
-    pool = TrialPool(h, q, rng)
+    pool = _pool(h, q, rng)
     hits = int(np.count_nonzero(pool.colored_times(trials) <= m))
     return hits / trials, wilson_interval(hits, trials)
 
@@ -125,12 +185,13 @@ def estimate_threshold(
     q: int,
     target: float,
     trials: int,
-    rng: RngStream,
+    rng,
 ) -> ThresholdEstimate:
     """Bisection for the smallest m with hit probability >= target.
 
     Deterministic given the seed; converges in at most ceil(log2(N-r))
     bisection levels because each level halves the integer interval.
+    rng is an RngStream, or a TrialPool over (h, q) whose trials are reused.
     """
     _check_trials(trials)
     if not 0 < target <= 1:
@@ -142,7 +203,7 @@ def estimate_threshold(
     min_edge = min(len(e) for e in h.edges)
     if q < min_edge:
         raise ThresholdUnreachable(f"q={q} colors cannot make any edge rainbow")
-    pool = TrialPool(h, q, rng)
+    pool = _pool(h, q, rng)
     times = pool.colored_times(trials)
     curve: list[tuple[int, int, int]] = []
     # below the smallest edge size no sample can contain an edge
@@ -180,16 +241,17 @@ def estimate_threshold(
     )
 
 
-def sweep(h: Hypergraph, q: int, m_list, trials: int, rng: RngStream):
+def sweep(h: Hypergraph, q: int, m_list, trials: int, rng):
     """Curve rows (m, hits, trials, p_hat, ci_lo, ci_hi, uncolored_hits).
 
     The uncolored column ignores colors (plain containment), so each row
     compares rainbow containment against ordinary containment at that m.
+    rng is an RngStream, or a TrialPool over (h, q) whose trials are reused.
     """
     _check_trials(trials)
     if sorted(m_list) != list(m_list):
         raise ValueError("m_list must be sorted")
-    pool = TrialPool(h, q, rng)
+    pool = _pool(h, q, rng)
     colored = pool.colored_times(trials)
     uncolored = pool.uncolored_times(trials)
     rows = []

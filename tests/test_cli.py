@@ -1,13 +1,20 @@
 """End-to-end CLI behavior: exit codes, reproducible outputs, bad inputs."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from rainbowspread import _kernels, cli
 from rainbowspread.cli import main
-from rainbowspread.generators import gen_hamilton, gen_perfect_matching
-from rainbowspread.hypergraph import Hypergraph, write_hypergraph
-from rainbowspread.threshold import TrialPool
+from rainbowspread.errors import RainbowSpreadError
+from rainbowspread.fragmentation import ScheduleInfeasibleError
+from rainbowspread.generators import GeneratorError, gen_hamilton, gen_perfect_matching
+from rainbowspread.hypergraph import Hypergraph, HypergraphError, write_hypergraph
+from rainbowspread.lifting import ChromaticityError, LiftCapExceeded
+from rainbowspread.spread import EnumerationCapExceeded
+from rainbowspread.threshold import ThresholdUnreachable, TrialPool
 
 
 @pytest.fixture()
@@ -109,6 +116,44 @@ def test_threshold_and_sweep_reproducible(hc5_path, tmp_path):
     assert 1 <= tail["m_star"] <= 10
 
 
+def test_threshold_outputs_frozen(tmp_path, monkeypatch):
+    # sha256 of these outputs as the one-trial-at-a-time engine wrote them;
+    # relative paths, since the header echoes the --hypergraph argument
+    monkeypatch.chdir(tmp_path)
+    write_hypergraph(gen_hamilton(5), "hc5.json")
+    mixed = [(0, 1), (1, 2, 3), (2, 5, 7, 8), (0, 4, 6), (1, 2, 3), (4, 8), (3, 6)]
+    write_hypergraph(Hypergraph.from_edges(9, mixed), "mixed.json")
+    runs = [
+        (["--hypergraph", "hc5.json", "--q", "5", "--target", "0.1", "--trials", "400"], (0, 1, 2)),
+        (["--hypergraph", "hc5.json", "--q", "5", "--target", "0.2", "--trials", "400",
+          "--m-list", "3,5,8,10"], (0, 1, 2)),
+        (["--hypergraph", "mixed.json", "--q", "4", "--trials", "300", "--m-list", "2,4,9"], (0, 1)),
+    ]
+    digest = hashlib.sha256()
+    for argv, seeds in runs:
+        for seed in seeds:
+            assert main(["threshold", *argv, "--seed", str(seed), "--out", "out.txt"]) == 0
+            digest.update((tmp_path / "out.txt").read_bytes())
+    assert digest.hexdigest() == "9bef53090e477275f84c2da23df977a6d41c842f07fac811be3a67564894c194"
+
+
+def test_threshold_m_list_computes_each_trial_once(hc5_path, monkeypatch):
+    computed = {}
+    for name in ("rainbow_hit_time", "cover_hit_time"):
+        kernel = getattr(_kernels, name)
+
+        def counting(*args, kernel=kernel, name=name):
+            times = kernel(*args)
+            computed[name] = computed.get(name, 0) + np.size(times)
+            return times
+
+        monkeypatch.setattr(_kernels, name, counting)
+    argv = ["threshold", "--hypergraph", hc5_path, "--q", "5", "--trials", "500",
+            "--target", "0.2", "--m-list", "3,5"]
+    assert main(argv) == 0
+    assert computed == {"rainbow_hit_time": 500, "cover_hit_time": 500}
+
+
 def test_threshold_unreachable_exit(hc5_path):
     rc = main(["threshold", "--hypergraph", hc5_path, "--q", "1",
                "--trials", "100"])
@@ -141,10 +186,10 @@ def test_threshold_validates_before_trials(tmp_path, monkeypatch, capsys, edges,
     path = tmp_path / "h.json"
     write_hypergraph(Hypergraph(5, edges, 2), str(path))
 
-    def no_trial(self, t):
+    def no_trial(self, trials):
         raise AssertionError("trial drawn before the input was validated")
 
-    monkeypatch.setattr(TrialPool, "_run_trial", no_trial)
+    monkeypatch.setattr(TrialPool, "ensure", no_trial)
     assert main(["threshold", "--hypergraph", str(path), "--q", "3", "--m-list", m_list]) == 1
     _single_error(capsys, message)
 
@@ -216,6 +261,24 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     main(["sample", "--model", "uniform-m", "--n", "20", "--m", "5",
           "--seed", "9", "--out", str(out_b)])
     assert json.loads(out_b.read_text().split("\n")[0])["seed"] == 9
+
+
+def test_library_errors_share_one_base():
+    for cls, builtin in [
+        (HypergraphError, ValueError), (GeneratorError, ValueError), (ChromaticityError, ValueError),
+        (ScheduleInfeasibleError, ValueError), (ThresholdUnreachable, RuntimeError),
+        (EnumerationCapExceeded, RuntimeError), (LiftCapExceeded, RuntimeError),
+    ]:
+        assert issubclass(cls, RainbowSpreadError) and issubclass(cls, builtin)
+
+
+def test_library_error_is_one_error_line(hc5_path, monkeypatch, capsys):
+    def fail(path):
+        raise RainbowSpreadError("no such instance")
+
+    monkeypatch.setattr(cli, "read_hypergraph", fail)
+    assert main(["spread", hc5_path]) == 1
+    _single_error(capsys, "no such instance")
 
 
 def test_malformed_hypergraph_file(tmp_path):

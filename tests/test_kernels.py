@@ -110,6 +110,43 @@ def test_agree_wide_colors_mixed_sizes(stream_id, lo, hi):
     assert_agree(*random_instance(rng, (9, 30), 10, (2, 9), lo, hi))
 
 
+# a leading axis of trials (or states), in the narrow dtypes the trial
+# engine uses, must give exactly the per-row 1-D results
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("stream_id", range(10))
+def test_batched_rows_match_single_rows(stream_id, dtype):
+    rows = [random_instance(RngStream(780, 10 * stream_id + k), (12, 12), 15, (1, 5), 1, 4)
+            for k in range(6)]
+    edges = rows[0][0] if stream_id else []
+    matrix, sizes = pack_edges(edges)
+    pos, colors, wcolor = (np.stack([row[i] for row in rows]) for i in (1, 2, 3))
+    got = (
+        rainbow_hit_time(matrix, sizes, pos.astype(dtype), colors.astype(dtype)),
+        cover_hit_time(matrix, pos.astype(dtype)),
+        first_rainbow_edge(matrix, sizes, wcolor.astype(dtype)),
+    )
+    want = [
+        [rainbow_hit_time(matrix, sizes, p, c) for p, c in zip(pos, colors)],
+        [cover_hit_time(matrix, p) for p in pos],
+        [first_rainbow_edge(matrix, sizes, w) for w in wcolor],
+    ]
+    assert [g.tolist() for g in got] == want
+    assert want[0] == [ref_rainbow_hit_time(edges, p, c) for p, c in zip(pos, colors)]
+    assert want[2] == [ref_first_rainbow_edge(edges, w) for w in wcolor]
+    assert all(g.dtype == np.int64 for g in got)
+
+
+def test_sentinel_beyond_narrow_dtype():
+    # n = 255 fills uint8; the no-hit sentinel n + 1 = 256 does not
+    n = 255
+    matrix, sizes = pack_edges([(0, 254)])
+    pos = np.arange(n, dtype=np.uint8)[None, :]
+    colors = np.ones((1, n), dtype=np.uint8)
+    assert rainbow_hit_time(matrix, sizes, pos, colors).tolist() == [256]
+    assert cover_hit_time(matrix, pos).tolist() == [255]
+    assert rainbow_hit_time(matrix, sizes, pos[0], colors[0]) == 256
+
+
 def test_no_edges():
     matrix, sizes = pack_edges([])
     assert matrix.shape == (0, 1) and sizes.shape == (0,)

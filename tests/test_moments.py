@@ -172,6 +172,32 @@ def test_exact_uncover_probability_single_edge():
         assert math.isclose(got, 1 - alpha * alpha / 2, rel_tol=1e-12)
 
 
+def uncover_by_states(g, q, alpha):
+    """Per-state reference: one product of vertex probabilities per state."""
+    from itertools import product
+
+    total = 0.0
+    for states in product(range(q + 1), repeat=g.num_vertices):
+        w = {v: c for v, c in enumerate(states) if c}
+        if not any(all(v in w for v in e) and len({w[v] for v in e}) == len(e) for e in g.edges):
+            total += math.prod(alpha / q if c else 1.0 - alpha for c in states)
+    return total
+
+
+@pytest.mark.parametrize("g,q,alpha", [
+    (SINGLE, 2, 0.3),
+    (gen_perfect_matching(4, 2), 2, 0.5),
+    (gen_perfect_matching(4, 2), 3, 0.7),
+    (Hypergraph.from_edges(7, [(0, 1), (1, 2, 3), (2, 5, 6), (4,), (1, 2, 3)]), 3, 0.45),
+    (Hypergraph(3, (), 2), 2, 0.5),
+])
+def test_exact_uncover_probability_matches_per_state_sum(g, q, alpha, monkeypatch):
+    want = uncover_by_states(g, q, alpha)
+    assert math.isclose(exact_uncover_probability(g, q, alpha), want, rel_tol=1e-12)
+    monkeypatch.setattr(moments, "UNCOVER_BLOCK_ELEMENTS", 7)  # many blocks, some ragged
+    assert math.isclose(exact_uncover_probability(g, q, alpha), want, rel_tol=1e-12)
+
+
 def test_exact_paths_refuse_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the size check")

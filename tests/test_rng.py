@@ -1,8 +1,17 @@
 """Frozen test vectors and reproducibility guarantees for the RNG."""
 
+import numpy as np
 import pytest
 
-from rainbowspread.rng import RngStream, round_half_up
+from rainbowspread.rng import (
+    RngStream,
+    accept_limits,
+    child_keys,
+    mix64,
+    mix64_array,
+    round_half_up,
+    stream_draws,
+)
 
 
 # these vectors pin the generator across platforms and versions
@@ -33,6 +42,45 @@ VECTORS = {
 def test_frozen_vectors(key):
     s = RngStream(*key)
     assert [s.next_u64() for _ in range(len(VECTORS[key]))] == VECTORS[key]
+
+
+def test_array_draws_match_frozen_vectors():
+    for (seed, sid), want in VECTORS.items():
+        keys = child_keys(seed, [sid])
+        assert int(keys[0]) == RngStream(seed, sid).key
+        assert stream_draws(keys, len(want))[0].tolist() == want
+
+
+def test_mix64_array_matches_scalar():
+    s = RngStream(5, 5)
+    values = [0, 1, 2**63, 2**64 - 1] + [s.next_u64() for _ in range(200)]
+    got = mix64_array(np.array(values, dtype=np.uint64))
+    assert got.tolist() == [mix64(v) for v in values]
+
+
+def test_child_keys_and_stream_draws_match_scalar_streams():
+    base = RngStream(2**64 - 7, 11)
+    ids = [0, 1, 2, 1000, 2**40, 2**64 - 1]
+    keys = child_keys(base.key, ids)
+    assert keys.tolist() == [base.child(t).key for t in ids]
+    draws = stream_draws(keys, 9)
+    for t, row in zip(ids, draws.tolist()):
+        child = base.child(t)
+        assert row == [child.next_u64() for _ in range(9)]
+
+
+def test_accept_limits_match_randrange():
+    # randrange(m) accepts v < (2**64 // m) * m; for a power of two that
+    # bound is 2**64 and every draw is accepted
+    mask = 2**64 - 1
+    moduli = [1, 2, 3, 7, 8, 2**32, 2**63, 2**63 + 1, 2**64 - 1]
+    assert accept_limits(moduli).tolist() == [(2**64 // m) * m - 1 for m in moduli]
+    assert accept_limits([1, 8, 2**63]).tolist() == [mask] * 3
+    assert accept_limits([3]).tolist() == [mask - 1]
+    assert accept_limits([]).shape == (0,)
+    for bad in ([4, 0], [2**64]):
+        with pytest.raises(ValueError, match="1 <= n < 2"):
+            accept_limits(bad)
 
 
 def test_same_stream_same_draws():

@@ -7,11 +7,15 @@ over at least 1e5 draws, with frozen seeds so reruns are stable.
 import math
 from itertools import combinations, product
 
+import numpy as np
+import pytest
 from scipy.stats import chi2
 
+from rainbowspread import _kernels
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import lift_rainbow, lift_size
+from rainbowspread.moments import exact_uncover_probability
 from rainbowspread.rng import RngStream
 from rainbowspread.sampling import (
     ColoredSet,
@@ -23,6 +27,7 @@ from rainbowspread.sampling import (
     sample_lifted_binomial,
     sample_uniform_subset,
 )
+from rainbowspread.threshold import TrialPool
 
 SIG = 1e-3
 
@@ -169,6 +174,24 @@ def test_contains_rainbow_edge_examples():
     assert contains_rainbow_edge(h, ColoredSet.from_dict({1: 1, 2: 2, 3: 3})) == (1, 2, 3)
     assert contains_rainbow_edge(h, ColoredSet.from_dict({1: 1, 2: 2, 3: 2})) is None
     assert contains_rainbow_edge(h, ColoredSet.from_dict({})) is None
+
+
+def test_edges_packed_once_per_hypergraph(monkeypatch):
+    calls = []
+    pack = _kernels.pack_edges
+    monkeypatch.setattr(_kernels, "pack_edges", lambda edges: calls.append(1) or pack(edges))
+    h = gen_perfect_matching(4, 2)
+    rng = RngStream(109, 0)
+    for _ in range(20):
+        contains_rainbow_edge(h, sample_colored_p(6, 0.5, 3, rng))
+    TrialPool(h, 3, rng).colored_times(10)
+    exact_uncover_probability(h, 2, 0.5)
+    assert len(calls) == 1
+    matrix, sizes = h.packed
+    assert np.array_equal(matrix, pack(h.edges)[0]) and np.array_equal(sizes, pack(h.edges)[1])
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1  # shared by every caller, so read-only
+    assert len(Hypergraph.from_edges(4, [(0, 1)]).packed[0]) == 1 and len(calls) == 2
 
 
 def test_contains_rainbow_edge_monotone():

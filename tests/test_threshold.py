@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from rainbowspread import threshold
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
-from rainbowspread.rng import RngStream
+from rainbowspread.rng import _PHI, _STREAM_SALT, RngStream, mix64
 from rainbowspread.threshold import (
     ThresholdUnreachable,
     TrialPool,
@@ -130,3 +131,126 @@ def test_determinism_across_pools():
     assert np.array_equal(a, b)
     c = TrialPool(h, 6, RngStream(40, 0)).colored_times(300)
     assert not np.array_equal(a, c)
+
+
+MASK = 2**64 - 1
+
+
+def random_hypergraph(rng, n, max_edges=12, max_size=6, min_size=1):
+    """Mixed edge sizes, and the first two edges repeated."""
+    edges = [
+        rng.sample_without_replacement(n, rng.randint(min(min_size, n), min(max_size, n)))
+        for _ in range(rng.randint(1, max_edges))
+    ]
+    return Hypergraph.from_edges(n, edges + edges[:2])
+
+
+def scalar_times(pool, trials):
+    """(colored, uncolored) lists from the scalar reference `_run_trial`."""
+    ref = [pool._run_trial(t) for t in range(trials)]
+    return [c for c, _ in ref], [u for _, u in ref]
+
+
+# n and q on both sides of the uint8 and uint16 boundaries of the block dtype
+@pytest.mark.parametrize("n,q", [
+    (1, 1), (2, 1), (6, 2), (9, 5), (12, 127), (12, 128), (16, 255), (16, 256), (12, 1000),
+    (127, 4), (128, 4), (255, 7), (256, 7), (300, 1000), (100, 70_000),
+])
+def test_batched_trials_match_scalar_reference(n, q):
+    rng = RngStream(900 + n, q)
+    # no singleton edges, whose hit times would not depend on the colors
+    pool = TrialPool(random_hypergraph(rng, n, min_size=2), q, rng.child(0))
+    colored, uncolored = scalar_times(pool, 40)
+    assert pool.colored_times(40).tolist() == colored
+    assert pool.uncolored_times(40).tolist() == uncolored
+
+
+def test_incremental_ensure_matches_scalar_reference(monkeypatch):
+    monkeypatch.setattr(threshold, "BLOCK_ELEMENTS", 1000)  # a few dozen trials per block
+    h = random_hypergraph(RngStream(47, 0), 15)
+    pool = TrialPool(h, 5, RngStream(47, 1))
+    for trials in (7, 300, 2000):
+        pool.ensure(trials)
+        assert len(pool.colored_times(trials)) == len(pool.uncolored_times(trials)) == trials
+    colored, uncolored = scalar_times(pool, 2000)
+    assert pool.colored_times(2000).tolist() == colored
+    assert pool.uncolored_times(2000).tolist() == uncolored
+    assert np.array_equal(TrialPool(h, 5, RngStream(47, 1)).colored_times(2000), colored)
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix64(z):
+    """Inverse of rng.mix64 (xorshifts and odd multipliers are invertible)."""
+    z = _unxorshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & MASK
+    z = _unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK
+    return _unxorshift(z, 30)
+
+
+def stream_with_draw(t, counter, value):
+    """RngStream(seed) whose child(t) returns `value` as its draw number `counter`."""
+    child_key = (unmix64(value) - counter * _PHI) & MASK
+    key = unmix64(child_key ^ mix64(t + _STREAM_SALT))
+    return RngStream(unmix64(key ^ mix64(_STREAM_SALT)))
+
+
+# draw 2**64 - 1 lies above randrange's acceptance bound unless the
+# modulus is a power of two; draws 1..n-1 are Fisher-Yates steps
+# (modulus n first), draw n is the first color (modulus q)
+@pytest.mark.parametrize("counter,n,q,replayed", [
+    (1, 9, 4, True), (9, 9, 3, True), (1, 8, 3, False), (8, 8, 4, False),
+])
+def test_rejected_draw_replayed_on_scalar_path(monkeypatch, counter, n, q, replayed):
+    h = Hypergraph.from_edges(n, [(0, 1, 2), (2, 5), (1, n - 1), (3, 4, 6, 7), (2, 5)])
+    rng = stream_with_draw(5, counter, MASK)
+    child = rng.child(5)
+    assert [child.next_u64() for _ in range(counter)][-1] == MASK
+    colored, uncolored = scalar_times(TrialPool(h, q, rng), 12)
+    seen = []
+    run_trial = TrialPool._run_trial
+    monkeypatch.setattr(TrialPool, "_run_trial", lambda self, t: seen.append(t) or run_trial(self, t))
+    pool = TrialPool(h, q, rng)
+    assert pool.colored_times(12).tolist() == colored
+    assert pool.uncolored_times(12).tolist() == uncolored
+    assert seen == ([5] if replayed else [])
+
+
+def test_forced_replay_takes_scalar_results(monkeypatch):
+    h = gen_perfect_matching(6, 2)  # 15 edges of 3 vertices: 7 trials per block below
+    monkeypatch.setattr(threshold, "BLOCK_ELEMENTS", 7 * 45)
+    colored = TrialPool(h, 4, RngStream(44, 0)).colored_times(50).tolist()
+    # every block's first and last trial count as rejected
+    monkeypatch.setattr(threshold, "_rejected_rows", lambda draws, limits: np.array([0, len(draws) - 1]))
+    monkeypatch.setattr(TrialPool, "_run_trial", lambda self, t: (1000 + t, 2000 + t))
+    pool = TrialPool(h, 4, RngStream(44, 0))
+    ends = {t for lo in range(0, 50, 7) for t in (lo, min(lo + 7, 50) - 1)}
+    want = [1000 + t if t in ends else c for t, c in enumerate(colored)]
+    assert pool.colored_times(50).tolist() == want
+    assert all(pool.uncolored_times(50)[t] == 2000 + t for t in ends)
+
+
+def test_shared_pool_gives_the_same_results():
+    h, q = gen_hamilton(5), 5
+    pool = TrialPool(h, q, RngStream(46, 0))
+    est = estimate_threshold(h, q, 0.2, 400, RngStream(46, 0))
+    assert estimate_threshold(h, q, 0.2, 400, pool) == est
+    assert sweep(h, q, [3, 5, 8], 400, pool) == sweep(h, q, [3, 5, 8], 400, RngStream(46, 0))
+    assert hit_probability(h, q, 8, 600, pool) == hit_probability(h, q, 8, 600, RngStream(46, 0))
+    assert len(pool.colored_times(600)) == 600
+    with pytest.raises(ValueError, match="another hypergraph or q"):
+        sweep(h, 4, [3], 400, pool)
+    with pytest.raises(ValueError, match="another hypergraph or q"):
+        sweep(gen_hamilton(4), q, [3], 400, pool)
+
+
+def test_pool_times_are_read_only():
+    times = TrialPool(gen_hamilton(5), 5, RngStream(48, 0)).colored_times(10)
+    with pytest.raises(ValueError):
+        times[0] = 0
