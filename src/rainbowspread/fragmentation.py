@@ -6,20 +6,27 @@ surviving fragment by the smallest fragment residue it can point to
 enough.  After the last round a final uniform sample must cover some
 surviving fragment outright.
 
-Fragments with equal element sets are merged with multiplicities; this
-preserves the multiset semantics exactly because psi only looks at
-element sets.
+Fragments live in an integer store (see `FragmentStore`): one row of
+element codes per distinct element set, with a multiplicity and a
+lineage rank.  Merging equal element sets preserves the multiset
+semantics exactly because psi only looks at element sets.
+tests/oracles.py holds the dict-based reference form of the round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph
-from .lifting import lift_rainbow, lift_size
+# lift_rainbow is not called here; it stays bound by name because
+# perfbench's tracer wraps it in every module that names it
+from .lifting import lift_codes, lift_rainbow, lift_size  # noqa: F401
 from .rng import RngStream, round_half_up
 from .sampling import ColoredSet, contains_rainbow_edge
 from .spread import max_spread
@@ -92,105 +99,148 @@ def make_schedule(r: int, kappa: float, gamma: float, C: float, strict: bool = T
     )
 
 
-# a fragment: (elements, multiplicity, lineage); elements is a tuple of
-# (vertex, color) sorted by vertex, lineage = (base edge id, color tuple)
-# of the originating lifted edge, used only for deterministic tie-breaks.
-Fragment = tuple[tuple[tuple[int, int], ...], int, tuple]
+# The fragment store.  Element (v, c) of X x [q] is coded v*q + c - 1 (as
+# in `lift_codes`), and a fragment is a row of its element codes in
+# ascending order, padded on the right with pad = N*q; a row's length is
+# its count of codes below pad.  Each row carries a multiplicity and a
+# lineage rank: the position, in round 1's restricted lift, of the lifted
+# edge that the fragment descends from.  That lift is in canonical order,
+# which is the order of (base edge, colors) lineages, so ranks break ties
+# as those lineages would.  Rows are distinct and kept in ascending
+# lineage order, so a row's position orders lineages too.
+#
+# A row, or a subset of one, is searched by its key: its codes padded to
+# the store's width r and read as the digits of a base N*q + 1 number.
+SEARCH_BLOCK = 1024  # rows per subset search step; bounds its arrays
 
 
-def _psi_round(fragments: list[Fragment], wmap: dict[int, int]):
+class KeyWidthExceeded(RainbowSpreadError, RuntimeError):
+    pass
+
+
+@dataclass(frozen=True)
+class FragmentStore:
+    """Surviving fragments: codes (F, r) int64, mult (F,) int64 and
+    lineage (F,) int64 ranks, ascending; pad = N*q."""
+
+    codes: np.ndarray
+    mult: np.ndarray
+    lineage: np.ndarray
+    q: int
+    pad: int
+
+    def __len__(self) -> int:
+        return len(self.mult)
+
+
+def _key_weights(pad: int, width: int) -> np.ndarray:
+    """Digit weights of the row key, (pad+1)^(width-1) .. 1, once the
+    largest key is known to fit int64."""
+    if (pad + 1) ** width > 2**63:
+        raise KeyWidthExceeded(
+            f"fragment keys need (N*q + 1)^r = {pad + 1}^{width} values, above int64; "
+            "use a smaller --q or a smaller hypergraph"
+        )
+    return (pad + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _subset_columns(k: int, s: int) -> np.ndarray:
+    """combinations(range(k), s) as a (C, s) array, in lexicographic order."""
+    return np.array(list(combinations(range(k), s)), dtype=np.intp).reshape(math.comb(k, s), s)
+
+
+def _sampled_codes(wmap: dict[int, int], q: int):
+    """The sampled vertices and the codes of their sampled elements; a
+    color outside [1, q] has no element."""
+    v = np.fromiter(wmap.keys(), dtype=np.int64, count=len(wmap))
+    c = np.fromiter(wmap.values(), dtype=np.int64, count=len(wmap))
+    return v, (v * q + c - 1)[(1 <= c) & (c <= q)]
+
+
+def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     """Apply the psi/chi minimization for one sampled colored set.
 
-    Returns a list with one entry per input fragment: None when the
-    fragment clashes with the sample, else the chosen remainder (the
-    smallest compatible fragment remainder inside this fragment's own
-    remainder) together with its lineage.
+    Returns (compat, rem, src): compat marks the rows that agree with the
+    sample, rem holds their remainders (the elements on unsampled
+    vertices) as padded rows, and src[i] is the compatible row whose
+    remainder row i picks: the smallest remainder inside row i's own,
+    ties broken by lineage.
+
+    Every remainder is indexed by its key.  Per remainder length k, in
+    blocks of rows, the keys of all s-subsets are looked up in the index,
+    for each length s that some remainder has, ascending; a row takes its
+    first size with a hit, and there the hit of least lineage.  Its own
+    remainder is indexed, so every row hits by s = k.
     """
-    compat = []
-    remainders = []
-    for elems, mult, lineage in fragments:
-        clash = any(wmap.get(v, c) != c for v, c in elems)
-        if clash:
-            compat.append(False)
-            remainders.append(None)
-        else:
-            compat.append(True)
-            remainders.append(tuple((v, c) for v, c in elems if v not in wmap))
+    q, pad = store.q, store.pad
+    weights = _key_weights(pad, store.codes.shape[1])
+    kind = np.zeros(pad + 1, dtype=np.int8)  # 0 unsampled, 1 sampled or pad, 2 clash
+    kind[pad] = 1
+    v, sampled = _sampled_codes(wmap, q)
+    kind[:pad].reshape(-1, q)[v] = 2
+    kind[sampled] = 1
+    k_of = kind[store.codes]
+    compat = ~(k_of == 2).any(axis=1)
+    rem = store.codes[compat]
+    rem[k_of[compat] == 1] = pad
+    rem.sort(axis=1)  # pad is the largest code, so this moves it to the end
+    lengths = (rem != pad).sum(axis=1)
 
-    # index every compatible remainder: remainder -> (size, best lineage)
-    by_remainder: dict[tuple, tuple[int, tuple]] = {}
-    for ok, rem, (elems, mult, lineage) in zip(compat, remainders, fragments):
-        if not ok:
-            continue
-        prev = by_remainder.get(rem)
-        if prev is None or lineage < prev[1]:
-            by_remainder[rem] = (len(rem), lineage)
-
-    candidates = sorted((len(rem), lin, rem) for rem, (sz, lin) in by_remainder.items())
-
-    results = []
-    for ok, rem in zip(compat, remainders):
-        if not ok:
-            results.append(None)
-            continue
-        rem_set = set(rem)
-        # two equivalent search orders; pick the cheaper one
-        if 2 ** len(rem) <= len(by_remainder) * max(1, len(rem)):
-            best = None
-            for size in range(len(rem) + 1):
-                found = []
-                for sub in combinations(rem, size):
-                    hit = by_remainder.get(sub)
-                    if hit is not None:
-                        found.append((hit[1], sub))
-                if found:
-                    lin, sub = min(found)
-                    best = (sub, lin)
+    # compatible rows ascend in lineage, so a key's first row has the least
+    index_keys, index_rows = np.unique(rem @ weights, return_index=True)
+    # tails[s]: the key part of the pads that follow s codes
+    tails = np.append(pad * np.cumsum(weights[::-1])[::-1], 0)
+    none = len(rem)
+    src = np.empty(len(rem), dtype=np.int64)
+    sizes = np.unique(lengths).tolist()  # only subsets of these sizes can hit
+    for k in sizes:
+        rows_k = np.flatnonzero(lengths == k)
+        for lo in range(0, len(rows_k), SEARCH_BLOCK):
+            todo = rows_k[lo : lo + SEARCH_BLOCK]
+            for s in sizes[: sizes.index(k) + 1]:
+                subsets = rem[todo[:, None, None], _subset_columns(k, s)]  # (rows, C, s)
+                keys = subsets @ weights[:s] + tails[s]
+                pos = np.minimum(np.searchsorted(index_keys, keys), len(index_keys) - 1)
+                best = np.where(index_keys[pos] == keys, index_rows[pos], none).min(axis=1)
+                hit = best < none
+                src[todo[hit]] = best[hit]
+                todo = todo[~hit]
+                if not len(todo):
                     break
-            assert best is not None  # rem itself is always indexed
-            results.append(best)
-        else:
-            for size, lin, cand in candidates:
-                if size > len(rem):
-                    results.append((rem, by_remainder[rem][1]))
-                    break
-                if rem_set.issuperset(cand):
-                    results.append((cand, lin))
-                    break
-    return results
+    return compat, rem, src
 
 
-def select_psi_chi(fragments: list[Fragment], w: ColoredSet):
-    """Per-fragment (chosen remainder, lineage), None for incompatible ones."""
-    return _psi_round(fragments, w.as_dict())
-
-
-def apply_round(survivors: dict, wmap: dict[int, int], r_i: float):
+def apply_round(survivors: FragmentStore, wmap: dict[int, int], r_i: float):
     """One fragmentation round against an already-sampled colored set.
 
-    survivors: {elements: (multiplicity, lineage)}.  Returns the new
-    survivor dict plus (compatible, good) counts with multiplicity.  Good
-    means the chosen remainder has size <= r_i.
+    Returns the new store plus (compatible, good) counts with
+    multiplicity.  Good means the chosen remainder has size <= r_i; the
+    good rows, merged by chosen remainder, are the new store, so good is
+    also its total multiplicity.
     """
-    fragments = [(elems, mult, lin) for elems, (mult, lin) in sorted(survivors.items())]
-    picks = _psi_round(fragments, wmap)
+    compat, rem, src = _psi_round(survivors, wmap)
+    mult = survivors.mult[compat]
+    good = (rem != survivors.pad).sum(axis=1)[src] <= r_i
+    chosen, inverse = np.unique(src[good], return_inverse=True)
+    merged = np.zeros(len(chosen), dtype=np.int64)
+    np.add.at(merged, inverse, mult[good])
+    new = FragmentStore(
+        codes=rem[chosen],
+        mult=merged,
+        lineage=survivors.lineage[compat][chosen],
+        q=survivors.q,
+        pad=survivors.pad,
+    )
+    return new, int(mult.sum()), int(merged.sum())
 
-    new_survivors: dict[tuple, tuple[int, tuple]] = {}
-    compatible = 0
-    good = 0
-    for (elems, mult, lineage), pick in zip(fragments, picks):
-        if pick is None:
-            continue
-        compatible += mult
-        chi, chi_lineage = pick
-        if len(chi) <= r_i:
-            good += mult
-            prev = new_survivors.get(chi)
-            if prev is None:
-                new_survivors[chi] = (mult, chi_lineage)
-            else:
-                new_survivors[chi] = (prev[0] + mult, min(prev[1], chi_lineage))
-    return new_survivors, compatible, good
+
+def endgame_hit(survivors: FragmentStore, wmap: dict[int, int]) -> bool:
+    """Whether the colored set wmap covers some surviving fragment outright."""
+    covered = np.zeros(survivors.pad + 1, dtype=bool)
+    covered[survivors.pad] = True
+    covered[_sampled_codes(wmap, survivors.q)[1]] = True
+    return bool(covered[survivors.codes].all(axis=1).any())
 
 
 @dataclass
@@ -269,23 +319,26 @@ class FragmentationTrace:
         return "\n".join(lines) + "\n"
 
 
-def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]):
-    """The lift restricted to wmap as a fragment multiset.
+def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]) -> FragmentStore:
+    """The lift restricted to wmap as a fragment store.
 
     These are the fragments compatible with round 1's sample wmap.  The
     clashing ones are left out: psi never indexes them, so round 1 picks
-    the same remainders as it would over the full lift.
+    the same remainders as it would over the full lift.  Repeated edges
+    give equal rows, merged into one with their count as multiplicity and
+    the first one's rank as lineage.
     """
-    survivors: dict[tuple, tuple[int, tuple]] = {}
-    for le in lift_rainbow(h, q, wmap):
-        elems = tuple(zip(h.edges[le.base], le.colors))
-        lineage = (le.base, le.colors)
-        prev = survivors.get(elems)
-        if prev is None:
-            survivors[elems] = (1, lineage)
-        else:
-            survivors[elems] = (prev[0] + 1, min(prev[1], lineage))
-    return survivors
+    weights = _key_weights(h.num_vertices * q, h.r_bound)
+    codes, _ = lift_codes(h, q, wmap)
+    _, first, counts = np.unique(codes @ weights, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return FragmentStore(
+        codes=codes[first[order]],
+        mult=counts[order],
+        lineage=first[order],
+        q=q,
+        pad=h.num_vertices * q,
+    )
 
 
 def run_fragmentation(
@@ -334,8 +387,7 @@ def run_fragmentation(
         if i == 1:
             survivors = initial_survivors(h, q, wmap)
 
-        new_survivors, compatible, good = apply_round(survivors, wmap, sched.r_bounds[i])
-        after = sum(mult for mult, _ in new_survivors.values())
+        survivors, compatible, after = apply_round(survivors, wmap, sched.r_bounds[i])
         successful = after >= (1.0 - sched.delta) * before
         all_successful = all_successful and successful
         trace.rounds.append(
@@ -345,11 +397,10 @@ def run_fragmentation(
                 survivors_before=before,
                 compatible=compatible,
                 survivors_after=after,
-                good_fraction=good / before if before else 0.0,
+                good_fraction=after / before if before else 0.0,
                 successful=successful,
             )
         )
-        survivors = new_survivors
         before = after
         for v, c in wmap.items():
             w_union[v] = c
@@ -359,15 +410,13 @@ def run_fragmentation(
     m_end = min(round_half_up(h.num_vertices * sched.rho), len(residual))
     chosen = [residual[j] for j in rng.sample_without_replacement(len(residual), m_end)]
     wend = {v: rng.randint(1, q) for v in chosen}
-    hit = any(
-        all(wend.get(v) == c for v, c in elems) for elems in sorted(survivors)
-    )
+    hit = endgame_hit(survivors, wend)
     for v, c in wend.items():
         w_union[v] = c
 
     trace.endgame_w_size = len(wend)
     trace.endgame_hit = hit
-    trace.final_survivors = sum(mult for mult, _ in survivors.values())
+    trace.final_survivors = before
     trace.all_rounds_successful = all_successful
     trace.outcome_rainbow = (
         contains_rainbow_edge(h, ColoredSet.from_dict(w_union)) is not None

@@ -8,7 +8,7 @@ integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
 
 from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph, HypergraphError
@@ -66,33 +66,78 @@ def lift_size(h: Hypergraph, q: int, w: dict[int, int] | None = None) -> int:
     return total
 
 
-def lift_rainbow(
+def lift_codes(
     h: Hypergraph, q: int, w: dict[int, int] | None = None, cap: int = DEFAULT_LIFT_CAP
-) -> list[LiftedEdge]:
-    """Materialize every (edge, injective coloring) pair, or with a partial
-    coloring w only those that agree with w on every shared vertex.
+):
+    """The lift, or with a partial coloring w the restricted lift H*_w, as
+    integer rows: the one enumerator behind `lift_rainbow` and fragmentation.
 
-    Order is canonical: by base edge index, then colors lexicographically.
-    The cap is checked against `lift_size` before anything is built.
+    Element (v, c) is coded v*q + c - 1, so each row ascends with its
+    vertices.  Returns (codes, base): codes is an int64 array of shape
+    (lift size, r_bound), each row padded on the right with N*q, and base
+    holds each row's base edge index.  Rows are in canonical order: by base
+    edge, then colors lexicographically.  Pinned colors are fixed and the
+    free vertices take the rows of a cached table of
+    permutations(range(q - s), k - s) over the colors left.  The cap is
+    checked against `lift_size` before anything is built.
     """
     if q < h.r_bound:
         raise ChromaticityError(f"q={q} < r_bound={h.r_bound}")
     w = w or {}
     total = lift_size(h, q, w)
     if total > cap:
-        raise LiftCapExceeded(f"lift has {total} edges, above cap {cap}; use the implicit counting path")
-    out = []
+        raise LiftCapExceeded(
+            f"lift has {total} edges, above cap {cap}; use a smaller --q or a smaller hypergraph"
+        )
+    import numpy as np  # here, so that importing the package does not load numpy
+
+    codes = np.full((total, h.r_bound), h.num_vertices * q, dtype=np.int64)
+    base = np.empty(total, dtype=np.int64)
+    row = 0
     for i, e in enumerate(h.edges):
         pinned = _edge_pins(e, q, w)
         if pinned is None:
             continue
-        avail = [c for c in range(1, q + 1) if c not in pinned]
-        for colors in permutations(avail, len(e) - len(pinned)):
-            if pinned:
-                free = iter(colors)
-                colors = tuple(w[v] if v in w else next(free) for v in e)
-            out.append(LiftedEdge(base=i, colors=colors))
-    return out
+        free = [j for j, v in enumerate(e) if v not in w]
+        avail = np.array([c for c in range(1, q + 1) if c not in pinned], dtype=np.int64)
+        perms = _permutation_table(q - len(pinned), len(free))
+        block = codes[row : row + len(perms)]
+        block[:, : len(e)] = [v * q + w.get(v, 1) - 1 for v in e]
+        block[:, free] += avail[perms] - 1
+        base[row : row + len(perms)] = i
+        row += len(perms)
+    return codes, base
+
+
+@lru_cache(maxsize=32)
+def _permutation_table(n: int, k: int):
+    """permutations(range(n), k) as a read-only (n!/(n-k)!, k) array, in
+    lexicographic order: each first entry a, then the table for n - 1
+    with entries >= a shifted up by one."""
+    import numpy as np
+
+    table = np.zeros((1, 0), dtype=np.min_scalar_type(max(n - 1, 0)))
+    for m in range(n - k + 1, n + 1):
+        first = np.repeat(np.arange(m, dtype=table.dtype), len(table))
+        rest = np.tile(table, (m, 1))
+        table = np.column_stack([first, rest + (rest >= first[:, None])])
+    table.flags.writeable = False
+    return table
+
+
+def lift_rainbow(
+    h: Hypergraph, q: int, w: dict[int, int] | None = None, cap: int = DEFAULT_LIFT_CAP
+) -> list[LiftedEdge]:
+    """Materialize every (edge, injective coloring) pair, or with a partial
+    coloring w only those that agree with w on every shared vertex: the
+    rows of `lift_codes`, in its order, as `LiftedEdge`s.
+    """
+    codes, base = lift_codes(h, q, w, cap)
+    colors = (codes % q + 1).tolist()
+    return [
+        LiftedEdge(base=b, colors=tuple(row[: len(h.edges[b])]))
+        for b, row in zip(base.tolist(), colors)
+    ]
 
 
 class ChromaticityError(RainbowSpreadError, ValueError):

@@ -1,0 +1,178 @@
+"""Reference implementations that the library's fast paths must match.
+
+Each one is the plain-Python form that a faster design in `src/`
+replaced.  They favour obviousness over speed and are called only from
+tests.
+
+Fragmentation here works on the dict form of the fragment store:
+{elements: (multiplicity, lineage)}, where elements is a tuple of
+(vertex, color) sorted by vertex and lineage is any ordered value, in
+round 1 the (base edge, colors) of the originating lifted edge.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations, permutations
+
+import numpy as np
+
+from rainbowspread.fragmentation import FragmentStore, _psi_round as store_psi_round
+from rainbowspread.lifting import LiftedEdge
+
+# a fragment: (elements, multiplicity, lineage)
+Fragment = tuple[tuple[tuple[int, int], ...], int, object]
+
+
+def lift_rainbow(h, q: int, w: dict[int, int] | None = None) -> list[LiftedEdge]:
+    """Every (edge, injective coloring) that agrees with w on the shared
+    vertices, by base edge and then colors lexicographically."""
+    w = w or {}
+    out = []
+    for i, e in enumerate(h.edges):
+        for colors in permutations(range(1, q + 1), len(e)):
+            if all(w.get(v, c) == c for v, c in zip(e, colors)):
+                out.append(LiftedEdge(base=i, colors=colors))
+    return out
+
+
+def initial_survivors(h, q: int, wmap: dict[int, int]) -> dict:
+    """The lift restricted to wmap, merged by element set; the lineage of
+    a merged set is the least (base, colors) among its lifted edges."""
+    survivors: dict[tuple, tuple[int, tuple]] = {}
+    for le in lift_rainbow(h, q, wmap):
+        elems = tuple(zip(h.edges[le.base], le.colors))
+        lineage = (le.base, le.colors)
+        prev = survivors.get(elems)
+        if prev is None:
+            survivors[elems] = (1, lineage)
+        else:
+            survivors[elems] = (prev[0] + 1, min(prev[1], lineage))
+    return survivors
+
+
+def psi_round(fragments: list[Fragment], wmap: dict[int, int], order: str | None = None):
+    """The psi/chi minimization for one sampled colored set.
+
+    One entry per fragment: None when it clashes with the sample, else
+    (chosen remainder, its lineage), the smallest compatible remainder
+    inside the fragment's own, ties broken by lineage.  Two equivalent
+    search orders: "subsets" looks up every subset of the remainder by
+    size, "candidates" scans the indexed remainders by (size, lineage);
+    None picks the cheaper one per fragment.
+    """
+    compat = []
+    remainders = []
+    for elems, mult, lineage in fragments:
+        clash = any(wmap.get(v, c) != c for v, c in elems)
+        compat.append(not clash)
+        remainders.append(None if clash else tuple((v, c) for v, c in elems if v not in wmap))
+
+    # every compatible remainder -> (size, least lineage)
+    by_remainder: dict[tuple, tuple[int, object]] = {}
+    for ok, rem, (elems, mult, lineage) in zip(compat, remainders, fragments):
+        if not ok:
+            continue
+        prev = by_remainder.get(rem)
+        if prev is None or lineage < prev[1]:
+            by_remainder[rem] = (len(rem), lineage)
+
+    candidates = sorted((len(rem), lin, rem) for rem, (sz, lin) in by_remainder.items())
+
+    results = []
+    for ok, rem in zip(compat, remainders):
+        if not ok:
+            results.append(None)
+            continue
+        use = order or ("subsets" if 2 ** len(rem) <= len(by_remainder) * max(1, len(rem)) else "candidates")
+        if use == "subsets":
+            best = None
+            for size in range(len(rem) + 1):
+                found = []
+                for sub in combinations(rem, size):
+                    hit = by_remainder.get(sub)
+                    if hit is not None:
+                        found.append((hit[1], sub))
+                if found:
+                    lin, sub = min(found)
+                    best = (sub, lin)
+                    break
+            results.append(best)
+        else:
+            rem_set = set(rem)
+            for size, lin, cand in candidates:
+                if rem_set.issuperset(cand):
+                    results.append((cand, lin))
+                    break
+    return results
+
+
+def apply_round(survivors: dict, wmap: dict[int, int], r_i: float, order: str | None = None):
+    """One round on the dict form: (new survivors, compatible, good)."""
+    fragments = [(elems, mult, lin) for elems, (mult, lin) in sorted(survivors.items())]
+    picks = psi_round(fragments, wmap, order)
+
+    new_survivors: dict[tuple, tuple[int, object]] = {}
+    compatible = 0
+    good = 0
+    for (elems, mult, lineage), pick in zip(fragments, picks):
+        if pick is None:
+            continue
+        compatible += mult
+        chi, chi_lineage = pick
+        if len(chi) <= r_i:
+            good += mult
+            prev = new_survivors.get(chi)
+            if prev is None:
+                new_survivors[chi] = (mult, chi_lineage)
+            else:
+                new_survivors[chi] = (prev[0] + mult, min(prev[1], chi_lineage))
+    return new_survivors, compatible, good
+
+
+def endgame_hit(survivors: dict, wmap: dict[int, int]) -> bool:
+    return any(all(wmap.get(v) == c for v, c in elems) for elems in survivors)
+
+
+# adapters between the dict form and `FragmentStore`
+
+
+def store_from_dict(survivors: dict, num_vertices: int, q: int, width: int) -> FragmentStore:
+    """A store holding the dict's fragments; lineages must be distinct ints."""
+    items = sorted(survivors.items(), key=lambda item: item[1][1])
+    pad = num_vertices * q
+    codes = np.full((len(items), width), pad, dtype=np.int64)
+    for row, (elems, _) in zip(codes, items):
+        row[: len(elems)] = [v * q + c - 1 for v, c in elems]
+    return FragmentStore(
+        codes=codes,
+        mult=np.array([mult for _, (mult, _) in items], dtype=np.int64),
+        lineage=np.array([lin for _, (_, lin) in items], dtype=np.int64),
+        q=q,
+        pad=pad,
+    )
+
+
+def _elements(store: FragmentStore, row) -> tuple:
+    return tuple((int(c) // store.q, int(c) % store.q + 1) for c in row if c < store.pad)
+
+
+def dict_from_store(store: FragmentStore, lineages=None) -> dict:
+    """The store's fragments in dict form; lineages maps a rank to the
+    lineage to report (default: the rank itself)."""
+    return {
+        _elements(store, row): (int(mult), lineages[lin] if lineages is not None else int(lin))
+        for row, mult, lin in zip(store.codes, store.mult, store.lineage)
+    }
+
+
+def store_picks(store: FragmentStore, wmap: dict[int, int]) -> list:
+    """`fragmentation._psi_round` on the store in `psi_round`'s form, one
+    entry per store row."""
+    compat, rem, src = store_psi_round(store, wmap)
+    compat_lineage = store.lineage[compat]
+    picks = iter(src.tolist())
+    out = []
+    for ok in compat.tolist():
+        chosen = next(picks) if ok else None
+        out.append(None if chosen is None else (_elements(store, rem[chosen]), int(compat_lineage[chosen])))
+    return out

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from rainbowspread import _kernels, cli
 from rainbowspread.cli import main
 from rainbowspread.errors import RainbowSpreadError
-from rainbowspread.fragmentation import ScheduleInfeasibleError
+from rainbowspread.fragmentation import KeyWidthExceeded, ScheduleInfeasibleError
 from rainbowspread.generators import GeneratorError, gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph, HypergraphError, write_hypergraph
 from rainbowspread.lifting import ChromaticityError, LiftCapExceeded
@@ -211,6 +212,30 @@ def test_fragment_lift_over_cap(tmp_path, capsys):
     _single_error(capsys, "lift has 94394734 edges")
 
 
+def test_fragment_lift_cap_before_allocation(tmp_path, capsys):
+    # hc7 at q=9: round 1's restricted lift has 14,459,760 edges, about
+    # 0.8 GB as code rows; the cap stops the run before any of it exists
+    path = tmp_path / "hc7.json"
+    write_hypergraph(gen_hamilton(7), str(path))
+    tracemalloc.start()
+    try:
+        rc = main(["fragment", "--hypergraph", str(path), "--q", "9", "--seeds", "0:1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    _single_error(capsys, "lift has 14459760 edges, above cap 2000000; use a smaller --q or a smaller hypergraph")
+    assert peak < 64 * 2**20
+
+
+def test_fragment_key_width_is_one_error_line(tmp_path, capsys):
+    # 100 vertices at q=7 give 701^7 keys of 7 codes, beyond int64
+    path = tmp_path / "wide.json"
+    write_hypergraph(Hypergraph.from_edges(100, [range(7)]), str(path))
+    assert main(["fragment", "--hypergraph", str(path), "--q", "7"]) == 1
+    _single_error(capsys, "fragment keys need (N*q + 1)^r = 701^7 values, above int64")
+
+
 def test_fragment_full_lift_over_cap_runs(hc5_path, tmp_path):
     # hc5 at q=20 lifts to 22,325,760 edges; only round 1's restricted lift is built
     out = tmp_path / "f.txt"
@@ -268,6 +293,7 @@ def test_library_errors_share_one_base():
         (HypergraphError, ValueError), (GeneratorError, ValueError), (ChromaticityError, ValueError),
         (ScheduleInfeasibleError, ValueError), (ThresholdUnreachable, RuntimeError),
         (EnumerationCapExceeded, RuntimeError), (LiftCapExceeded, RuntimeError),
+        (KeyWidthExceeded, RuntimeError),
     ]:
         assert issubclass(cls, RainbowSpreadError) and issubclass(cls, builtin)
 

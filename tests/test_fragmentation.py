@@ -4,22 +4,26 @@ import hashlib
 import math
 import random
 
+import numpy as np
+import oracles
 import pytest
 
+from rainbowspread import fragmentation
+from rainbowspread.errors import RainbowSpreadError
 from rainbowspread.fragmentation import (
     FragmentationTrace,
+    KeyWidthExceeded,
     ScheduleInfeasibleError,
+    _key_weights,
     apply_round,
     initial_survivors,
     make_schedule,
     run_fragmentation,
-    select_psi_chi,
 )
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import lift_size
 from rainbowspread.rng import RngStream
-from rainbowspread.sampling import ColoredSet
 
 
 def test_schedule_reference_point():
@@ -65,23 +69,42 @@ def test_schedule_nonstrict_clamps():
     assert not s.feasible
 
 
-FRAG_A = (((0, 1), (1, 1)), 1, (0, (1, 1)))
-FRAG_B = (((0, 1), (1, 1), (2, 2)), 1, (1, (1, 1, 2)))
+# two fragments on 3 vertices under q = 2 colors; lineages are ranks
+FRAG_A = (((0, 1), (1, 1)), 1, 0)
+FRAG_B = (((0, 1), (1, 1), (2, 2)), 1, 1)
+
+
+def _both_picks(frags, wmap):
+    """The oracle's picks and the store's, which must agree."""
+    store = oracles.store_from_dict({e: (m, lin) for e, m, lin in frags}, 3, 2, 3)
+    picks = oracles.psi_round(frags, wmap)
+    for order in ("subsets", "candidates"):
+        assert oracles.psi_round(frags, wmap, order) == picks
+    assert oracles.store_picks(store, wmap) == picks
+    return picks
+
+
+def _both_rounds(survivors, wmap, r_i):
+    """The oracle's round and the store's, which must agree."""
+    expected = oracles.apply_round(survivors, wmap, r_i)
+    new, compatible, good = apply_round(oracles.store_from_dict(survivors, 3, 2, 3), wmap, r_i)
+    assert (oracles.dict_from_store(new), compatible, good) == expected
+    return expected
 
 
 def test_psi_chi_clash_and_selection():
     frags = [FRAG_A, FRAG_B]
     # color clash on vertex 2 kills B, A keeps its own remainder
-    picks = select_psi_chi(frags, ColoredSet.from_dict({2: 1}))
+    picks = _both_picks(frags, {2: 1})
     assert picks[1] is None
     assert picks[0] == (((0, 1), (1, 1)), FRAG_A[2])
 
     # both compatible with the same remainder: min lineage wins
-    picks = select_psi_chi(frags, ColoredSet.from_dict({2: 2}))
+    picks = _both_picks(frags, {2: 2})
     assert picks[0] == picks[1] == (((0, 1), (1, 1)), FRAG_A[2])
 
     # B's remainder strictly contains A's, so B collapses onto A's
-    picks = select_psi_chi(frags, ColoredSet.from_dict({0: 1}))
+    picks = _both_picks(frags, {0: 1})
     assert picks[0] == (((1, 1),), FRAG_A[2])
     assert picks[1] == (((1, 1),), FRAG_A[2])
 
@@ -89,14 +112,14 @@ def test_psi_chi_clash_and_selection():
 def test_psi_chi_empty_sample_collapses_subsets():
     # with nothing sampled, remainders equal element sets; a fragment
     # whose set contains another fragment's set points at the smaller one
-    picks = select_psi_chi([FRAG_A, FRAG_B], ColoredSet.from_dict({}))
+    picks = _both_picks([FRAG_A, FRAG_B], {})
     assert picks[0] == (FRAG_A[0], FRAG_A[2])
     assert picks[1] == (FRAG_A[0], FRAG_A[2])
 
 
 def test_apply_round_counts_and_merge():
     survivors = {FRAG_A[0]: (2, FRAG_A[2]), FRAG_B[0]: (3, FRAG_B[2])}
-    new, compatible, good = apply_round(survivors, {0: 1}, r_i=2.0)
+    new, compatible, good = _both_rounds(survivors, {0: 1}, r_i=2.0)
     assert compatible == 5
     assert good == 5
     # both collapse onto the same remainder, multiplicities add
@@ -106,20 +129,20 @@ def test_apply_round_counts_and_merge():
 def test_apply_round_threshold_boundary():
     survivors = {FRAG_B[0]: (1, FRAG_B[2])}
     # remainder after removing vertex 0 has size 2; r_i below that drops it
-    new, compatible, good = apply_round(survivors, {0: 1}, r_i=1.9)
+    new, compatible, good = _both_rounds(survivors, {0: 1}, r_i=1.9)
     assert compatible == 1 and good == 0 and new == {}
-    new, _, good = apply_round(survivors, {0: 1}, r_i=2.0)
+    new, _, good = _both_rounds(survivors, {0: 1}, r_i=2.0)
     assert good == 1 and list(new) == [((1, 1), (2, 2))]
 
 
 def test_apply_round_full_coloring():
     survivors = {FRAG_A[0]: (1, FRAG_A[2])}
     # sample colors every vertex compatibly: remainder is empty
-    new, compatible, good = apply_round(survivors, {0: 1, 1: 1}, r_i=5.0)
+    new, compatible, good = _both_rounds(survivors, {0: 1, 1: 1}, r_i=5.0)
     assert compatible == 1 and good == 1
     assert new == {(): (1, FRAG_A[2])}
     # one wrong color and nothing survives
-    new, compatible, _ = apply_round(survivors, {0: 1, 1: 2}, r_i=5.0)
+    new, compatible, _ = _both_rounds(survivors, {0: 1, 1: 2}, r_i=5.0)
     assert compatible == 0 and new == {}
 
 
@@ -175,11 +198,13 @@ def test_initial_survivors_multiset():
     h = gen_hamilton(4)
     q = 4
     init = initial_survivors(h, q, {})
-    total = sum(mult for mult, _ in init.values())
-    assert total == lift_size(h, q)
+    assert int(init.mult.sum()) == lift_size(h, q)
     # distinct base edges never share (vertex, color) element tuples here,
-    # so every multiplicity is 1
-    assert all(mult == 1 for mult, _ in init.values())
+    # so every multiplicity is 1, and the lineage ranks are the lift order
+    assert (init.mult == 1).all()
+    assert init.lineage.tolist() == list(range(lift_size(h, q)))
+    lineages = [(le.base, le.colors) for le in oracles.lift_rainbow(h, q)]
+    assert oracles.dict_from_store(init, lineages) == oracles.initial_survivors(h, q, {})
 
 
 def _random_hypergraph(rnd):
@@ -197,12 +222,35 @@ def test_round_one_from_restricted_lift(seed):
     h = _random_hypergraph(rnd)
     q = h.r_bound + rnd.randint(0, 2)
     full = initial_survivors(h, q, {})
+    full_lineages = [(le.base, le.colors) for le in oracles.lift_rainbow(h, q)]
     for _ in range(6):
         w1 = {v: rnd.randint(1, q) for v in range(h.num_vertices) if rnd.random() < 0.4}
         r_i = rnd.choice([0.5, 1.0, 2.0, 3.0])
-        restricted = apply_round(initial_survivors(h, q, w1), w1, r_i)
-        assert restricted == apply_round(full, w1, r_i)
-        assert restricted[1] == lift_size(h, q, w1)
+        lineages = [(le.base, le.colors) for le in oracles.lift_rainbow(h, q, w1)]
+        new, compatible, good = apply_round(initial_survivors(h, q, w1), w1, r_i)
+        new_full, compatible_full, good_full = apply_round(full, w1, r_i)
+        assert (compatible, good) == (compatible_full, good_full)
+        assert oracles.dict_from_store(new, lineages) == oracles.dict_from_store(new_full, full_lineages)
+        assert compatible == lift_size(h, q, w1)
+
+
+def test_key_width_boundary():
+    # keys of 3 codes below 2^21 - 1 fill int64 exactly: (2^21)^3 = 2^63
+    weights = _key_weights(2**21 - 1, 3)
+    assert int(np.full(3, 2**21 - 1) @ weights) == 2**63 - 1
+    with pytest.raises(KeyWidthExceeded, match="2097153\\^3 values"):
+        _key_weights(2**21, 3)
+    assert issubclass(KeyWidthExceeded, RainbowSpreadError)
+
+
+def test_key_width_checked_before_the_lift(monkeypatch):
+    # N*q + 1 = 701 > 2^9, so keys of 7 codes do not fit int64
+    def no_lift(*args, **kwargs):
+        raise AssertionError("lift built before the key width was checked")
+
+    monkeypatch.setattr(fragmentation, "lift_codes", no_lift)
+    with pytest.raises(KeyWidthExceeded):
+        initial_survivors(Hypergraph.from_edges(100, [range(7)]), 7, {})
 
 
 def test_run_rejects_small_q():

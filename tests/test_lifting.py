@@ -1,15 +1,22 @@
 import math
-from itertools import combinations
+import os
+import subprocess
+import sys
+from itertools import combinations, permutations
 
+import oracles
 import pytest
 
+import rainbowspread
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph, HypergraphError
 from rainbowspread.lifting import (
     ChromaticityError,
     LiftCapExceeded,
+    _permutation_table,
     expected_edge_count,
     falling_factorial,
+    lift_codes,
     lift_rainbow,
     lift_size,
     lifted_containment_count,
@@ -76,6 +83,37 @@ def test_restricted_lift_clashing_pins():
     assert lift_size(MIXED, 4, w) == len(lifted) == 13
     assert {le.base for le in lifted} == {0, 2, 3, 4}
     assert lifted == restricted_by_filter(MIXED, 4, w)
+
+
+@pytest.mark.parametrize("w", [{}, {1: 2}, {0: 3, 4: 1}, {1: 2, 2: 2}])
+def test_lift_codes_are_the_lifted_edges(w):
+    q, pad = 4, MIXED.num_vertices * 4
+    codes, base = lift_codes(MIXED, q, w)
+    expected = oracles.lift_rainbow(MIXED, q, w)
+    assert codes.shape == (len(expected), MIXED.r_bound)
+    assert base.tolist() == [le.base for le in expected]
+    for row, le in zip(codes.tolist(), expected):
+        e = MIXED.edges[le.base]
+        assert row == [v * q + c - 1 for v, c in zip(e, le.colors)] + [pad] * (MIXED.r_bound - len(e))
+
+
+@pytest.mark.parametrize("n,k", [(0, 0), (1, 1), (3, 0), (3, 2), (4, 4), (6, 3)])
+def test_permutation_table(n, k):
+    table = _permutation_table(n, k)
+    assert [tuple(row) for row in table.tolist()] == list(permutations(range(n), k))
+    assert not table.flags.writeable
+
+
+def test_import_stays_numpy_free():
+    # the modules that perfbench's harness imports load no numpy
+    code = (
+        "import sys, rainbowspread, rainbowspread.hypergraph, rainbowspread.lifting, rainbowspread.spread; "
+        "print('numpy' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(rainbowspread.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_restricted_lift_cap():

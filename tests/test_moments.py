@@ -202,7 +202,7 @@ def test_exact_paths_refuse_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the size check")
 
-    monkeypatch.setattr(lifting, "permutations", no_work)
+    monkeypatch.setattr(lifting, "_permutation_table", no_work)
     monkeypatch.setattr(_kernels, "pack_edges", no_work)
     # hc6 at q=6 lifts to 43,200 edges, above the pair path's ceiling
     with pytest.raises(LiftCapExceeded, match="lift has 43200 edges, above cap 3000"):
