@@ -125,9 +125,9 @@ def cmd_threshold(args) -> int:
     # one pool, so the sweep reads the trials the estimate drew; the
     # estimate validates the instance before any trial is drawn
     pool = TrialPool(h, args.q, RngStream(seed))
-    est = estimate_threshold(h, args.q, args.target, args.trials, pool)
+    est = estimate_threshold(pool, args.target, args.trials)
     if m_list:
-        rows = sweep(h, args.q, m_list, args.trials, pool)
+        rows = sweep(pool, m_list, args.trials)
         lines.append("m,hits,trials,p_hat,ci_lo,ci_hi,uncolored_hits")
         for m, hits, trials, p_hat, lo, hi, uhits in rows:
             lines.append(f"{m},{hits},{trials},{p_hat:.6f},{lo:.6f},{hi:.6f},{uhits}")

@@ -32,10 +32,6 @@ from .sampling import ColoredSet, contains_rainbow_edge
 from .spread import max_spread
 
 
-class ScheduleInfeasibleError(RainbowSpreadError, ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Schedule:
     r: int
@@ -53,35 +49,27 @@ class Schedule:
     p_clamped: bool
 
 
-def make_schedule(r: int, kappa: float, gamma: float, C: float, strict: bool = True) -> Schedule:
+def make_schedule(r: int, kappa: float, gamma: float, C: float) -> Schedule:
     """Round schedule: ell rounds at rate p = C/kappa, endgame rate rho.
 
     ell is the smallest positive integer with (1-gamma)^ell <= sqrt(log r)/r.
-    With strict=True, parameters whose total rate ell*p + rho exceeds 1
-    (or whose p exceeds 1) are rejected rather than clamped.
+    A p above 1 is clamped to 1 (p_clamped), and a total rate ell*p + rho
+    above 1 is recorded (feasible), not rejected.
     """
     if r < 3:
         raise ValueError("need r >= 3")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
-    if kappa <= 0 or C < 1:
-        raise ValueError("need kappa > 0 and C >= 1")
+    if not (kappa > 0 and math.isfinite(C) and C >= 1):
+        raise ValueError("need kappa > 0 and a finite C >= 1")
     target = math.sqrt(math.log(r)) / r
     ell = 1
     while (1.0 - gamma) ** ell > target:
         ell += 1
-    p = C / kappa
-    p_clamped = False
-    if p > 1.0:
-        if strict:
-            raise ScheduleInfeasibleError(f"p = C/kappa = {p:.4f} exceeds 1")
-        p, p_clamped = 1.0, True
+    p_clamped = C / kappa > 1.0
+    p = min(C / kappa, 1.0)
     rho = math.log(r) / kappa
     feasible = ell * p + rho <= 1.0
-    if strict and not feasible:
-        raise ScheduleInfeasibleError(
-            f"total sampling rate ell*p + rho = {ell * p + rho:.4f} exceeds 1"
-        )
     return Schedule(
         r=r,
         kappa=kappa,
@@ -353,16 +341,16 @@ def run_fragmentation(
     """Run the full process once and record per-round statistics.
 
     Round samples use the binomial colored model on the residual ground
-    set (fixed_size_rounds=True switches to the m-subset model).  The
-    schedule is computed non-strictly: at desk scale the total rate often
-    exceeds 1, which only invalidates the size claim of the final union,
-    not the execution; feasibility is recorded in the trace.
+    set (fixed_size_rounds=True switches to the m-subset model).  At desk
+    scale the schedule's total rate often exceeds 1, which only
+    invalidates the size claim of the final union, not the execution;
+    feasibility is recorded in the trace.
     """
     if q < h.r_bound:
         raise ValueError(f"q={q} < r={h.r_bound}")
     if kappa is None:
         kappa = max_spread(h).kappa
-    sched = make_schedule(h.r_bound, kappa, gamma, C, strict=False)
+    sched = make_schedule(h.r_bound, kappa, gamma, C)
 
     trace = FragmentationTrace(
         seed=rng.master_seed,

@@ -66,9 +66,7 @@ def lift_size(h: Hypergraph, q: int, w: dict[int, int] | None = None) -> int:
     return total
 
 
-def lift_codes(
-    h: Hypergraph, q: int, w: dict[int, int] | None = None, cap: int = DEFAULT_LIFT_CAP
-):
+def lift_codes(h: Hypergraph, q: int, w: dict[int, int] | None = None):
     """The lift, or with a partial coloring w the restricted lift H*_w, as
     integer rows: the one enumerator behind `lift_rainbow` and fragmentation.
 
@@ -78,16 +76,17 @@ def lift_codes(
     holds each row's base edge index.  Rows are in canonical order: by base
     edge, then colors lexicographically.  Pinned colors are fixed and the
     free vertices take the rows of a cached table of
-    permutations(range(q - s), k - s) over the colors left.  The cap is
-    checked against `lift_size` before anything is built.
+    permutations(range(q - s), k - s) over the colors left.  `lift_size`
+    is checked against `DEFAULT_LIFT_CAP` before anything is built.
     """
     if q < h.r_bound:
         raise ChromaticityError(f"q={q} < r_bound={h.r_bound}")
     w = w or {}
     total = lift_size(h, q, w)
-    if total > cap:
+    if total > DEFAULT_LIFT_CAP:
         raise LiftCapExceeded(
-            f"lift has {total} edges, above cap {cap}; use a smaller --q or a smaller hypergraph"
+            f"lift has {total} edges, above cap {DEFAULT_LIFT_CAP}; "
+            "use a smaller --q or a smaller hypergraph"
         )
     import numpy as np  # here, so that importing the package does not load numpy
 
@@ -125,14 +124,12 @@ def _permutation_table(n: int, k: int):
     return table
 
 
-def lift_rainbow(
-    h: Hypergraph, q: int, w: dict[int, int] | None = None, cap: int = DEFAULT_LIFT_CAP
-) -> list[LiftedEdge]:
+def lift_rainbow(h: Hypergraph, q: int, w: dict[int, int] | None = None) -> list[LiftedEdge]:
     """Materialize every (edge, injective coloring) pair, or with a partial
     coloring w only those that agree with w on every shared vertex: the
     rows of `lift_codes`, in its order, as `LiftedEdge`s.
     """
-    codes, base = lift_codes(h, q, w, cap)
+    codes, base = lift_codes(h, q, w)
     colors = (codes % q + 1).tolist()
     return [
         LiftedEdge(base=b, colors=tuple(row[: len(h.edges[b])]))

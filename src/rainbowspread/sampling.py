@@ -85,6 +85,8 @@ def sample_uniform_subset(n: int, m: int, rng: RngStream) -> list[int]:
 
 def sample_binomial_subset(n: int, p: float, rng: RngStream) -> list[int]:
     """Each element of range(n) included independently with probability p."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
     return [v for v in range(n) if rng.bernoulli(p)]
 
 
@@ -102,8 +104,8 @@ def sample_colored_p(n: int, p: float, q: int, rng: RngStream) -> ColoredSet:
 
 def sample_lifted_binomial(n: int, q: int, p: float, rng: RngStream) -> LiftedSample:
     """Each (vertex, color) pair included independently with probability p/q."""
-    if p / q > 1:
-        raise ValueError("p/q must be at most 1")
+    if not (q >= 1 and 0.0 <= p <= q):
+        raise ValueError(f"need q >= 1 and 0 <= p <= q, got p={p}, q={q}")
     pq = p / q
     elems = set()
     for v in range(n):

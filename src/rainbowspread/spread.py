@@ -43,15 +43,16 @@ def containment_count(h: Hypergraph, s) -> int:
     return sum(1 for e in h.edges if s.issubset(e))
 
 
-def _candidate_sets(h: Hypergraph, cap: int) -> list[tuple[tuple[int, ...], int]]:
+def _candidate_sets(h: Hypergraph) -> list[tuple[tuple[int, ...], int]]:
     """(S, containment count) for every distinct nonempty edge subset, sorted."""
     counts: Counter = Counter()
     for e in h.edges:
         for k in range(1, len(e) + 1):
             counts.update(combinations(e, k))
-        if len(counts) > cap:
+        if len(counts) > DEFAULT_CANDIDATE_CAP:
             raise EnumerationCapExceeded(
-                f"more than {cap} candidate sets; instance too large for the exact oracle"
+                f"more than {DEFAULT_CANDIDATE_CAP} candidate sets; "
+                "instance too large for the exact oracle"
             )
     return sorted(counts.items())
 
@@ -62,7 +63,7 @@ def _count_limit(m: int, kappa: float, k: int) -> int:
     return m * den**k // num**k
 
 
-def max_spread(h: Hypergraph, cap: int = DEFAULT_CANDIDATE_CAP) -> SpreadCertificate:
+def max_spread(h: Hypergraph) -> SpreadCertificate:
     """Largest kappa for which the spread bound holds for every S.
 
     Equals min over nonempty S (subsets of edges) of (|H|/count(S))^(1/|S|).
@@ -76,7 +77,7 @@ def max_spread(h: Hypergraph, cap: int = DEFAULT_CANDIDATE_CAP) -> SpreadCertifi
     m = len(h.edges)
     best: tuple[int, ...] = ()
     best_cnt = 0
-    for s, cnt in _candidate_sets(h, cap):
+    for s, cnt in _candidate_sets(h):
         # (m/cnt)^(1/|s|) < (m/best_cnt)^(1/|best|)
         #   <=>  m^|best| * best_cnt^|s| < m^|s| * cnt^|best|
         if not best or m ** len(best) * best_cnt ** len(s) < m ** len(s) * cnt ** len(best):
@@ -96,7 +97,7 @@ def is_kappa_spread(h: Hypergraph, kappa: float):
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError("kappa must be positive and finite")
     limits = [_count_limit(len(h.edges), kappa, k) for k in range(h.r_bound + 1)]
-    for s, cnt in _candidate_sets(h, DEFAULT_CANDIDATE_CAP):
+    for s, cnt in _candidate_sets(h):
         if cnt > limits[len(s)]:
             return s
     return None

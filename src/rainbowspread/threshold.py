@@ -22,9 +22,10 @@ from .spread import max_spread
 Z95 = 1.959963984540054
 
 
-def wilson_interval(hits: int, n: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
     if n == 0:
         return 0.0, 1.0
+    z = Z95
     phat = hits / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -138,30 +139,20 @@ def _check_trials(trials: int) -> None:
         raise ValueError("trials must be positive")
 
 
-def _pool(h: Hypergraph, q: int, rng) -> TrialPool:
-    """rng itself when it is a TrialPool, so callers share its trials;
-    else a new pool over the stream rng."""
-    if not isinstance(rng, TrialPool):
-        return TrialPool(h, q, rng)
-    if rng.h != h or rng.q != q:
-        raise ValueError("the trial pool was built for another hypergraph or q")
-    return rng
-
-
-def hit_probability(h: Hypergraph, q: int, m: int, trials: int, rng):
-    """(p_hat, (ci_lo, ci_hi)) for a rainbow edge inside a colored m-sample.
-
-    rng is an RngStream, or a TrialPool over (h, q) whose trials are reused.
-    """
+def hit_probability(pool: TrialPool, m: int, trials: int):
+    """(p_hat, (ci_lo, ci_hi)) for a rainbow edge inside a colored m-sample."""
     _check_trials(trials)
-    if m > h.num_vertices:
-        raise ValueError(f"m={m} exceeds ground set size {h.num_vertices}")
-    pool = _pool(h, q, rng)
+    if m > pool.n:
+        raise ValueError(f"m={m} exceeds ground set size {pool.n}")
     hits = int(np.count_nonzero(pool.colored_times(trials) <= m))
     return hits / trials, wilson_interval(hits, trials)
 
 
-def _decide_point(times, m: int, target: float, max_trials: int, block: int = 200):
+# trials added per step of the sequential test at one bisection point
+DECIDE_BLOCK = 200
+
+
+def _decide_point(times, m: int, target: float, max_trials: int):
     """Sequentially add trials until the Wilson CI excludes the target.
 
     Returns (at_least_target, hits, trials_used).
@@ -169,7 +160,7 @@ def _decide_point(times, m: int, target: float, max_trials: int, block: int = 20
     used = 0
     hits = 0
     while used < max_trials:
-        step = min(block, max_trials - used)
+        step = min(DECIDE_BLOCK, max_trials - used)
         hits += int(np.count_nonzero(times[used : used + step] <= m))
         used += step
         lo, hi = wilson_interval(hits, used)
@@ -180,19 +171,13 @@ def _decide_point(times, m: int, target: float, max_trials: int, block: int = 20
     return hits / used >= target, hits, used
 
 
-def estimate_threshold(
-    h: Hypergraph,
-    q: int,
-    target: float,
-    trials: int,
-    rng,
-) -> ThresholdEstimate:
+def estimate_threshold(pool: TrialPool, target: float, trials: int) -> ThresholdEstimate:
     """Bisection for the smallest m with hit probability >= target.
 
     Deterministic given the seed; converges in at most ceil(log2(N-r))
     bisection levels because each level halves the integer interval.
-    rng is an RngStream, or a TrialPool over (h, q) whose trials are reused.
     """
+    h, q = pool.h, pool.q
     _check_trials(trials)
     if not 0 < target <= 1:
         raise ValueError(f"target must be in (0, 1], got {target}")
@@ -203,7 +188,6 @@ def estimate_threshold(
     min_edge = min(len(e) for e in h.edges)
     if q < min_edge:
         raise ThresholdUnreachable(f"q={q} colors cannot make any edge rainbow")
-    pool = _pool(h, q, rng)
     times = pool.colored_times(trials)
     curve: list[tuple[int, int, int]] = []
     # below the smallest edge size no sample can contain an edge
@@ -241,17 +225,15 @@ def estimate_threshold(
     )
 
 
-def sweep(h: Hypergraph, q: int, m_list, trials: int, rng):
+def sweep(pool: TrialPool, m_list, trials: int):
     """Curve rows (m, hits, trials, p_hat, ci_lo, ci_hi, uncolored_hits).
 
     The uncolored column ignores colors (plain containment), so each row
     compares rainbow containment against ordinary containment at that m.
-    rng is an RngStream, or a TrialPool over (h, q) whose trials are reused.
     """
     _check_trials(trials)
     if sorted(m_list) != list(m_list):
         raise ValueError("m_list must be sorted")
-    pool = _pool(h, q, rng)
     colored = pool.colored_times(trials)
     uncolored = pool.uncolored_times(trials)
     rows = []

@@ -12,12 +12,15 @@ round 1 the (base edge, colors) of the originating lifted edge.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+import math
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 from rainbowspread.fragmentation import FragmentStore, _psi_round as store_psi_round
-from rainbowspread.lifting import LiftedEdge
+from rainbowspread.lifting import LiftedEdge, lift_size
+from rainbowspread.spread import containment_count
 
 # a fragment: (elements, multiplicity, lineage)
 Fragment = tuple[tuple[tuple[int, int], ...], int, object]
@@ -33,6 +36,73 @@ def lift_rainbow(h, q: int, w: dict[int, int] | None = None) -> list[LiftedEdge]
             if all(w.get(v, c) == c for v, c in zip(e, colors)):
                 out.append(LiftedEdge(base=i, colors=colors))
     return out
+
+
+# largest lift whose ordered pairs delta_pairs enumerates
+PAIRS_LIFT_CAP = 3000
+
+
+def delta_pairs(h, q: int, x: float) -> float:
+    """Delta over every ordered pair (A, B) of lifted edges: x^(|A|+|B|-t)
+    for each pair whose colored intersection has t >= 1 elements.  Each A
+    is compared with every B at once, through a 0/1 element matrix."""
+    size = lift_size(h, q)
+    if size > PAIRS_LIFT_CAP:
+        raise ValueError(f"lift has {size} edges, above the pair enumeration's {PAIRS_LIFT_CAP}")
+    elements = [[v * q + c - 1 for v, c in le.elements(h)] for le in lift_rainbow(h, q)]
+    inc = np.zeros((len(elements), h.num_vertices * q), dtype=np.int64)
+    for row, cols in zip(inc, elements):
+        row[cols] = 1
+    sizes = inc.sum(axis=1)
+    weight_counts = np.zeros(2 * h.r_bound + 1, dtype=np.int64)
+    for cols in elements:
+        t = inc[:, cols].sum(axis=1)  # elements of A in each B
+        hit = t >= 1
+        weight_counts += np.bincount(len(cols) + sizes[hit] - t[hit], minlength=len(weight_counts))
+    return math.fsum(int(cnt) * x**expo for expo, cnt in enumerate(weight_counts) if cnt)
+
+
+def _candidates(h) -> list[tuple[int, ...]]:
+    """Every distinct nonempty edge subset, sorted."""
+    return sorted({s for e in h.edges for k in range(1, len(e) + 1) for s in combinations(e, k)})
+
+
+def spread_witness(h) -> tuple[tuple[int, ...], int]:
+    """(S, count) minimizing (|H|/count(S))^(1/|S|), the lexicographically
+    smallest S on ties; counts rescanned per candidate, compared as
+    rationals: (m/c)^(1/s) < (m/c')^(1/s') iff (m/c)^s' < (m/c')^s."""
+    m = len(h.edges)
+    best, best_cnt = None, 0
+    for s in _candidates(h):
+        cnt = containment_count(h, s)
+        if best is None or Fraction(m, cnt) ** len(best) < Fraction(m, best_cnt) ** len(s):
+            best, best_cnt = s, cnt
+    return best, best_cnt
+
+
+def spread_violator(h, kappa: float):
+    """The lexicographically smallest S with count(S) kappa^|S| > |H|, or None."""
+    exact = Fraction(kappa)
+    return next(
+        (s for s in _candidates(h) if containment_count(h, s) * exact ** len(s) > len(h.edges)), None
+    )
+
+
+def scalar_times(pool, trials: int) -> tuple[list[int], list[int]]:
+    """(colored, uncolored) hit times from the scalar `TrialPool._run_trial`."""
+    ref = [pool._run_trial(t) for t in range(trials)]
+    return [c for c, _ in ref], [u for _, u in ref]
+
+
+def uncover_by_states(g, q: int, alpha: float) -> float:
+    """Pr(no rainbow edge of g in the colored alpha-sample): one product of
+    vertex probabilities per uncovered state of the (q+1)^N."""
+    total = 0.0
+    for states in product(range(q + 1), repeat=g.num_vertices):
+        w = {v: c for v, c in enumerate(states) if c}
+        if not any(all(v in w for v in e) and len({w[v] for v in e}) == len(e) for e in g.edges):
+            total += math.prod(alpha / q if c else 1.0 - alpha for c in states)
+    return total
 
 
 def initial_survivors(h, q: int, wmap: dict[int, int]) -> dict:

@@ -9,6 +9,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+import oracles
 
 from rainbowspread.fragmentation import make_schedule, run_fragmentation
 from rainbowspread.generators import (
@@ -107,8 +108,8 @@ def test_acceptance_04_dual_path_delta_and_chain():
         (gen_perfect_matching(6, 2), 4, 0.15),
     ]
     for h, q, p in instances:
-        agg = janson_delta_exact(h, q, p, method="aggregate")
-        brute = janson_delta_exact(h, q, p, method="pairs")
+        agg = janson_delta_exact(h, q, p)
+        brute = oracles.delta_pairs(h, q, 1 - p)
         assert math.isclose(agg, brute, rel_tol=1e-10)
         if h.is_uniform:
             kappa = max_spread(h).kappa
@@ -205,19 +206,19 @@ def test_acceptance_08_threshold_behavior():
     # single 1-edge hypergraph: threshold at target 1/2 is ceil(N/2)
     n = 20
     single = Hypergraph.from_edges(n, [(0,)])
-    est_single = estimate_threshold(single, 1, 0.5, 10_000, RngStream(802, 0))
+    est_single = estimate_threshold(TrialPool(single, 1, RngStream(802, 0)), 0.5, 10_000)
     assert abs(est_single.m_star - math.ceil(n / 2)) <= 1
 
     # implied constant stable across two disjoint seed batches
     r, nverts = h7.r_bound, h7.num_vertices
-    est_a = estimate_threshold(h7, 7, 0.5, 10_000, RngStream(803, 0))
-    est_b = estimate_threshold(h7, 7, 0.5, 10_000, RngStream(804, 0))
+    est_a = estimate_threshold(TrialPool(h7, 7, RngStream(803, 0)), 0.5, 10_000)
+    est_b = estimate_threshold(TrialPool(h7, 7, RngStream(804, 0)), 0.5, 10_000)
     for est in (est_a, est_b):
         assert r <= est.m_star <= nverts
     assert abs(est_a.implied_C - est_b.implied_C) <= 0.10 * est_a.implied_C
 
     # containment without the color requirement dominates at every m
-    rows = sweep(h7, 7, list(range(1, nverts + 1)), 2000, RngStream(805, 0))
+    rows = sweep(TrialPool(h7, 7, RngStream(805, 0)), list(range(1, nverts + 1)), 2000)
     for _, hits, _, _, _, _, uhits in rows:
         assert uhits >= hits
     report(

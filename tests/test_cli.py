@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import pytest
 from rainbowspread import _kernels, cli
 from rainbowspread.cli import main
 from rainbowspread.errors import RainbowSpreadError
-from rainbowspread.fragmentation import KeyWidthExceeded, ScheduleInfeasibleError
+from rainbowspread.fragmentation import KeyWidthExceeded
 from rainbowspread.generators import GeneratorError, gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph, HypergraphError, write_hypergraph
 from rainbowspread.lifting import ChromaticityError, LiftCapExceeded
@@ -204,6 +208,32 @@ def test_fragment_rejects_reversed_seed_range(hc5_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("C", ["nan", "inf"])
+def test_fragment_rejects_non_finite_C(hc5_path, tmp_path, capsys, C):
+    out = tmp_path / "f.txt"
+    assert main(["fragment", "--hypergraph", hc5_path, "--q", "5", "--C", C, "--out", str(out)]) == 1
+    _single_error(capsys, "need kappa > 0 and a finite C >= 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "{hc5}", "--janson", "--q", "5", "--p", "1.5"],
+    ["moments", "{hc5}", "--janson", "--q", "5", "--p", "-0.5"],
+    ["moments", "{hc5}", "--janson", "--q", "5", "--p", "nan"],
+    ["sample", "--model", "binomial-p", "--n", "10", "--p", "nan"],
+    ["sample", "--model", "colored-p", "--n", "10", "--q", "3", "--p", "nan"],
+    ["sample", "--model", "colored-p", "--n", "10", "--q", "3", "--p", "1.5"],
+    ["sample", "--model", "lifted-p", "--n", "10", "--q", "3", "--p", "nan"],
+    ["sample", "--model", "lifted-p", "--n", "10", "--q", "0", "--p", "0.5"],
+])
+def test_probability_out_of_range_rejected(hc5_path, tmp_path, capsys, argv):
+    out = tmp_path / "o.txt"
+    argv = [hc5_path if a == "{hc5}" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    _single_error(capsys, "need q >= 1 and 0 <= p <= q" if "lifted-p" in argv else "p must be in [0, 1]")
+    assert not out.exists()
+
+
 def test_fragment_lift_over_cap(tmp_path, capsys):
     # pm(8,2) at q=40: round 1's restricted lift has 94,394,734 edges, above the cap
     path = tmp_path / "pm82.json"
@@ -291,11 +321,25 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
 def test_library_errors_share_one_base():
     for cls, builtin in [
         (HypergraphError, ValueError), (GeneratorError, ValueError), (ChromaticityError, ValueError),
-        (ScheduleInfeasibleError, ValueError), (ThresholdUnreachable, RuntimeError),
+        (ThresholdUnreachable, RuntimeError),
         (EnumerationCapExceeded, RuntimeError), (LiftCapExceeded, RuntimeError),
         (KeyWidthExceeded, RuntimeError),
     ]:
         assert issubclass(cls, RainbowSpreadError) and issubclass(cls, builtin)
+
+
+def test_benchmark_hook_sites_exist():
+    # perfbench/traced_cli.py imports the CLI, then installs the tracer,
+    # which wraps functions by name in every module that binds them
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import json, tracer\n"
+        "from rainbowspread import cli\n"
+        "print(json.dumps(tracer.install(tracer.Recorder())))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []
 
 
 def test_library_error_is_one_error_line(hc5_path, monkeypatch, capsys):

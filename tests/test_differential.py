@@ -1,24 +1,29 @@
 """The fast paths against their references in oracles.py, on random small
 multiset hypergraphs with mixed edge sizes and repeated edges."""
 
+import math
+from fractions import Fraction
+
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rainbowspread import fragmentation
+from rainbowspread import fragmentation, threshold
 from rainbowspread.fragmentation import apply_round, endgame_hit, initial_survivors, run_fragmentation
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import lift_rainbow, lift_size
+from rainbowspread.moments import exact_uncover_probability, janson_delta_exact
 from rainbowspread.rng import RngStream
-from rainbowspread.spread import max_spread
+from rainbowspread.spread import is_kappa_spread, max_spread
+from rainbowspread.threshold import TrialPool
 
 
 @st.composite
-def instances(draw, min_r=1):
-    """(hypergraph, q): up to 6 distinct edges of sizes 1-4 on up to 7
+def instances(draw, min_r=1, max_n=7):
+    """(hypergraph, q): up to 6 distinct edges of sizes 1-4 on up to max_n
     vertices, some of them repeated, and q from r_bound to r_bound + 2."""
-    n = draw(st.integers(4, 7))
+    n = draw(st.integers(4, max_n))
     edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
     edges = draw(st.lists(edge, min_size=1, max_size=6))
     edges += draw(st.lists(st.sampled_from(edges), max_size=3))
@@ -85,3 +90,50 @@ def test_traces_match_oracle(data):
         mp.setattr(fragmentation, "apply_round", oracles.apply_round)
         mp.setattr(fragmentation, "endgame_hit", oracles.endgame_hit)
         assert run().serialize() == trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_delta_matches_oracle(data):
+    h, q = data.draw(instances())
+    assume(lift_size(h, q) <= oracles.PAIRS_LIFT_CAP)
+    p = data.draw(st.floats(0.0, 1.0))
+    assert math.isclose(janson_delta_exact(h, q, p), oracles.delta_pairs(h, q, 1.0 - p), rel_tol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_spread_matches_oracle(data):
+    h, _ = data.draw(instances())
+    cert = max_spread(h)
+    witness, count = oracles.spread_witness(h)
+    assert (cert.witness, cert.containment_count) == (witness, count)
+    # the float kappa is at most the exact value, and within rounding of it
+    bound = Fraction(len(h.edges), count)
+    assert Fraction(cert.kappa) ** len(witness) <= bound
+    assert math.isclose(cert.kappa, float(bound) ** (1 / len(witness)), rel_tol=1e-12)
+    for kappa in (cert.kappa, math.nextafter(cert.kappa, math.inf), data.draw(st.floats(0.5, 4.0))):
+        assert is_kappa_spread(h, kappa) == oracles.spread_violator(h, kappa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trial_blocks_match_scalar_trials(data):
+    h, q = data.draw(instances())
+    seed, trials = data.draw(st.integers(0, 2**32)), data.draw(st.integers(1, 60))
+    block_elements = data.draw(st.sampled_from([1, 100, threshold.BLOCK_ELEMENTS]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threshold, "BLOCK_ELEMENTS", block_elements)
+        pool = TrialPool(h, q, RngStream(seed))
+        colored, uncolored = oracles.scalar_times(pool, trials)
+        assert pool.colored_times(trials).tolist() == colored
+        assert pool.uncolored_times(trials).tolist() == uncolored
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_uncover_matches_oracle(data):
+    h, q = data.draw(instances(max_n=5))  # at most 7^5 vertex states
+    alpha = data.draw(st.floats(0.0, 1.0))
+    want = oracles.uncover_by_states(h, q, alpha)
+    assert math.isclose(exact_uncover_probability(h, q, alpha), want, rel_tol=1e-12, abs_tol=1e-15)

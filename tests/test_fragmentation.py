@@ -13,7 +13,6 @@ from rainbowspread.errors import RainbowSpreadError
 from rainbowspread.fragmentation import (
     FragmentationTrace,
     KeyWidthExceeded,
-    ScheduleInfeasibleError,
     _key_weights,
     apply_round,
     initial_survivors,
@@ -50,20 +49,20 @@ def test_schedule_ell_shrinks_as_gamma_grows():
 
 
 def test_schedule_strict_rejections():
-    with pytest.raises(ScheduleInfeasibleError):
-        make_schedule(10, 2.0, 0.3, 3.0)  # p = 1.5 > 1
-    with pytest.raises(ScheduleInfeasibleError):
-        make_schedule(100, 5.0, 0.1, 1.0)  # 37 * 0.2 + rho > 1
+    # an infeasible rate is recorded, not rejected
+    s = make_schedule(100, 5.0, 0.1, 1.0)  # 37 * 0.2 + rho > 1
+    assert (s.p, s.p_clamped, s.feasible) == (0.2, False, False)
     with pytest.raises(ValueError):
         make_schedule(2, 10.0, 0.3, 1.0)
     with pytest.raises(ValueError):
         make_schedule(10, 10.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        make_schedule(10, 10.0, 0.3, 0.5)
+    for C in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite C >= 1"):
+            make_schedule(10, 10.0, 0.3, C)
 
 
 def test_schedule_nonstrict_clamps():
-    s = make_schedule(10, 2.0, 0.3, 3.0, strict=False)
+    s = make_schedule(10, 2.0, 0.3, 3.0)  # p = 1.5 > 1
     assert s.p == 1.0
     assert s.p_clamped
     assert not s.feasible

@@ -8,6 +8,7 @@ import oracles
 import pytest
 
 import rainbowspread
+from rainbowspread import lifting
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph, HypergraphError
 from rainbowspread.lifting import (
@@ -48,11 +49,12 @@ def test_lift_is_rainbow_and_canonical():
     assert lifted == sorted(lifted, key=lambda le: (le.base, le.colors))
 
 
-def test_lift_errors():
+def test_lift_errors(monkeypatch):
     with pytest.raises(ChromaticityError):
         lift_rainbow(EDGE, 1)
-    with pytest.raises(LiftCapExceeded):
-        lift_rainbow(gen_hamilton(6), 8, cap=100)
+    monkeypatch.setattr(lifting, "DEFAULT_LIFT_CAP", 100)
+    with pytest.raises(LiftCapExceeded, match="above cap 100"):
+        lift_rainbow(gen_hamilton(6), 8)
 
 
 # mixed sizes, repeated edges
@@ -116,14 +118,16 @@ def test_import_stays_numpy_free():
     assert out.stdout.strip() == "False"
 
 
-def test_restricted_lift_cap():
+def test_restricted_lift_cap(monkeypatch):
     h = gen_hamilton(6)
     w = {v: v % 8 + 1 for v in range(0, 15, 2)}
     n = lift_size(h, 8, w)
     assert 0 < n < lift_size(h, 8)
-    assert len(lift_rainbow(h, 8, w, cap=n)) == n
+    monkeypatch.setattr(lifting, "DEFAULT_LIFT_CAP", n)
+    assert len(lift_rainbow(h, 8, w)) == n
+    monkeypatch.setattr(lifting, "DEFAULT_LIFT_CAP", n - 1)
     with pytest.raises(LiftCapExceeded, match=f"lift has {n} edges"):
-        lift_rainbow(h, 8, w, cap=n - 1)
+        lift_rainbow(h, 8, w)
 
 
 def test_lifted_containment_examples():

@@ -2,12 +2,13 @@
 
 import math
 
+import oracles
 import pytest
 
-from rainbowspread import _kernels, lifting, moments
+from rainbowspread import _kernels, moments
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
-from rainbowspread.lifting import LiftCapExceeded, falling_factorial, lift_rainbow, lift_size
+from rainbowspread.lifting import falling_factorial, lift_rainbow, lift_size
 from rainbowspread.moments import (
     binomial_median_check,
     chebyshev_miss_bound,
@@ -36,8 +37,8 @@ DUAL_PATH_CASES = [
 
 @pytest.mark.parametrize("h,q,p", DUAL_PATH_CASES)
 def test_delta_dual_paths_agree(h, q, p):
-    agg = janson_delta_exact(h, q, p, method="aggregate")
-    brute = janson_delta_exact(h, q, p, method="pairs")
+    agg = janson_delta_exact(h, q, p)
+    brute = oracles.delta_pairs(h, q, 1 - p)
     assert math.isclose(agg, brute, rel_tol=1e-10)
 
 
@@ -48,14 +49,14 @@ def test_delta_aggregate_row_blocks(h, q, p, monkeypatch):
     monkeypatch.setattr(moments, "DELTA_BLOCK_ELEMENTS", 1)
     blocked = janson_delta_exact(h, q, p)
     assert blocked == one_block
-    assert math.isclose(blocked, janson_delta_exact(h, q, p, method="pairs"), rel_tol=1e-10)
+    assert math.isclose(blocked, oracles.delta_pairs(h, q, 1 - p), rel_tol=1e-10)
 
 
 def test_delta_single_edge_closed_form():
     # one edge, q=2: lift has 2 edges, colored intersections are only the
     # self-pairs (the two colorings disagree everywhere), weight (1-p)^2
     p = 0.5
-    d = janson_delta_exact(SINGLE, 2, p, method="pairs")
+    d = oracles.delta_pairs(SINGLE, 2, 1 - p)
     assert math.isclose(d, 2 * (1 - p) ** 2, rel_tol=1e-12)
 
 
@@ -67,11 +68,6 @@ def test_delta_includes_self_pairs():
     d = janson_delta_exact(h, q, p)
     floor = lift_size(h, q) * (1 - p) ** h.r_bound
     assert d >= floor - 1e-9
-
-
-def test_delta_unknown_method():
-    with pytest.raises(ValueError):
-        janson_delta_exact(SINGLE, 2, 0.5, method="magic")
 
 
 def test_mu_closed_form():
@@ -172,18 +168,6 @@ def test_exact_uncover_probability_single_edge():
         assert math.isclose(got, 1 - alpha * alpha / 2, rel_tol=1e-12)
 
 
-def uncover_by_states(g, q, alpha):
-    """Per-state reference: one product of vertex probabilities per state."""
-    from itertools import product
-
-    total = 0.0
-    for states in product(range(q + 1), repeat=g.num_vertices):
-        w = {v: c for v, c in enumerate(states) if c}
-        if not any(all(v in w for v in e) and len({w[v] for v in e}) == len(e) for e in g.edges):
-            total += math.prod(alpha / q if c else 1.0 - alpha for c in states)
-    return total
-
-
 @pytest.mark.parametrize("g,q,alpha", [
     (SINGLE, 2, 0.3),
     (gen_perfect_matching(4, 2), 2, 0.5),
@@ -192,7 +176,7 @@ def uncover_by_states(g, q, alpha):
     (Hypergraph(3, (), 2), 2, 0.5),
 ])
 def test_exact_uncover_probability_matches_per_state_sum(g, q, alpha, monkeypatch):
-    want = uncover_by_states(g, q, alpha)
+    want = oracles.uncover_by_states(g, q, alpha)
     assert math.isclose(exact_uncover_probability(g, q, alpha), want, rel_tol=1e-12)
     monkeypatch.setattr(moments, "UNCOVER_BLOCK_ELEMENTS", 7)  # many blocks, some ragged
     assert math.isclose(exact_uncover_probability(g, q, alpha), want, rel_tol=1e-12)
@@ -202,11 +186,7 @@ def test_exact_paths_refuse_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the size check")
 
-    monkeypatch.setattr(lifting, "_permutation_table", no_work)
     monkeypatch.setattr(_kernels, "pack_edges", no_work)
-    # hc6 at q=6 lifts to 43,200 edges, above the pair path's ceiling
-    with pytest.raises(LiftCapExceeded, match="lift has 43200 edges, above cap 3000"):
-        janson_delta_exact(gen_hamilton(6), 6, 0.05, method="pairs")
     # 10 vertices at q=5: 6^10 states
     with pytest.raises(EnumerationCapExceeded, match="60466176 vertex states"):
         exact_uncover_probability(gen_hamilton(5), 5, 0.5)

@@ -1,11 +1,11 @@
 import math
-from fractions import Fraction
-from itertools import combinations
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowspread import spread
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph, HypergraphError
 from rainbowspread.spread import (
@@ -65,10 +65,10 @@ def test_max_spread_empty_errors():
         max_spread(Hypergraph(3, (), 2))
 
 
-def test_enumeration_cap():
-    h = gen_hamilton(7)
-    with pytest.raises(EnumerationCapExceeded):
-        max_spread(h, cap=10)
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(spread, "DEFAULT_CANDIDATE_CAP", 10)
+    with pytest.raises(EnumerationCapExceeded, match="more than 10 candidate sets"):
+        max_spread(gen_hamilton(7))
 
 
 def test_is_kappa_spread_examples():
@@ -118,13 +118,7 @@ def test_is_kappa_spread_rejects_bad_kappa(kappa):
 @settings(max_examples=40, deadline=None)
 @given(small_hypergraphs(), st.floats(0.5, 4.0))
 def test_is_kappa_spread_matches_exact_reference(h, kappa):
-    # reference: rescan the edges per candidate, compare in rationals
-    cands = sorted({s for e in h.edges for k in range(1, len(e) + 1) for s in combinations(e, k)})
-    exact = Fraction(kappa)
-    expected = next(
-        (s for s in cands if containment_count(h, s) * exact ** len(s) > len(h.edges)), None
-    )
-    assert is_kappa_spread(h, kappa) == expected
+    assert is_kappa_spread(h, kappa) == oracles.spread_violator(h, kappa)
 
 
 def test_pad_examples():

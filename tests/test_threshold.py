@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from rainbowspread import threshold
@@ -55,9 +56,10 @@ def test_single_edge_closed_form():
     n, q = 4, 6
     h = Hypergraph.from_edges(n, [tuple(range(n))])
     p_full = math.perm(q, n) / q**n
-    phat, (lo, hi) = hit_probability(h, q, n, 20_000, RngStream(33, 0))
+    pool = TrialPool(h, q, RngStream(33, 0))
+    phat, (lo, hi) = hit_probability(pool, n, 20_000)
     assert lo <= p_full <= hi or abs(phat - p_full) < 0.02
-    phat_below, _ = hit_probability(h, q, n - 1, 20_000, RngStream(33, 0))
+    phat_below, _ = hit_probability(pool, n - 1, 20_000)
     assert phat_below == 0.0
 
 
@@ -69,7 +71,7 @@ def test_estimate_threshold_single_edge():
     n = 3
     h = Hypergraph.from_edges(n, [tuple(range(n))])
     q = 64  # distinct-color probability ~0.953
-    est = estimate_threshold(h, q, 0.5, 4000, RngStream(34, 0))
+    est = estimate_threshold(TrialPool(h, q, RngStream(34, 0)), 0.5, 4000)
     assert est.m_star == n
     assert math.isnan(est.implied_C) is False or h.r_bound > 1
 
@@ -77,7 +79,7 @@ def test_estimate_threshold_single_edge():
 def test_estimate_threshold_matches_curve_scan():
     h = gen_hamilton(7)
     q, target, trials = 7, 0.5, 3000
-    est = estimate_threshold(h, q, target, trials, RngStream(35, 0))
+    est = estimate_threshold(TrialPool(h, q, RngStream(35, 0)), target, trials)
     # recompute from the raw hit times: smallest m with rate >= target
     times = TrialPool(h, q, RngStream(35, 0)).colored_times(trials)
     scan = next(
@@ -95,16 +97,17 @@ def test_estimate_threshold_matches_curve_scan():
 def test_estimate_threshold_unreachable():
     h = gen_hamilton(5)
     with pytest.raises(ThresholdUnreachable):
-        estimate_threshold(h, 1, 0.5, 500, RngStream(36, 0))  # q below edge size
+        estimate_threshold(TrialPool(h, 1, RngStream(36, 0)), 0.5, 500)  # q below edge size
     # an impossible target: even m=N misses sometimes
     with pytest.raises(ThresholdUnreachable):
-        estimate_threshold(h, 5, 0.99999, 500, RngStream(36, 0))
+        estimate_threshold(TrialPool(h, 5, RngStream(36, 0)), 0.99999, 500)
 
 
 def test_sweep_rows():
     h = gen_perfect_matching(6, 2)
     m_list = [2, 4, 8, 15]
-    rows = sweep(h, 4, m_list, 1000, RngStream(37, 0))
+    pool = TrialPool(h, 4, RngStream(37, 0))
+    rows = sweep(pool, m_list, 1000)
     assert [r[0] for r in rows] == m_list
     rates = [r[3] for r in rows]
     assert rates == sorted(rates)
@@ -113,15 +116,15 @@ def test_sweep_rows():
         assert lo <= phat <= hi
         assert uhits >= hits  # dropping the color requirement only helps
     with pytest.raises(ValueError):
-        sweep(h, 4, [5, 2], 100, RngStream(37, 0))
+        sweep(pool, [5, 2], 100)
 
 
 def test_hit_probability_validation():
-    h = gen_hamilton(4)
+    pool = TrialPool(gen_hamilton(4), 4, RngStream(38, 0))
     with pytest.raises(ValueError):
-        hit_probability(h, 4, 99, 100, RngStream(38, 0))
+        hit_probability(pool, 99, 100)
     with pytest.raises(ValueError):
-        hit_probability(h, 4, 2, 0, RngStream(38, 0))
+        hit_probability(pool, 2, 0)
 
 
 def test_determinism_across_pools():
@@ -145,12 +148,6 @@ def random_hypergraph(rng, n, max_edges=12, max_size=6, min_size=1):
     return Hypergraph.from_edges(n, edges + edges[:2])
 
 
-def scalar_times(pool, trials):
-    """(colored, uncolored) lists from the scalar reference `_run_trial`."""
-    ref = [pool._run_trial(t) for t in range(trials)]
-    return [c for c, _ in ref], [u for _, u in ref]
-
-
 # n and q on both sides of the uint8 and uint16 boundaries of the block dtype
 @pytest.mark.parametrize("n,q", [
     (1, 1), (2, 1), (6, 2), (9, 5), (12, 127), (12, 128), (16, 255), (16, 256), (12, 1000),
@@ -160,7 +157,7 @@ def test_batched_trials_match_scalar_reference(n, q):
     rng = RngStream(900 + n, q)
     # no singleton edges, whose hit times would not depend on the colors
     pool = TrialPool(random_hypergraph(rng, n, min_size=2), q, rng.child(0))
-    colored, uncolored = scalar_times(pool, 40)
+    colored, uncolored = oracles.scalar_times(pool, 40)
     assert pool.colored_times(40).tolist() == colored
     assert pool.uncolored_times(40).tolist() == uncolored
 
@@ -172,7 +169,7 @@ def test_incremental_ensure_matches_scalar_reference(monkeypatch):
     for trials in (7, 300, 2000):
         pool.ensure(trials)
         assert len(pool.colored_times(trials)) == len(pool.uncolored_times(trials)) == trials
-    colored, uncolored = scalar_times(pool, 2000)
+    colored, uncolored = oracles.scalar_times(pool, 2000)
     assert pool.colored_times(2000).tolist() == colored
     assert pool.uncolored_times(2000).tolist() == uncolored
     assert np.array_equal(TrialPool(h, 5, RngStream(47, 1)).colored_times(2000), colored)
@@ -212,7 +209,7 @@ def test_rejected_draw_replayed_on_scalar_path(monkeypatch, counter, n, q, repla
     rng = stream_with_draw(5, counter, MASK)
     child = rng.child(5)
     assert [child.next_u64() for _ in range(counter)][-1] == MASK
-    colored, uncolored = scalar_times(TrialPool(h, q, rng), 12)
+    colored, uncolored = oracles.scalar_times(TrialPool(h, q, rng), 12)
     seen = []
     run_trial = TrialPool._run_trial
     monkeypatch.setattr(TrialPool, "_run_trial", lambda self, t: seen.append(t) or run_trial(self, t))
@@ -237,17 +234,18 @@ def test_forced_replay_takes_scalar_results(monkeypatch):
 
 
 def test_shared_pool_gives_the_same_results():
+    # one pool serving every call gives what a fresh pool gives each call
     h, q = gen_hamilton(5), 5
-    pool = TrialPool(h, q, RngStream(46, 0))
-    est = estimate_threshold(h, q, 0.2, 400, RngStream(46, 0))
-    assert estimate_threshold(h, q, 0.2, 400, pool) == est
-    assert sweep(h, q, [3, 5, 8], 400, pool) == sweep(h, q, [3, 5, 8], 400, RngStream(46, 0))
-    assert hit_probability(h, q, 8, 600, pool) == hit_probability(h, q, 8, 600, RngStream(46, 0))
+
+    def fresh():
+        return TrialPool(h, q, RngStream(46, 0))
+
+    pool = fresh()
+    assert estimate_threshold(pool, 0.2, 400) == estimate_threshold(fresh(), 0.2, 400)
+    assert sweep(pool, [3, 5, 8], 400) == sweep(fresh(), [3, 5, 8], 400)
+    assert hit_probability(pool, 8, 600) == hit_probability(fresh(), 8, 600)
+    assert sweep(pool, [3, 5, 8], 300) == sweep(fresh(), [3, 5, 8], 300)
     assert len(pool.colored_times(600)) == 600
-    with pytest.raises(ValueError, match="another hypergraph or q"):
-        sweep(h, 4, [3], 400, pool)
-    with pytest.raises(ValueError, match="another hypergraph or q"):
-        sweep(gen_hamilton(4), q, [3], 400, pool)
 
 
 def test_pool_times_are_read_only():
