@@ -18,7 +18,7 @@ from .errors import RainbowSpreadError
 from .fragmentation import run_fragmentation
 from .generators import parse_spec
 from .hypergraph import read_hypergraph, write_hypergraph
-from .moments import chebyshev_report, janson_chain_check
+from .moments import chebyshev_report, check_janson_inputs, janson_chain_check
 from .rng import RngStream
 from .sampling import (
     ColoredSet,
@@ -28,7 +28,7 @@ from .sampling import (
     sample_lifted_binomial,
     sample_uniform_subset,
 )
-from .spread import is_kappa_spread, max_spread
+from .spread import check_kappa, is_kappa_spread, max_spread
 from .threshold import TrialPool, estimate_threshold, sweep
 
 EXIT_OK = 0
@@ -63,6 +63,8 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def cmd_spread(args) -> int:
+    if args.check_kappa is not None:
+        check_kappa(args.check_kappa)
     h = read_hypergraph(args.hypergraph)
     cert = max_spread(h)
     print(f"kappa = {cert.kappa:.12g}")
@@ -93,9 +95,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    if args.kappa is not None:
+        check_kappa(args.kappa)
     h = read_hypergraph(args.hypergraph)
     seed = _resolve_seed(args)
     if args.janson:
+        check_janson_inputs(h, args.q, args.p)  # before the spread oracle runs
         kappa = args.kappa if args.kappa is not None else max_spread(h).kappa
         report = janson_chain_check(h, args.q, args.p, kappa)
     else:

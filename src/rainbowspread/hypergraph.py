@@ -56,6 +56,15 @@ class Hypergraph:
         matrix.flags.writeable = sizes.flags.writeable = False
         return matrix, sizes
 
+    @cached_property
+    def candidates(self):
+        """`spread._candidate_sets(self)`: every distinct nonempty edge subset
+        with its containment count, built on first use, so that the spread
+        certificate and every spread check of one run share one pass."""
+        from . import spread
+
+        return spread._candidate_sets(self)
+
     @property
     def is_uniform(self) -> bool:
         return all(len(e) == self.r_bound for e in self.edges)

@@ -39,18 +39,19 @@ class MomentReport:
         }
 
 
-def _check_p(p: float) -> None:
+def check_janson_inputs(h: Hypergraph, q: int, p: float) -> None:
+    """The Janson quantities need p in [0, 1], an r-uniform H and q >= r."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+    if not h.is_uniform:
+        raise HypergraphError("the Janson chain requires an r-uniform hypergraph")
+    if q < h.r_bound:
+        raise ChromaticityError(f"q={q} < r={h.r_bound}")
 
 
 def janson_mu(h: Hypergraph, q: int, p: float) -> float:
     """mu = |H*| (1-p)^r for an r-uniform H."""
-    _check_p(p)
-    if not h.is_uniform:
-        raise HypergraphError("janson_mu requires an r-uniform hypergraph")
-    if q < h.r_bound:
-        raise ChromaticityError(f"q={q} < r={h.r_bound}")
+    check_janson_inputs(h, q, p)
     return lift_size(h, q) * (1.0 - p) ** h.r_bound
 
 
@@ -127,9 +128,7 @@ def janson_chain_check(h: Hypergraph, q: int, p: float, kappa: float) -> MomentR
     intermediate bound holds unconditionally; the final 4 mu^2/kappa step
     is only asserted inside the numeric gate.
     """
-    _check_p(p)
-    if not h.is_uniform:
-        raise HypergraphError("janson_chain_check requires an r-uniform hypergraph")
+    check_janson_inputs(h, q, p)
     violation = is_kappa_spread(h, kappa)
     if violation is not None:
         raise ValueError(f"hypergraph is not {kappa}-spread (witness {violation})")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rainbowspread import _kernels, cli
+from rainbowspread import _kernels, cli, spread
 from rainbowspread.cli import main
 from rainbowspread.errors import RainbowSpreadError
 from rainbowspread.fragmentation import KeyWidthExceeded
@@ -49,10 +49,80 @@ def test_spread_ok_and_check(hc5_path, capsys):
     ["spread", "{h}", "--check-kappa", "nan"],
     ["spread", "{h}", "--check-kappa", "inf"],
     ["moments", "{h}", "--janson", "--q", "5", "--kappa", "nan"],
+    ["spread", "{h}", "--check-kappa", "0"],
+    ["spread", "{h}", "--check-kappa", "-2"],
+    ["moments", "{h}", "--janson", "--q", "5", "--kappa=-inf"],
+    ["moments", "{h}", "--chebyshev", "--q", "5", "--kappa", "nan"],
+    ["moments", "{h}", "--chebyshev", "--q", "5", "--kappa", "inf"],
+    ["moments", "{h}", "--chebyshev", "--q", "5", "--kappa", "0"],
 ])
-def test_non_finite_kappa_rejected(hc5_path, capsys, argv):
-    assert main([a.format(h=hc5_path) for a in argv]) == 1
+def test_non_finite_kappa_rejected(hc5_path, tmp_path, monkeypatch, capsys, argv):
+    def no_read(path):
+        raise AssertionError("hypergraph read before kappa was checked")
+
+    monkeypatch.setattr(cli, "read_hypergraph", no_read)
+    out = tmp_path / "o.txt"
+    extra = ["--out", str(out)] if argv[0] == "moments" else []
+    assert main([a.format(h=hc5_path) for a in argv] + extra) == 1
     _single_error(capsys, "kappa must be positive and finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--p", "nan"], "p must be in [0, 1]"),
+    (["--p", "1.5"], "p must be in [0, 1]"),
+    (["--q", "4"], "q=4 < r=5"),
+])
+def test_janson_inputs_checked_before_spread(hc5_path, monkeypatch, capsys, extra, message):
+    def no_spread(h):
+        raise AssertionError("spread oracle ran before p and q were checked")
+
+    monkeypatch.setattr(cli, "max_spread", no_spread)
+    assert main(["moments", hc5_path, "--janson", "--q", "5", *extra]) == 1
+    _single_error(capsys, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spread", "{h}", "--check-kappa", "1.5"],
+    ["moments", "{h}", "--janson", "--q", "5", "--p", "0.05"],
+    ["threshold", "--hypergraph", "{h}", "--q", "5", "--trials", "200", "--target", "0.2", "--m-list", "3,5"],
+    ["fragment", "--hypergraph", "{h}", "--q", "5", "--seeds", "0:2"],
+])
+def test_one_candidate_pass_per_invocation(hc5_path, tmp_path, monkeypatch, argv):
+    calls = []
+    build = spread._candidate_sets
+
+    def counting(h):
+        calls.append(h)
+        return build(h)
+
+    monkeypatch.setattr(spread, "_candidate_sets", counting)
+    out = [] if argv[0] == "spread" else ["--out", str(tmp_path / "o.txt")]
+    assert main([a.format(h=hc5_path) for a in argv] + out) == 0
+    assert len(calls) == 1
+
+
+def test_spread_budget_before_allocation(tmp_path, capsys):
+    # one 26-vertex edge has 2^26 - 1 subsets: 537 MB of keys alone
+    path = tmp_path / "big.json"
+    write_hypergraph(Hypergraph.from_edges(26, [range(26)]), str(path))
+    tracemalloc.start()
+    try:
+        rc = main(["spread", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    _single_error(capsys, f"67108863 candidate keys need 1677727191 bytes, above the budget of {2**30}")
+    assert peak < 2**20
+
+
+def test_spread_key_width_is_one_error_line(tmp_path, capsys):
+    # C(2000, 7) > 2^63: the 7-subsets of 2000 vertices have no int64 colex rank
+    path = tmp_path / "wide.json"
+    write_hypergraph(Hypergraph.from_edges(2000, [range(1993, 2000)]), str(path))
+    assert main(["spread", str(path)]) == 1
+    _single_error(capsys, "candidate keys need 25")
 
 
 def test_generate_and_roundtrip(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rainbowspread import fragmentation, threshold
+from rainbowspread import fragmentation, spread, threshold
 from rainbowspread.fragmentation import apply_round, endgame_hit, initial_survivors, run_fragmentation
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import lift_rainbow, lift_size
@@ -105,15 +105,21 @@ def test_delta_matches_oracle(data):
 @given(st.data())
 def test_spread_matches_oracle(data):
     h, _ = data.draw(instances())
-    cert = max_spread(h)
-    witness, count = oracles.spread_witness(h)
-    assert (cert.witness, cert.containment_count) == (witness, count)
-    # the float kappa is at most the exact value, and within rounding of it
-    bound = Fraction(len(h.edges), count)
-    assert Fraction(cert.kappa) ** len(witness) <= bound
-    assert math.isclose(cert.kappa, float(bound) ** (1 / len(witness)), rel_tol=1e-12)
-    for kappa in (cert.kappa, math.nextafter(cert.kappa, math.inf), data.draw(st.floats(0.5, 4.0))):
-        assert is_kappa_spread(h, kappa) == oracles.spread_violator(h, kappa)
+    # vertex ids past 63, up to N = 70, as well as the small ones
+    shift = data.draw(st.sampled_from([0, 63]))
+    h = Hypergraph.from_edges(h.num_vertices + shift, [[v + shift for v in e] for e in h.edges], h.r_bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spread, "KEY_BLOCK", data.draw(st.sampled_from([1, 20, spread.KEY_BLOCK])))
+        mp.setattr(spread, "DECODE_BLOCK", data.draw(st.sampled_from([1, 3, spread.DECODE_BLOCK])))
+        cert = max_spread(h)
+        witness, count = oracles.spread_witness(h)
+        assert (cert.witness, cert.containment_count) == (witness, count)
+        # the float kappa is at most the exact value, and within rounding of it
+        bound = Fraction(len(h.edges), count)
+        assert Fraction(cert.kappa) ** len(witness) <= bound
+        assert math.isclose(cert.kappa, float(bound) ** (1 / len(witness)), rel_tol=1e-12)
+        for kappa in (cert.kappa, math.nextafter(cert.kappa, math.inf), data.draw(st.floats(0.5, 4.0))):
+            assert is_kappa_spread(h, kappa) == oracles.spread_violator(h, kappa)
 
 
 @settings(max_examples=60, deadline=None)

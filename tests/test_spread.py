@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import oracles
 import pytest
@@ -66,9 +67,13 @@ def test_max_spread_empty_errors():
 
 
 def test_enumeration_cap(monkeypatch):
-    monkeypatch.setattr(spread, "DEFAULT_CANDIDATE_CAP", 10)
-    with pytest.raises(EnumerationCapExceeded, match="more than 10 candidate sets"):
+    # hc7: 360 edges of 127 subsets each, 25 bytes per key, and the 8 x 21 binomials
+    monkeypatch.setattr(spread, "CANDIDATE_BYTES", 10**6)
+    message = "45720 candidate keys need 1144344 bytes, above the budget of 1000000"
+    with pytest.raises(EnumerationCapExceeded, match=message):
         max_spread(gen_hamilton(7))
+    monkeypatch.setattr(spread, "CANDIDATE_BYTES", 1144344)
+    assert max_spread(gen_hamilton(7)).witness == (0, 1, 7, 12, 16, 19, 20)
 
 
 def test_is_kappa_spread_examples():
@@ -107,6 +112,21 @@ def test_max_spread_passes_its_own_check(n, k):
     cert = max_spread(h)
     assert is_kappa_spread(h, cert.kappa) is None
     assert is_kappa_spread(h, math.nextafter(cert.kappa, math.inf)) == cert.witness
+
+
+@pytest.mark.parametrize("h", [gen_hamilton(5), gen_perfect_matching(6, 2)], ids=["hc5", "pm62"])
+def test_tied_instances_match_oracle(h):
+    # many sets share each count; at kappa = (m/count)^(1/|S|) a set can sit
+    # exactly on its limit, count * kappa^|S| = m, which does not violate it
+    cert = max_spread(h)
+    assert (cert.witness, cert.containment_count) == oracles.spread_witness(h)
+    m = len(h.edges)
+    pairs = sorted({(len(s), containment_count(h, s)) for s in oracles._candidates(h)})
+    ties = [(m / c) ** (1 / k) for k, c in pairs]
+    assert any(c * Fraction(kappa) ** k == m for (k, c), kappa in zip(pairs, ties))
+    above = [math.nextafter(kappa, math.inf) for kappa in [cert.kappa, *ties]]
+    for kappa in [cert.kappa, *ties, *above]:
+        assert is_kappa_spread(h, kappa) == oracles.spread_violator(h, kappa)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
