@@ -22,11 +22,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph
 # lift_rainbow is not called here; it stays bound by name because
 # perfbench's tracer wraps it in every module that names it
-from .lifting import lift_codes, lift_rainbow, lift_size  # noqa: F401
+from .lifting import check_chromatic, lift_codes, lift_rainbow, lift_size  # noqa: F401
+from .limits import LimitExceeded, block_rows
 from .rng import RngStream, round_half_up
 from .sampling import ColoredSet, contains_rainbow_edge
 from .spread import max_spread
@@ -99,11 +99,6 @@ def make_schedule(r: int, kappa: float, gamma: float, C: float) -> Schedule:
 #
 # A row, or a subset of one, is searched by its key: its codes padded to
 # the store's width r and read as the digits of a base N*q + 1 number.
-SEARCH_BLOCK = 1024  # rows per subset search step; bounds its arrays
-
-
-class KeyWidthExceeded(RainbowSpreadError, RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def _key_weights(pad: int, width: int) -> np.ndarray:
     """Digit weights of the row key, (pad+1)^(width-1) .. 1, once the
     largest key is known to fit int64."""
     if (pad + 1) ** width > 2**63:
-        raise KeyWidthExceeded(
+        raise LimitExceeded(
             f"fragment keys need (N*q + 1)^r = {pad + 1}^{width} values, above int64; "
             "use a smaller --q or a smaller hypergraph"
         )
@@ -182,11 +177,13 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     none = len(rem)
     src = np.empty(len(rem), dtype=np.int64)
     sizes = np.unique(lengths).tolist()  # only subsets of these sizes can hit
-    for k in sizes:
+    for i, k in enumerate(sizes):
         rows_k = np.flatnonzero(lengths == k)
-        for lo in range(0, len(rows_k), SEARCH_BLOCK):
-            todo = rows_k[lo : lo + SEARCH_BLOCK]
-            for s in sizes[: sizes.index(k) + 1]:
+        # per row: C(k, s) subsets of s codes, and five (C,) key and hit arrays
+        block = block_rows(max(math.comb(k, s) * (s + 5) for s in sizes[: i + 1]))
+        for lo in range(0, len(rows_k), block):
+            todo = rows_k[lo : lo + block]
+            for s in sizes[: i + 1]:
                 subsets = rem[todo[:, None, None], _subset_columns(k, s)]  # (rows, C, s)
                 keys = subsets @ weights[:s] + tails[s]
                 pos = np.minimum(np.searchsorted(index_keys, keys), len(index_keys) - 1)
@@ -346,8 +343,7 @@ def run_fragmentation(
     invalidates the size claim of the final union, not the execution;
     feasibility is recorded in the trace.
     """
-    if q < h.r_bound:
-        raise ValueError(f"q={q} < r={h.r_bound}")
+    check_chromatic(h, q)
     if kappa is None:
         kappa = max_spread(h).kappa
     sched = make_schedule(h.r_bound, kappa, gamma, C)

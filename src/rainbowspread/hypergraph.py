@@ -104,4 +104,4 @@ def read_hypergraph(path: str) -> Hypergraph:
         edges = [tuple(int(v) for v in e) for e in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise HypergraphError(f"{path}: missing or malformed fields: {exc}") from exc
-    return Hypergraph(n, tuple(tuple(sorted(e)) for e in edges), r)
+    return Hypergraph.from_edges(n, edges, r)

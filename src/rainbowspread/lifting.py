@@ -12,12 +12,18 @@ from functools import lru_cache
 
 from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph, HypergraphError
+from .limits import check_bytes
 
-DEFAULT_LIFT_CAP = 2_000_000
 
-
-class LiftCapExceeded(RainbowSpreadError, RuntimeError):
+class ChromaticityError(RainbowSpreadError, ValueError):
     pass
+
+
+def check_chromatic(h: Hypergraph, q: int) -> None:
+    """Refuse q < r: with fewer colors than r, an edge of size r has no
+    injective coloring."""
+    if q < h.r_bound:
+        raise ChromaticityError(f"q={q} < r={h.r_bound}")
 
 
 @dataclass(frozen=True)
@@ -76,18 +82,18 @@ def lift_codes(h: Hypergraph, q: int, w: dict[int, int] | None = None):
     holds each row's base edge index.  Rows are in canonical order: by base
     edge, then colors lexicographically.  Pinned colors are fixed and the
     free vertices take the rows of a cached table of
-    permutations(range(q - s), k - s) over the colors left.  `lift_size`
-    is checked against `DEFAULT_LIFT_CAP` before anything is built.
+    permutations(range(q - s), k - s) over the colors left.  Its bytes
+    are checked against the budget before anything is built.
     """
-    if q < h.r_bound:
-        raise ChromaticityError(f"q={q} < r_bound={h.r_bound}")
+    check_chromatic(h, q)
     w = w or {}
     total = lift_size(h, q, w)
-    if total > DEFAULT_LIFT_CAP:
-        raise LiftCapExceeded(
-            f"lift has {total} edges, above cap {DEFAULT_LIFT_CAP}; "
-            "use a smaller --q or a smaller hypergraph"
-        )
+    # a fragmentation round's peak per row, 17r + 84 bytes: two int64 copies
+    # and a clash byte per code, 25 B of row values, 49 B of np.unique buffers
+    # and 10 B of margin for apply_round's merge (tracemalloc: 193 B/row on
+    # hamilton n=7 at q=7, 149 on pm(8,2) at q=12)
+    need = total * (17 * h.r_bound + 84)
+    check_bytes(need, f"{total} lifted edges", "use a smaller --q or a smaller hypergraph")
     import numpy as np  # here, so that importing the package does not load numpy
 
     codes = np.full((total, h.r_bound), h.num_vertices * q, dtype=np.int64)
@@ -137,10 +143,6 @@ def lift_rainbow(h: Hypergraph, q: int, w: dict[int, int] | None = None) -> list
     ]
 
 
-class ChromaticityError(RainbowSpreadError, ValueError):
-    pass
-
-
 def lifted_containment_count(h: Hypergraph, q: int, colored_set) -> int:
     """|H* intersect up-set(S*)| for a rainbow colored set S*, closed form.
 
@@ -149,8 +151,7 @@ def lifted_containment_count(h: Hypergraph, q: int, colored_set) -> int:
     of E is colored injectively avoiding them.  Returns 0 when S repeats
     a color (no rainbow superset exists).
     """
-    if q < h.r_bound:
-        raise ChromaticityError(f"q={q} < r_bound={h.r_bound}")
+    check_chromatic(h, q)
     assign = dict(colored_set)
     s = len(assign)
     if s == 0:

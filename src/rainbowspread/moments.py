@@ -17,8 +17,9 @@ import numpy as np
 from .hypergraph import Hypergraph, HypergraphError
 # lift_rainbow is not called here; it stays bound by name because
 # perfbench's tracer wraps it in every module that names it
-from .lifting import ChromaticityError, falling_factorial, lift_rainbow, lift_size  # noqa: F401
-from .spread import EnumerationCapExceeded, is_kappa_spread, pad_to_uniform
+from .lifting import check_chromatic, falling_factorial, lift_rainbow, lift_size  # noqa: F401
+from .limits import LimitExceeded, block_rows
+from .spread import is_kappa_spread, pad_to_uniform
 
 
 @dataclass
@@ -45,8 +46,7 @@ def check_janson_inputs(h: Hypergraph, q: int, p: float) -> None:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if not h.is_uniform:
         raise HypergraphError("the Janson chain requires an r-uniform hypergraph")
-    if q < h.r_bound:
-        raise ChromaticityError(f"q={q} < r={h.r_bound}")
+    check_chromatic(h, q)
 
 
 def janson_mu(h: Hypergraph, q: int, p: float) -> float:
@@ -80,10 +80,6 @@ def _pair_group_term(a: int, b: int, w: int, q: int, x: float) -> float:
     return total
 
 
-# entries of the m x m shared-vertex matrix held at once by _delta_aggregate
-DELTA_BLOCK_ELEMENTS = 1 << 18
-
-
 def _delta_aggregate(edges, q: int, x: float) -> float:
     """Aggregation path: count ordered base pairs by the key (|E|, |F|, shared)."""
     m = len(edges)
@@ -94,7 +90,7 @@ def _delta_aggregate(edges, q: int, x: float) -> float:
     sizes = np.array([len(e) for e in edges], dtype=np.int64)
     base = 1 + int(sizes.max(initial=0))
     counts = np.zeros(base**3, dtype=np.int64)
-    rows = max(1, DELTA_BLOCK_ELEMENTS // max(m, 1))
+    rows = block_rows(m)  # of the m x m shared-vertex matrix
     for lo in range(0, m, rows):
         shared = (inc[lo : lo + rows] @ inc.T).astype(np.int64)
         keys = (sizes[lo : lo + rows, None] * base + sizes) * base + shared
@@ -110,8 +106,7 @@ def _delta_aggregate(edges, q: int, x: float) -> float:
 def janson_delta_exact(h: Hypergraph, q: int, p: float) -> float:
     """Delta: sum over colored-intersecting ordered pairs of lifted edges
     of (1-p)^(|H*|+|J*|-|H* cap J*|)."""
-    if q < h.r_bound:
-        raise ChromaticityError(f"q={q} < r={h.r_bound}")
+    check_chromatic(h, q)
     return _delta_aggregate(h.edges, q, 1.0 - p)
 
 
@@ -167,8 +162,7 @@ def chebyshev_report(g: Hypergraph, q: int, alpha: float) -> MomentReport:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if q < g.r_bound:
-        raise ChromaticityError(f"q={q} < r={g.r_bound}")
+    check_chromatic(g, q)
     padded = pad_to_uniform(g)
     r = padded.r_bound
     mu = alpha**r * falling_factorial(q, r) / q**r * len(padded.edges)
@@ -190,10 +184,6 @@ def chebyshev_miss_bound(r: int, alpha: float, kappa: float) -> float:
     return 2.0 * math.e * r / (alpha * kappa)
 
 
-# (state, edge, slot) entries held at once by exact_uncover_probability
-UNCOVER_BLOCK_ELEMENTS = 1 << 18
-
-
 def exact_uncover_probability(g: Hypergraph, q: int, alpha: float) -> float:
     """Pr(colored alpha-sample contains no rainbow edge of G), by full
     enumeration over all (q+1)^N vertex states.  Feasible for N*q <= ~24.
@@ -207,12 +197,12 @@ def exact_uncover_probability(g: Hypergraph, q: int, alpha: float) -> float:
     n = g.num_vertices
     states = (q + 1) ** n
     if states > 5_000_000:
-        raise EnumerationCapExceeded(f"{states} vertex states; too large for exact enumeration")
+        raise LimitExceeded(f"{states} vertex states; too large for exact enumeration")
     matrix, sizes = g.packed
     p_absent = 1.0 - alpha
     p_color = alpha / q
     place = (q + 1) ** np.arange(n, dtype=np.int64)
-    rows = max(1, UNCOVER_BLOCK_ELEMENTS // max(matrix.size, n, 1))
+    rows = block_rows(max(matrix.size, n))  # of (state, edge, slot) entries
     uncovered = np.zeros(n + 1, dtype=np.int64)
     for lo in range(0, states, rows):
         wcolor = np.arange(lo, min(lo + rows, states))[:, None] // place % (q + 1)

@@ -21,25 +21,15 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph, HypergraphError
+from .limits import LimitExceeded, block_rows, check_bytes
 
 if TYPE_CHECKING:
     import numpy as np
 
-# bytes the candidate table may use while it is built, checked before
-# anything is allocated
-CANDIDATE_BYTES = 1 << 30
 # peak bytes per enumerated key: the key, its run-start flag, and when no
 # two keys coincide, the distinct key and its run start
 BYTES_PER_KEY = 8 + 1 + 8 + 8
-# keys enumerated per block of edges, and keys decoded at once
-KEY_BLOCK = 1 << 18
-DECODE_BLOCK = 1 << 16
-
-
-class EnumerationCapExceeded(RainbowSpreadError, RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -77,8 +67,9 @@ class CandidateTable:
         import numpy as np
 
         best = None
-        for lo in range(0, len(keys), DECODE_BLOCK):
-            rank = keys[lo : lo + DECODE_BLOCK] - self.offsets[k]
+        block = block_rows(k)
+        for lo in range(0, len(keys), block):
+            rank = keys[lo : lo + block] - self.offsets[k]
             rows = np.empty((len(rank), k), dtype=np.int64)
             for i in range(k, 0, -1):
                 # the i-th smallest element is the largest v with C(v, i) <= rank
@@ -116,7 +107,7 @@ def _subset_keys(h: Hypergraph, offsets, binom, total: int):
         edges = matrix[sizes == k, :k]
         width = (1 << k) - 1
         pop = np.array([p.bit_count() for p in range(width + 1)])
-        block = max(1, KEY_BLOCK // width)
+        block = block_rows(width)
         for lo in range(0, len(edges), block):
             v = edges[lo : lo + block]
             out = keys[at : at + len(v) * width].reshape(len(v), width)
@@ -139,17 +130,13 @@ def _candidate_sets(h: Hypergraph) -> CandidateTable:
     r = max((len(e) for e in h.edges), default=0)
     offsets = (0, *accumulate(math.comb(n, j) for j in range(r + 1)))
     if offsets[-1] >= 2**63:
-        raise EnumerationCapExceeded(
+        raise LimitExceeded(
             f"candidate keys need {offsets[-1]} values (all subsets of at most {r} of {n} vertices), "
             "above int64; instance too large for the exact oracle"
         )
     total = sum((1 << len(e)) - 1 for e in h.edges)
     need = BYTES_PER_KEY * total + 8 * (r + 1) * n
-    if need > CANDIDATE_BYTES:
-        raise EnumerationCapExceeded(
-            f"{total} candidate keys need {need} bytes, above the budget of {CANDIDATE_BYTES}; "
-            "instance too large for the exact oracle"
-        )
+    check_bytes(need, f"{total} candidate keys", "instance too large for the exact oracle")
     import numpy as np
 
     binom = np.zeros((r + 1, n), dtype=np.int64)

@@ -16,6 +16,7 @@ import numpy as np
 from . import _kernels
 from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph
+from .limits import block_rows
 from .rng import RngStream, accept_limits, child_keys, stream_draws
 from .spread import max_spread
 
@@ -50,10 +51,6 @@ class ThresholdEstimate:
     implied_C: float = 0.0  # m_star * kappa / (N log r)
 
 
-# a block of trials holds about this many (trial, edge, slot) entries at once
-BLOCK_ELEMENTS = 1 << 17
-
-
 def _rejected_rows(draws: np.ndarray, limits: np.ndarray) -> np.ndarray:
     """Rows holding a draw that RngStream.randrange would reject."""
     return np.flatnonzero((draws > limits).any(axis=1))
@@ -76,7 +73,7 @@ class TrialPool:
         self.matrix, self.sizes = h.packed
         # narrowest type holding every position, the sentinel n and every color
         self._dtype = np.min_scalar_type(max(self.n, q))
-        self._block = max(1, BLOCK_ELEMENTS // max(self.matrix.size, 2 * self.n, 1))
+        self._block = block_rows(max(self.matrix.size, 2 * self.n))  # per trial: entries or draws
         self._colored = np.empty(0, dtype=np.int64)
         self._uncolored = np.empty(0, dtype=np.int64)
 

@@ -14,11 +14,10 @@ import pytest
 from rainbowspread import _kernels, cli, spread
 from rainbowspread.cli import main
 from rainbowspread.errors import RainbowSpreadError
-from rainbowspread.fragmentation import KeyWidthExceeded
 from rainbowspread.generators import GeneratorError, gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph, HypergraphError, write_hypergraph
-from rainbowspread.lifting import ChromaticityError, LiftCapExceeded
-from rainbowspread.spread import EnumerationCapExceeded
+from rainbowspread.lifting import ChromaticityError
+from rainbowspread.limits import LimitExceeded
 from rainbowspread.threshold import ThresholdUnreachable, TrialPool
 
 
@@ -305,16 +304,17 @@ def test_probability_out_of_range_rejected(hc5_path, tmp_path, capsys, argv):
 
 
 def test_fragment_lift_over_cap(tmp_path, capsys):
-    # pm(8,2) at q=40: round 1's restricted lift has 94,394,734 edges, above the cap
+    # pm(8,2) at q=40: round 1's restricted lift has 94,394,734 edges, above the budget
     path = tmp_path / "pm82.json"
     write_hypergraph(gen_perfect_matching(8, 2), str(path))
     assert main(["fragment", "--hypergraph", str(path), "--q", "40"]) == 1
-    _single_error(capsys, "lift has 94394734 edges")
+    _single_error(capsys, "94394734 lifted edges need 14347999568 bytes")
 
 
 def test_fragment_lift_cap_before_allocation(tmp_path, capsys):
     # hc7 at q=9: round 1's restricted lift has 14,459,760 edges, about
-    # 0.8 GB as code rows; the cap stops the run before any of it exists
+    # 2.9 GB at the fragmentation's peak; the budget stops the run before
+    # any of it exists
     path = tmp_path / "hc7.json"
     write_hypergraph(gen_hamilton(7), str(path))
     tracemalloc.start()
@@ -324,7 +324,11 @@ def test_fragment_lift_cap_before_allocation(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert rc == 1
-    _single_error(capsys, "lift has 14459760 edges, above cap 2000000; use a smaller --q or a smaller hypergraph")
+    _single_error(
+        capsys,
+        "14459760 lifted edges need 2935331280 bytes, above the budget of 1073741824; "
+        "use a smaller --q or a smaller hypergraph",
+    )
     assert peak < 64 * 2**20
 
 
@@ -392,8 +396,7 @@ def test_library_errors_share_one_base():
     for cls, builtin in [
         (HypergraphError, ValueError), (GeneratorError, ValueError), (ChromaticityError, ValueError),
         (ThresholdUnreachable, RuntimeError),
-        (EnumerationCapExceeded, RuntimeError), (LiftCapExceeded, RuntimeError),
-        (KeyWidthExceeded, RuntimeError),
+        (LimitExceeded, RuntimeError),
     ]:
         assert issubclass(cls, RainbowSpreadError) and issubclass(cls, builtin)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rainbowspread import fragmentation, spread, threshold
+from rainbowspread import fragmentation, limits
 from rainbowspread.fragmentation import apply_round, endgame_hit, initial_survivors, run_fragmentation
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import lift_rainbow, lift_size
@@ -32,6 +32,11 @@ def instances(draw, min_r=1, max_n=7):
     return h, draw(st.integers(r, r + 2))
 
 
+def block_elements():
+    """One row per block, a few rows per block, or the default."""
+    return st.sampled_from([1, 100, limits.BLOCK_ELEMENTS])
+
+
 def colorings(h, q):
     # a color of q + 1 lies outside [1, q]: it clashes with every element on its vertex
     return st.dictionaries(st.integers(0, h.num_vertices - 1), st.integers(1, q + 1), max_size=h.num_vertices)
@@ -51,22 +56,25 @@ def test_lift_matches_oracle(data):
 @given(st.data())
 def test_rounds_match_oracle(data):
     # round 1 from its restricted lift, then further rounds, on the store
-    # and on the dict form; both search orders of the reference agree
+    # and on the dict form; both search orders of the reference agree.
+    # Small blocks split the psi search of one remainder length.
     h, q = data.draw(instances())
     samples = data.draw(st.lists(colorings(h, q), min_size=1, max_size=4))
     bounds = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0]), min_size=4, max_size=4))
     lineages = [(le.base, le.colors) for le in oracles.lift_rainbow(h, q, samples[0])]
-    store = initial_survivors(h, q, samples[0])
-    expected = oracles.initial_survivors(h, q, samples[0])
-    assert oracles.dict_from_store(store, lineages) == expected
-    for wmap, r_i in zip(samples, bounds):
-        reference = oracles.apply_round(expected, wmap, r_i)
-        assert oracles.apply_round(expected, wmap, r_i, order="subsets") == reference
-        assert oracles.apply_round(expected, wmap, r_i, order="candidates") == reference
-        store, compatible, good = apply_round(store, wmap, r_i)
-        expected = reference[0]
-        assert (compatible, good) == reference[1:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "BLOCK_ELEMENTS", data.draw(block_elements()))
+        store = initial_survivors(h, q, samples[0])
+        expected = oracles.initial_survivors(h, q, samples[0])
         assert oracles.dict_from_store(store, lineages) == expected
+        for wmap, r_i in zip(samples, bounds):
+            reference = oracles.apply_round(expected, wmap, r_i)
+            assert oracles.apply_round(expected, wmap, r_i, order="subsets") == reference
+            assert oracles.apply_round(expected, wmap, r_i, order="candidates") == reference
+            store, compatible, good = apply_round(store, wmap, r_i)
+            expected = reference[0]
+            assert (compatible, good) == reference[1:]
+            assert oracles.dict_from_store(store, lineages) == expected
     wend = data.draw(colorings(h, q))
     assert endgame_hit(store, wend) == oracles.endgame_hit(expected, wend)
 
@@ -109,8 +117,7 @@ def test_spread_matches_oracle(data):
     shift = data.draw(st.sampled_from([0, 63]))
     h = Hypergraph.from_edges(h.num_vertices + shift, [[v + shift for v in e] for e in h.edges], h.r_bound)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spread, "KEY_BLOCK", data.draw(st.sampled_from([1, 20, spread.KEY_BLOCK])))
-        mp.setattr(spread, "DECODE_BLOCK", data.draw(st.sampled_from([1, 3, spread.DECODE_BLOCK])))
+        mp.setattr(limits, "BLOCK_ELEMENTS", data.draw(block_elements()))
         cert = max_spread(h)
         witness, count = oracles.spread_witness(h)
         assert (cert.witness, cert.containment_count) == (witness, count)
@@ -127,9 +134,8 @@ def test_spread_matches_oracle(data):
 def test_trial_blocks_match_scalar_trials(data):
     h, q = data.draw(instances())
     seed, trials = data.draw(st.integers(0, 2**32)), data.draw(st.integers(1, 60))
-    block_elements = data.draw(st.sampled_from([1, 100, threshold.BLOCK_ELEMENTS]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(threshold, "BLOCK_ELEMENTS", block_elements)
+        mp.setattr(limits, "BLOCK_ELEMENTS", data.draw(block_elements()))
         pool = TrialPool(h, q, RngStream(seed))
         colored, uncolored = oracles.scalar_times(pool, trials)
         assert pool.colored_times(trials).tolist() == colored

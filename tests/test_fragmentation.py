@@ -12,7 +12,6 @@ from rainbowspread import fragmentation
 from rainbowspread.errors import RainbowSpreadError
 from rainbowspread.fragmentation import (
     FragmentationTrace,
-    KeyWidthExceeded,
     _key_weights,
     apply_round,
     initial_survivors,
@@ -21,7 +20,8 @@ from rainbowspread.fragmentation import (
 )
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
-from rainbowspread.lifting import lift_size
+from rainbowspread.lifting import ChromaticityError, lift_size
+from rainbowspread.limits import LimitExceeded
 from rainbowspread.rng import RngStream
 
 
@@ -237,9 +237,9 @@ def test_key_width_boundary():
     # keys of 3 codes below 2^21 - 1 fill int64 exactly: (2^21)^3 = 2^63
     weights = _key_weights(2**21 - 1, 3)
     assert int(np.full(3, 2**21 - 1) @ weights) == 2**63 - 1
-    with pytest.raises(KeyWidthExceeded, match="2097153\\^3 values"):
+    with pytest.raises(LimitExceeded, match="2097153\\^3 values"):
         _key_weights(2**21, 3)
-    assert issubclass(KeyWidthExceeded, RainbowSpreadError)
+    assert issubclass(LimitExceeded, RainbowSpreadError)
 
 
 def test_key_width_checked_before_the_lift(monkeypatch):
@@ -248,13 +248,13 @@ def test_key_width_checked_before_the_lift(monkeypatch):
         raise AssertionError("lift built before the key width was checked")
 
     monkeypatch.setattr(fragmentation, "lift_codes", no_lift)
-    with pytest.raises(KeyWidthExceeded):
+    with pytest.raises(LimitExceeded):
         initial_survivors(Hypergraph.from_edges(100, [range(7)]), 7, {})
 
 
 def test_run_rejects_small_q():
     h = gen_hamilton(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ChromaticityError, match="q=3 < r=5"):
         run_fragmentation(h, 3, 0.3, 1.0, RngStream(0, 0))
 
 

@@ -8,12 +8,11 @@ import oracles
 import pytest
 
 import rainbowspread
-from rainbowspread import lifting
+from rainbowspread import limits
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph, HypergraphError
 from rainbowspread.lifting import (
     ChromaticityError,
-    LiftCapExceeded,
     _permutation_table,
     expected_edge_count,
     falling_factorial,
@@ -22,6 +21,7 @@ from rainbowspread.lifting import (
     lift_size,
     lifted_containment_count,
 )
+from rainbowspread.limits import LimitExceeded
 from rainbowspread.rng import RngStream
 from rainbowspread.spread import max_spread
 
@@ -52,8 +52,8 @@ def test_lift_is_rainbow_and_canonical():
 def test_lift_errors(monkeypatch):
     with pytest.raises(ChromaticityError):
         lift_rainbow(EDGE, 1)
-    monkeypatch.setattr(lifting, "DEFAULT_LIFT_CAP", 100)
-    with pytest.raises(LiftCapExceeded, match="above cap 100"):
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 100)
+    with pytest.raises(LimitExceeded, match="above the budget of 100"):
         lift_rainbow(gen_hamilton(6), 8)
 
 
@@ -123,10 +123,11 @@ def test_restricted_lift_cap(monkeypatch):
     w = {v: v % 8 + 1 for v in range(0, 15, 2)}
     n = lift_size(h, 8, w)
     assert 0 < n < lift_size(h, 8)
-    monkeypatch.setattr(lifting, "DEFAULT_LIFT_CAP", n)
+    need = n * (17 * h.r_bound + 84)
+    monkeypatch.setattr(limits, "MEMORY_BYTES", need)
     assert len(lift_rainbow(h, 8, w)) == n
-    monkeypatch.setattr(lifting, "DEFAULT_LIFT_CAP", n - 1)
-    with pytest.raises(LiftCapExceeded, match=f"lift has {n} edges"):
+    monkeypatch.setattr(limits, "MEMORY_BYTES", need - 1)
+    with pytest.raises(LimitExceeded, match=f"{n} lifted edges need {need} bytes, above the budget of {need - 1}"):
         lift_rainbow(h, 8, w)
 
 

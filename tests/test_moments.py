@@ -5,10 +5,11 @@ import math
 import oracles
 import pytest
 
-from rainbowspread import _kernels, moments
+from rainbowspread import _kernels, limits
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import falling_factorial, lift_rainbow, lift_size
+from rainbowspread.limits import LimitExceeded
 from rainbowspread.moments import (
     binomial_median_check,
     chebyshev_miss_bound,
@@ -21,7 +22,7 @@ from rainbowspread.moments import (
 )
 from rainbowspread.rng import RngStream
 from rainbowspread.sampling import contains_rainbow_edge, sample_colored_p
-from rainbowspread.spread import EnumerationCapExceeded, max_spread
+from rainbowspread.spread import max_spread
 
 SINGLE = Hypergraph.from_edges(2, [(0, 1)])
 
@@ -46,7 +47,7 @@ def test_delta_dual_paths_agree(h, q, p):
 def test_delta_aggregate_row_blocks(h, q, p, monkeypatch):
     one_block = janson_delta_exact(h, q, p)
     # a budget below one row puts every edge in its own block
-    monkeypatch.setattr(moments, "DELTA_BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 1)
     blocked = janson_delta_exact(h, q, p)
     assert blocked == one_block
     assert math.isclose(blocked, oracles.delta_pairs(h, q, 1 - p), rel_tol=1e-10)
@@ -178,7 +179,7 @@ def test_exact_uncover_probability_single_edge():
 def test_exact_uncover_probability_matches_per_state_sum(g, q, alpha, monkeypatch):
     want = oracles.uncover_by_states(g, q, alpha)
     assert math.isclose(exact_uncover_probability(g, q, alpha), want, rel_tol=1e-12)
-    monkeypatch.setattr(moments, "UNCOVER_BLOCK_ELEMENTS", 7)  # many blocks, some ragged
+    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 7)  # many blocks, some ragged
     assert math.isclose(exact_uncover_probability(g, q, alpha), want, rel_tol=1e-12)
 
 
@@ -188,7 +189,7 @@ def test_exact_paths_refuse_before_work(monkeypatch):
 
     monkeypatch.setattr(_kernels, "pack_edges", no_work)
     # 10 vertices at q=5: 6^10 states
-    with pytest.raises(EnumerationCapExceeded, match="60466176 vertex states"):
+    with pytest.raises(LimitExceeded, match="60466176 vertex states"):
         exact_uncover_probability(gen_hamilton(5), 5, 0.5)
 
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowspread import spread
+from rainbowspread import limits
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph, HypergraphError
+from rainbowspread.limits import LimitExceeded
 from rainbowspread.spread import (
-    EnumerationCapExceeded,
     containment_count,
     is_kappa_spread,
     max_spread,
@@ -68,11 +68,11 @@ def test_max_spread_empty_errors():
 
 def test_enumeration_cap(monkeypatch):
     # hc7: 360 edges of 127 subsets each, 25 bytes per key, and the 8 x 21 binomials
-    monkeypatch.setattr(spread, "CANDIDATE_BYTES", 10**6)
-    message = "45720 candidate keys need 1144344 bytes, above the budget of 1000000"
-    with pytest.raises(EnumerationCapExceeded, match=message):
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 1144343)
+    message = "45720 candidate keys need 1144344 bytes, above the budget of 1144343"
+    with pytest.raises(LimitExceeded, match=message):
         max_spread(gen_hamilton(7))
-    monkeypatch.setattr(spread, "CANDIDATE_BYTES", 1144344)
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 1144344)
     assert max_spread(gen_hamilton(7)).witness == (0, 1, 7, 12, 16, 19, 20)
 
 

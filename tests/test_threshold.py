@@ -6,7 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
-from rainbowspread import threshold
+from rainbowspread import limits, threshold
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.rng import _PHI, _STREAM_SALT, RngStream, mix64
@@ -163,7 +163,7 @@ def test_batched_trials_match_scalar_reference(n, q):
 
 
 def test_incremental_ensure_matches_scalar_reference(monkeypatch):
-    monkeypatch.setattr(threshold, "BLOCK_ELEMENTS", 1000)  # a few dozen trials per block
+    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 1000)  # a few dozen trials per block
     h = random_hypergraph(RngStream(47, 0), 15)
     pool = TrialPool(h, 5, RngStream(47, 1))
     for trials in (7, 300, 2000):
@@ -221,7 +221,7 @@ def test_rejected_draw_replayed_on_scalar_path(monkeypatch, counter, n, q, repla
 
 def test_forced_replay_takes_scalar_results(monkeypatch):
     h = gen_perfect_matching(6, 2)  # 15 edges of 3 vertices: 7 trials per block below
-    monkeypatch.setattr(threshold, "BLOCK_ELEMENTS", 7 * 45)
+    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 7 * 45)
     colored = TrialPool(h, 4, RngStream(44, 0)).colored_times(50).tolist()
     # every block's first and last trial count as rejected
     monkeypatch.setattr(threshold, "_rejected_rows", lambda draws, limits: np.array([0, len(draws) - 1]))
