@@ -1,9 +1,16 @@
 """Hit-time and rainbow-edge kernels for the Monte Carlo paths.
 
-Edges are packed once into an (edges x r) vertex matrix by `pack_edges`.
-A shorter edge is padded by repeating its first vertex, which changes
-neither the largest position in its row nor its set of colors, so each
-kernel is a few whole-matrix numpy operations with no loop over edges.
+Edges are packed once into an (edges x r) vertex matrix by `pack_edges`,
+stored column by column.  A shorter edge is padded by repeating its first vertex, which changes
+neither the largest position in its row nor its set of colors.
+
+Each kernel loops over the r slot columns of the matrix: it gathers the
+values of one column for every edge at once, a contiguous (..., edges)
+array, so nothing is sorted or reduced along a length-r axis.  The last
+position of an edge is a running maximum over its columns.  An edge is
+rainbow iff its colors differ in every pair of slots i < j with j below
+the edge's size; a pair whose later slot is padding is skipped.  The
+test compares values only, so it is exact for every q and every dtype.
 
 Every kernel also takes a batch: `pos`, `colors` and `wcolor` may carry
 leading axes (one row per trial or state) in front of the vertex axis,
@@ -19,21 +26,43 @@ IMPLEMENTATION = "numpy"
 
 def pack_edges(edges):
     """(matrix, sizes): row i is edge i padded to r columns with its first
-    vertex; sizes[i] is the edge's own vertex count."""
+    vertex; sizes[i] is the edge's own vertex count.  The matrix is stored
+    column by column, so each slot column is one contiguous array."""
     width = max((len(e) for e in edges), default=1)
-    rows = [list(e) + [e[0]] * (width - len(e)) for e in edges]
-    matrix = np.array(rows, dtype=np.int64).reshape(len(edges), width)
+    cols = [[e[j] if j < len(e) else e[0] for e in edges] for j in range(width)]
+    matrix = np.array(cols, dtype=np.int64).reshape(width, len(edges)).T
     sizes = np.array([len(e) for e in edges], dtype=np.int64)
     return matrix, sizes
 
 
-def _rainbow(color_rows, sizes):
-    """Mask of rows holding as many distinct colors as the edge has vertices.
+def _slots(values, matrix):
+    """values[..., matrix[:, j]] for each slot column j, as r arrays."""
+    # pack_edges stores the matrix column by column, so each col is one
+    # contiguous index, which np.take gathers much faster than a strided one
+    return [np.take(values, col, axis=-1) for col in matrix.T]
 
-    Counting distinct values in each sorted row is exact for every q.
-    """
-    s = np.sort(color_rows, axis=-1)
-    return np.count_nonzero(s[..., 1:] != s[..., :-1], axis=-1) + 1 == sizes
+
+def _last(cols):
+    """Per edge, the largest value over its slot columns."""
+    last = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(last, col, out=last)
+    return last
+
+
+def _rainbow(cols, sizes):
+    """Mask of edges whose colors are pairwise distinct over their own slots."""
+    clash = np.zeros(cols[0].shape, dtype=bool)
+    same = np.empty_like(clash)
+    eq = np.empty_like(clash)
+    for j in range(1, len(cols)):
+        np.equal(cols[0], cols[j], out=same)
+        for i in range(1, j):
+            np.equal(cols[i], cols[j], out=eq)
+            same |= eq
+        same &= j < sizes  # slot j of a shorter edge repeats slot 0
+        clash |= same
+    return ~clash
 
 
 def _first_hit(last, hit, n: int):
@@ -51,13 +80,13 @@ def rainbow_hit_time(matrix, sizes, pos, colors):
     pos[..., v] is the position of vertex v in the permutation (0-based);
     colors[..., v] >= 1 is the color v would receive once sampled.
     """
-    rainbow = _rainbow(colors[..., matrix], sizes)
-    return _first_hit(pos[..., matrix].max(axis=-1), rainbow, pos.shape[-1])
+    rainbow = _rainbow(_slots(colors, matrix), sizes)
+    return _first_hit(_last(_slots(pos, matrix)), rainbow, pos.shape[-1])
 
 
 def cover_hit_time(matrix, pos):
     """Uncolored variant of rainbow_hit_time (plain edge containment)."""
-    return _first_hit(pos[..., matrix].max(axis=-1), True, pos.shape[-1])
+    return _first_hit(_last(_slots(pos, matrix)), True, pos.shape[-1])
 
 
 def first_rainbow_edge(matrix, sizes, wcolor):
@@ -65,8 +94,10 @@ def first_rainbow_edge(matrix, sizes, wcolor):
 
     wcolor[..., v] is the assigned color (>= 1), or 0 when v is unsampled.
     """
-    c = wcolor[..., matrix]
-    hits = _rainbow(c, sizes) & (c.min(axis=-1) > 0)
+    cols = _slots(wcolor, matrix)
+    hits = _rainbow(cols, sizes)
+    for col in cols:
+        hits &= col > 0
     e = len(matrix)
     first = np.where(hits, np.arange(e), e).min(axis=-1, initial=e)
     first = np.where(first < e, first, -1)

@@ -21,7 +21,6 @@ from .hypergraph import read_hypergraph, write_hypergraph
 from .moments import chebyshev_report, check_janson_inputs, janson_chain_check
 from .rng import RngStream
 from .sampling import (
-    ColoredSet,
     sample_binomial_subset,
     sample_colored_m,
     sample_colored_p,

@@ -176,7 +176,9 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     tails = np.append(pad * np.cumsum(weights[::-1])[::-1], 0)
     none = len(rem)
     src = np.empty(len(rem), dtype=np.int64)
-    sizes = np.unique(lengths).tolist()  # only subsets of these sizes can hit
+    # only subsets of these sizes can hit; bincount, because np.unique
+    # without index or count outputs imports numpy.ma
+    sizes = np.flatnonzero(np.bincount(lengths)).tolist()
     for i, k in enumerate(sizes):
         rows_k = np.flatnonzero(lengths == k)
         # per row: C(k, s) subsets of s codes, and five (C,) key and hit arrays
@@ -316,14 +318,13 @@ def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]) -> FragmentSt
     weights = _key_weights(h.num_vertices * q, h.r_bound)
     codes, _ = lift_codes(h, q, wmap)
     _, first, counts = np.unique(codes @ weights, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return FragmentStore(
-        codes=codes[first[order]],
-        mult=counts[order],
-        lineage=first[order],
-        q=q,
-        pad=h.num_vertices * q,
-    )
+    if len(first) == len(codes):  # no row repeats, so first[order] is arange(F)
+        lineage, mult = np.arange(len(codes), dtype=np.int64), np.ones(len(codes), dtype=np.int64)
+    else:
+        order = np.argsort(first)
+        lineage, mult = first[order], counts[order]
+        codes = codes[lineage]
+    return FragmentStore(codes=codes, mult=mult, lineage=lineage, q=q, pad=h.num_vertices * q)
 
 
 def run_fragmentation(

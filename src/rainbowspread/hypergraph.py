@@ -8,7 +8,7 @@ integers 0..n-1, edges are strictly sorted tuples of vertex ids.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 

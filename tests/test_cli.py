@@ -363,6 +363,22 @@ def test_fragment_reproducible(hc5_path, tmp_path):
         json.loads(line)
 
 
+def test_fragment_does_not_import_numpy_ma(hc5_path, tmp_path):
+    # numpy.ma costs 12-18 ms to import, and no command needs it
+    root = Path(__file__).resolve().parents[1]
+    argv = ["fragment", "--hypergraph", hc5_path, "--q", "5", "--seeds", "0:1",
+            "--out", str(tmp_path / "f.txt")]
+    code = (
+        "import sys\n"
+        "from rainbowspread import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_sample_models(tmp_path):
     out = tmp_path / "s.txt"
     rc = main(["sample", "--model", "colored-m", "--n", "10", "--m", "4",

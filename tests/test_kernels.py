@@ -112,7 +112,7 @@ def test_agree_wide_colors_mixed_sizes(stream_id, lo, hi):
 
 # a leading axis of trials (or states), in the narrow dtypes the trial
 # engine uses, must give exactly the per-row 1-D results
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
 @pytest.mark.parametrize("stream_id", range(10))
 def test_batched_rows_match_single_rows(stream_id, dtype):
     rows = [random_instance(RngStream(780, 10 * stream_id + k), (12, 12), 15, (1, 5), 1, 4)
@@ -134,6 +134,53 @@ def test_batched_rows_match_single_rows(stream_id, dtype):
     assert want[0] == [ref_rainbow_hit_time(edges, p, c) for p, c in zip(pos, colors)]
     assert want[2] == [ref_first_rainbow_edge(edges, w) for w in wcolor]
     assert all(g.dtype == np.int64 for g in got)
+
+
+def assert_rows_agree(edges, pos, colors, wcolor):
+    """Batched kernels on (rows, n) inputs against the scalar references."""
+    matrix, sizes = pack_edges(edges)
+    assert rainbow_hit_time(matrix, sizes, pos, colors).tolist() == [
+        ref_rainbow_hit_time(edges, p, c) for p, c in zip(pos, colors)]
+    assert cover_hit_time(matrix, pos).tolist() == [ref_cover_hit_time(edges, p) for p in pos]
+    assert first_rainbow_edge(matrix, sizes, wcolor).tolist() == [
+        ref_first_rainbow_edge(edges, w) for w in wcolor]
+
+
+# the rainbow test compares every pair of slot columns, so each width r
+# is its own loop shape; r = 1 has no pair and is always rainbow
+@pytest.mark.parametrize("r", range(1, 13))
+def test_every_width_matches_reference(r):
+    for stream_id in range(8):
+        rng = RngStream(781, 100 * r + stream_id)
+        edges, pos, colors, wcolor = random_instance(rng, (r, r + 6), 12, (1, r), lo=1, hi=r + 1)
+        edges.append(tuple(rng.sample_without_replacement(len(pos), r)))
+        assert pack_edges(edges)[0].shape[1] == r
+        assert_agree(edges, pos, colors, wcolor)
+
+
+def test_padded_pair_alone_repeats_a_color():
+    # (3, 4) packs as [3, 4, 3] and (5,) as [5, 5, 5]: their only equal
+    # colors sit in pairs whose later slot is padding, so both are rainbow
+    edges = [(0, 1, 2), (3, 4), (5,)]
+    matrix, sizes = pack_edges(edges)
+    pos = np.array([[0, 1, 2, 3, 4, 5], [3, 4, 5, 0, 1, 2]], dtype=np.uint8)
+    colors = np.array([[1, 1, 2, 1, 2, 3], [1, 2, 3, 3, 3, 1]], dtype=np.uint8)
+    assert rainbow_hit_time(matrix, sizes, pos, colors).tolist() == [5, 3]
+    wcolor = np.array([[1, 1, 2, 1, 2, 0], [1, 2, 3, 3, 3, 0], [1, 1, 2, 0, 2, 3]], dtype=np.uint8)
+    assert first_rainbow_edge(matrix, sizes, wcolor).tolist() == [1, 0, 2]
+    assert_rows_agree(edges, pos, colors, wcolor[:2])
+
+
+# q = 70,000 needs uint32, the trial engine's type for it; colors near
+# the top of the range repeat often, uniform ones almost never
+@pytest.mark.parametrize("lo", [69_990, 1])
+@pytest.mark.parametrize("stream_id", range(6))
+def test_wide_q_uint32_rows(stream_id, lo):
+    rows = [random_instance(RngStream(782, 10 * stream_id + k), (14, 14), 12, (1, 6), lo, 70_000)
+            for k in range(5)]
+    edges = rows[0][0] if stream_id else []
+    pos, colors, wcolor = (np.stack([row[i] for row in rows]).astype(np.uint32) for i in (1, 2, 3))
+    assert_rows_agree(edges, pos, colors, wcolor)
 
 
 def test_sentinel_beyond_narrow_dtype():
@@ -161,6 +208,7 @@ def test_no_edges():
 def test_pack_edges_pads_with_first_vertex():
     matrix, sizes = pack_edges([(3,), (0, 2, 4), (1, 5)])
     assert matrix.tolist() == [[3, 3, 3], [0, 2, 4], [1, 5, 1]]
+    assert matrix.T.flags.c_contiguous  # each slot column is one array for the kernels
     assert sizes.tolist() == [1, 3, 2]
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, permutations
 
 import oracles
@@ -125,10 +126,31 @@ def test_restricted_lift_cap(monkeypatch):
     assert 0 < n < lift_size(h, 8)
     need = n * (17 * h.r_bound + 84)
     monkeypatch.setattr(limits, "MEMORY_BYTES", need)
-    assert len(lift_rainbow(h, 8, w)) == n
+    assert len(lift_codes(h, 8, w)[0]) == n
     monkeypatch.setattr(limits, "MEMORY_BYTES", need - 1)
     with pytest.raises(LimitExceeded, match=f"{n} lifted edges need {need} bytes, above the budget of {need - 1}"):
-        lift_rainbow(h, 8, w)
+        lift_codes(h, 8, w)
+
+
+def test_lift_rainbow_budget_covers_its_list(monkeypatch):
+    # the LiftedEdge list costs more per row than lift_codes' arrays
+    h = gen_hamilton(5)
+    n = lift_size(h, 6)
+    need = n * (64 * h.r_bound + 320)
+    monkeypatch.setattr(limits, "MEMORY_BYTES", n * (17 * h.r_bound + 84))
+    with pytest.raises(LimitExceeded, match=f"{n} listed lifted edges need {need} bytes"):
+        lift_rainbow(h, 6)
+    monkeypatch.setattr(limits, "MEMORY_BYTES", need - 1)
+    with pytest.raises(LimitExceeded, match=f"above the budget of {need - 1}"):
+        lift_rainbow(h, 6)
+    monkeypatch.setattr(limits, "MEMORY_BYTES", need)
+    tracemalloc.start()
+    try:
+        assert len(lift_rainbow(h, 6)) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
 
 
 def test_lifted_containment_examples():
