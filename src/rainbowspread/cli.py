@@ -15,9 +15,10 @@ import sys
 
 from . import __version__
 from .errors import RainbowSpreadError
-from .fragmentation import run_fragmentation
+from .fragmentation import check_fragment_inputs, run_fragmentation
 from .generators import parse_spec
 from .hypergraph import read_hypergraph, write_hypergraph
+from .limits import check_bytes
 from .moments import chebyshev_report, check_janson_inputs, janson_chain_check
 from .rng import RngStream
 from .sampling import (
@@ -156,10 +157,14 @@ def cmd_threshold(args) -> int:
 def cmd_fragment(args) -> int:
     h = read_hypergraph(args.hypergraph)
     seed = _resolve_seed(args)
-    first, _, last = args.seeds.partition(":")
-    stream_ids = range(int(first), int(last) + 1) if last else [int(first)]
+    first, colon, last = args.seeds.partition(":")
+    try:
+        stream_ids = range(int(first), int(last if colon else first) + 1)
+    except ValueError:
+        raise ValueError(f"--seeds {args.seeds}: expected a stream id a or a range a:b") from None
     if not stream_ids:
         raise ValueError(f"--seeds {args.seeds}: range end is below its start")
+    check_fragment_inputs(h, args.q, args.gamma, args.C)  # before the spread oracle runs
     kappa = max_spread(h).kappa
     lines = [_header(args, seed)]
     for sid in stream_ids:
@@ -173,6 +178,10 @@ def cmd_fragment(args) -> int:
 
 def cmd_sample(args) -> int:
     seed = _resolve_seed(args)
+    # the largest output, every vertex, the m drawn or every (vertex, color) pair, at 256 B
+    # an element (tracemalloc peak: 213 B a colored vertex with 7-digit ids, 194 a pair)
+    elements = {"uniform-m": args.m, "colored-m": args.m, "lifted-p": args.n * args.q}.get(args.model, args.n)
+    check_bytes(256 * elements, f"{elements} sampled elements", "use a smaller --n, --m or --q")
     rng = RngStream(seed, args.stream)
     if args.model == "uniform-m":
         body = "".join(f"{v}\n" for v in sample_uniform_subset(args.n, args.m, rng))

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -26,10 +24,10 @@ from .hypergraph import Hypergraph
 # lift_rainbow is not called here; it stays bound by name because
 # perfbench's tracer wraps it in every module that names it
 from .lifting import check_chromatic, lift_codes, lift_rainbow, lift_size  # noqa: F401
-from .limits import LimitExceeded, block_rows
+from .limits import block_rows
 from .rng import RngStream, round_half_up
 from .sampling import ColoredSet, contains_rainbow_edge
-from .spread import max_spread
+from .spread import max_spread, rank_tables, row_keys, subset_keys
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,12 @@ class Schedule:
     feasible: bool  # ell*p + rho <= 1
     ell_log_bound_ok: bool  # ell <= log(r)/gamma
     p_clamped: bool
+
+
+def check_fragment_inputs(h: Hypergraph, q: int, gamma: float, C: float) -> None:
+    """Refuse q < r, and r, gamma or C as `make_schedule` would whatever kappa is."""
+    check_chromatic(h, q)
+    make_schedule(h.r_bound, 1.0, gamma, C)
 
 
 def make_schedule(r: int, kappa: float, gamma: float, C: float) -> Schedule:
@@ -95,10 +99,8 @@ def make_schedule(r: int, kappa: float, gamma: float, C: float) -> Schedule:
 # edge that the fragment descends from.  That lift is in canonical order,
 # which is the order of (base edge, colors) lineages, so ranks break ties
 # as those lineages would.  Rows are distinct and kept in ascending
-# lineage order, so a row's position orders lineages too.
-#
-# A row, or a subset of one, is searched by its key: its codes padded to
-# the store's width r and read as the digits of a base N*q + 1 number.
+# lineage order, so a row's position orders lineages too.  A row, or a
+# subset of one, is searched by its `spread` key as a set of N*q elements.
 
 
 @dataclass(frozen=True)
@@ -114,23 +116,6 @@ class FragmentStore:
 
     def __len__(self) -> int:
         return len(self.mult)
-
-
-def _key_weights(pad: int, width: int) -> np.ndarray:
-    """Digit weights of the row key, (pad+1)^(width-1) .. 1, once the
-    largest key is known to fit int64."""
-    if (pad + 1) ** width > 2**63:
-        raise LimitExceeded(
-            f"fragment keys need (N*q + 1)^r = {pad + 1}^{width} values, above int64; "
-            "use a smaller --q or a smaller hypergraph"
-        )
-    return (pad + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _subset_columns(k: int, s: int) -> np.ndarray:
-    """combinations(range(k), s) as a (C, s) array, in lexicographic order."""
-    return np.array(list(combinations(range(k), s)), dtype=np.intp).reshape(math.comb(k, s), s)
 
 
 def _sampled_codes(wmap: dict[int, int], q: int):
@@ -151,50 +136,45 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     ties broken by lineage.
 
     Every remainder is indexed by its key.  Per remainder length k, in
-    blocks of rows, the keys of all s-subsets are looked up in the index,
-    for each length s that some remainder has, ascending; a row takes its
-    first size with a hit, and there the hit of least lineage.  Its own
-    remainder is indexed, so every row hits by s = k.
+    blocks of rows, the keys of all subsets whose size some remainder has
+    are looked up at once; a row takes the hit of least size, and there
+    of least lineage.  Its own remainder is indexed, so every row hits.
     """
     q, pad = store.q, store.pad
-    weights = _key_weights(pad, store.codes.shape[1])
+    offsets, binom = rank_tables(pad, store.codes.shape[1])
     kind = np.zeros(pad + 1, dtype=np.int8)  # 0 unsampled, 1 sampled or pad, 2 clash
     kind[pad] = 1
     v, sampled = _sampled_codes(wmap, q)
     kind[:pad].reshape(-1, q)[v] = 2
     kind[sampled] = 1
-    k_of = kind[store.codes]
-    compat = ~(k_of == 2).any(axis=1)
+    compat = ~(kind[store.codes] == 2).any(axis=1)
     rem = store.codes[compat]
-    rem[k_of[compat] == 1] = pad
+    rem[kind[rem] == 1] = pad
     rem.sort(axis=1)  # pad is the largest code, so this moves it to the end
     lengths = (rem != pad).sum(axis=1)
 
-    # compatible rows ascend in lineage, so a key's first row has the least
-    index_keys, index_rows = np.unique(rem @ weights, return_index=True)
-    # tails[s]: the key part of the pads that follow s codes
-    tails = np.append(pad * np.cumsum(weights[::-1])[::-1], 0)
-    none = len(rem)
-    src = np.empty(len(rem), dtype=np.int64)
     # only subsets of these sizes can hit; bincount, because np.unique
     # without index or count outputs imports numpy.ma
     sizes = np.flatnonzero(np.bincount(lengths)).tolist()
-    for i, k in enumerate(sizes):
+    # compatible rows ascend in lineage, so a key's first row has the least
+    index_keys, index_rows = np.unique(row_keys(rem, offsets, binom), return_index=True)
+    if 0 in sizes:  # the empty remainder, key 0, is inside every row's
+        return compat, rem, np.full(len(rem), index_rows[0])
+    src = np.empty(len(rem), dtype=np.int64)
+    # a hit on row j of size s ranks s * span + j: size first, then lineage
+    span = len(rem) + 1
+    rank = index_rows + span * lengths[index_rows]
+    for k in sizes:
         rows_k = np.flatnonzero(lengths == k)
-        # per row: C(k, s) subsets of s codes, and five (C,) key and hit arrays
-        block = block_rows(max(math.comb(k, s) * (s + 5) for s in sizes[: i + 1]))
+        masks = np.array([p for p in range(1 << k) if p.bit_count() in sizes])
+        # per row: 2^k subset keys, and five arrays over the looked-up ones
+        block = block_rows((1 << k) + 5 * len(masks))
         for lo in range(0, len(rows_k), block):
             todo = rows_k[lo : lo + block]
-            for s in sizes[: i + 1]:
-                subsets = rem[todo[:, None, None], _subset_columns(k, s)]  # (rows, C, s)
-                keys = subsets @ weights[:s] + tails[s]
-                pos = np.minimum(np.searchsorted(index_keys, keys), len(index_keys) - 1)
-                best = np.where(index_keys[pos] == keys, index_rows[pos], none).min(axis=1)
-                hit = best < none
-                src[todo[hit]] = best[hit]
-                todo = todo[~hit]
-                if not len(todo):
-                    break
+            found = subset_keys(rem[todo, :k], offsets, binom)[masks]
+            pos = np.minimum(np.searchsorted(index_keys, found), len(index_keys) - 1)
+            best = np.where(index_keys[pos] == found, rank[pos], span * (k + 1)).min(axis=0)
+            src[todo] = best % span
     return compat, rem, src
 
 
@@ -209,12 +189,12 @@ def apply_round(survivors: FragmentStore, wmap: dict[int, int], r_i: float):
     compat, rem, src = _psi_round(survivors, wmap)
     mult = survivors.mult[compat]
     good = (rem != survivors.pad).sum(axis=1)[src] <= r_i
-    chosen, inverse = np.unique(src[good], return_inverse=True)
-    merged = np.zeros(len(chosen), dtype=np.int64)
-    np.add.at(merged, inverse, mult[good])
+    merged = np.zeros(len(rem), dtype=np.int64)
+    np.add.at(merged, src[good], mult[good])
+    chosen = np.flatnonzero(merged)  # every multiplicity is positive
     new = FragmentStore(
         codes=rem[chosen],
-        mult=merged,
+        mult=merged[chosen],
         lineage=survivors.lineage[compat][chosen],
         q=survivors.q,
         pad=survivors.pad,
@@ -311,20 +291,18 @@ def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]) -> FragmentSt
 
     These are the fragments compatible with round 1's sample wmap.  The
     clashing ones are left out: psi never indexes them, so round 1 picks
-    the same remainders as it would over the full lift.  Repeated edges
-    give equal rows, merged into one with their count as multiplicity and
-    the first one's rank as lineage.
+    the same remainders as it would over the full lift.  Rows repeat only
+    where an edge repeats: each edge's first copy is kept, with the copy
+    count as multiplicity.  psi's keys are checked before the lift exists.
     """
-    weights = _key_weights(h.num_vertices * q, h.r_bound)
-    codes, _ = lift_codes(h, q, wmap)
-    _, first, counts = np.unique(codes @ weights, return_index=True, return_counts=True)
-    if len(first) == len(codes):  # no row repeats, so first[order] is arange(F)
-        lineage, mult = np.arange(len(codes), dtype=np.int64), np.ones(len(codes), dtype=np.int64)
-    else:
-        order = np.argsort(first)
-        lineage, mult = first[order], counts[order]
-        codes = codes[lineage]
-    return FragmentStore(codes=codes, mult=mult, lineage=lineage, q=q, pad=h.num_vertices * q)
+    pad = h.num_vertices * q
+    rank_tables(pad, h.r_bound, "fragment keys", "use a smaller --q or a smaller hypergraph")
+    codes, base = lift_codes(h, q, wmap)
+    first: dict[tuple[int, ...], int] = {}
+    owner = np.array([first.setdefault(e, i) for i, e in enumerate(h.edges)], dtype=np.int64)
+    lineage = np.flatnonzero(owner[base] == base)
+    mult = np.bincount(owner, minlength=len(h.edges))[base[lineage]]
+    return FragmentStore(codes=codes[lineage], mult=mult, lineage=lineage, q=q, pad=pad)
 
 
 def run_fragmentation(
@@ -344,7 +322,7 @@ def run_fragmentation(
     invalidates the size claim of the final union, not the execution;
     feasibility is recorded in the trace.
     """
-    check_chromatic(h, q)
+    check_fragment_inputs(h, q, gamma, C)  # before the spread oracle runs
     if kappa is None:
         kappa = max_spread(h).kappa
     sched = make_schedule(h.r_bound, kappa, gamma, C)

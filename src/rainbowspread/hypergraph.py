@@ -92,16 +92,20 @@ def write_hypergraph(h: Hypergraph, path: str) -> None:
 
 
 def read_hypergraph(path: str) -> Hypergraph:
-    """Reader accepts edges in any order."""
+    """Reader accepts edges in any order and no format or version field, but
+    a present one must be this format's; n, r and vertex ids are integers."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except json.JSONDecodeError as exc:
         raise HypergraphError(f"{path}: not a valid hypergraph file: {exc}") from exc
     try:
-        n = int(doc["n"])
-        r = int(doc["r"])
-        edges = [tuple(int(v) for v in e) for e in doc["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        name, version = doc.get("format", FORMAT_NAME), doc.get("version", FORMAT_VERSION)
+        if (name, version) != (FORMAT_NAME, FORMAT_VERSION):
+            raise ValueError(f"format {name!r} version {version!r}, not {FORMAT_NAME!r} version {FORMAT_VERSION}")
+        n, r, edges = doc["n"], doc["r"], [tuple(e) for e in doc["edges"]]
+        if any(type(v) is not int for e in ((version, n, r), *edges) for v in e):
+            raise TypeError("the version, n, r and every vertex id must be integers")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise HypergraphError(f"{path}: missing or malformed fields: {exc}") from exc
     return Hypergraph.from_edges(n, edges, r)

@@ -89,9 +89,9 @@ def lift_codes(h: Hypergraph, q: int, w: dict[int, int] | None = None):
     w = w or {}
     total = lift_size(h, q, w)
     # a fragmentation round's peak per row, 17r + 84 bytes: two int64 copies
-    # and a clash byte per code, 25 B of row values, 49 B of np.unique buffers
-    # and 10 B of margin for apply_round's merge (tracemalloc: 193 B/row on
-    # hamilton n=7 at q=7, 149 on pm(8,2) at q=12)
+    # and a clash byte per code, 32 B of row values and key, 49 B of the key
+    # index's np.unique buffers and a margin (tracemalloc: 186 B/row on
+    # hamilton n=7 at q=7 and 138 on pm(8,2) at q=12, seed 0)
     need = total * (17 * h.r_bound + 84)
     check_bytes(need, f"{total} lifted edges", "use a smaller --q or a smaller hypergraph")
     import numpy as np  # here, so that importing the package does not load numpy

@@ -5,13 +5,12 @@ most |H|/kappa^|S| edges.  The oracle enumerates all candidate sets S
 exhaustively; only subsets of edges matter, because any other S has
 containment count 0 and its constraint is vacuous.
 
-Each candidate S = {s_1 < ... < s_k} is held as one int64 key,
-off[k] + C(s_1, 1) + ... + C(s_k, k), where off[k] = sum_{j<k} C(N, j):
-the colex rank of S among the k-subsets of the N vertices, shifted past
-every smaller size.  Keys sort by size first and every key is below
-off[r + 1].  `_candidate_sets` counts the keys once per hypergraph
-(`Hypergraph.candidates`); only the sets that end up as a witness or a
-violator are decoded back into vertex tuples.
+Each candidate S of n elements is one int64 key, size first and then
+lexicographic: off[|S| + 1] - 1 - colex(S'), where off[k] = sum_{j<k}
+C(n, j) and colex(S') = C(t_1, 1) + ... + C(t_k, k) over S' = {n - 1 - s}
+ascending; reflection reverses the lexicographic order.  `rank_tables`,
+`subset_keys` and `row_keys` are the one encoding, for fragmentation's
+remainders too.  Only a witness or a violator is decoded.
 """
 
 from __future__ import annotations
@@ -41,16 +40,62 @@ class SpreadCertificate:
     containment_count: int
 
 
+def rank_tables(n: int, r: int, what: str = "keys", hint: str = "instance too large"):
+    """(offsets, binom), read-only int64 arrays with offsets[k] = off[k] for
+    k <= r + 1 and binom[i, t] = C(t, i) for i <= r, t < n.  Refuses when a
+    key or the tables do not fit: int64, or the byte budget."""
+    offsets = (0, *accumulate(math.comb(n, j) for j in range(r + 1)))
+    if offsets[-1] >= 2**63:
+        raise LimitExceeded(
+            f"{what} need {offsets[-1]} values (all subsets of at most {r} of {n} elements), above int64; {hint}"
+        )
+    check_bytes(8 * (r + 1) * n, f"the rank tables of {what}", hint)
+    import numpy as np
+
+    binom = np.zeros((r + 1, n), dtype=np.int64)
+    binom[0] = 1
+    for i in range(1, r + 1):
+        np.cumsum(binom[i - 1, :-1], out=binom[i, 1:])
+    offsets = np.array(offsets, dtype=np.int64)
+    offsets.flags.writeable = binom.flags.writeable = False
+    return offsets, binom
+
+
+def subset_keys(rows, offsets, binom):
+    """The keys of all subsets of each row of rows, a (B, k) block of
+    ascending elements, as a (2^k, B) array: row p holds the subsets of
+    the (j + 1)-th largest elements for the bits j set in p."""
+    import numpy as np
+
+    t = (binom.shape[1] - 1) - rows.T[::-1]  # the rows reflected, ascending
+    out = np.zeros((1 << len(t), len(rows)), dtype=np.int64)
+    pop = np.zeros(1, dtype=np.intp)  # pop[p] = |S(p)| for each p below 2^j
+    # S'(2^j + p) = S'(p) + {t_j}, where t_j is the (|S(p)| + 1)-th smallest
+    for j in range(len(t)):
+        np.add(out[: 1 << j], binom[1 : j + 2, t[j]][pop], out=out[1 << j : 2 << j])
+        pop = np.concatenate([pop, pop + 1])
+    return np.subtract((offsets[pop + 1] - 1)[:, None], out, out=out)
+
+
+def row_keys(rows, offsets, binom):
+    """The key of each row of rows: ascending elements, padded on the right with n."""
+    n = binom.shape[1]
+    k = (rows < n).sum(axis=1)
+    # a pad's indices wrap around to some entry, which (i < k) zeroes
+    terms = (binom[k - i, n - 1 - rows[:, i]] * (i < k) for i in range(rows.shape[1]))
+    return offsets[k + 1] - 1 - sum(terms)
+
+
 @dataclass(frozen=True)
 class CandidateTable:
     """The distinct nonempty edge subsets as sorted int64 keys, with their
-    containment counts.  Keys of size k sit at [starts[k], starts[k + 1]);
-    binom[i, v] = C(v, i)."""
+    containment counts and the `rank_tables` that encode them.  Keys of
+    size k sit at [starts[k], starts[k + 1])."""
 
     keys: np.ndarray
     counts: np.ndarray
     starts: tuple[int, ...]
-    offsets: tuple[int, ...]
+    offsets: np.ndarray
     binom: np.ndarray
 
     def __len__(self) -> int:
@@ -66,21 +111,14 @@ class CandidateTable:
         """The lexicographically smallest of the size-k sets with these keys."""
         import numpy as np
 
-        best = None
-        block = block_rows(k)
-        for lo in range(0, len(keys), block):
-            rank = keys[lo : lo + block] - self.offsets[k]
-            rows = np.empty((len(rank), k), dtype=np.int64)
-            for i in range(k, 0, -1):
-                # the i-th smallest element is the largest v with C(v, i) <= rank
-                v = np.searchsorted(self.binom[i], rank, side="right") - 1
-                rows[:, i - 1] = v
-                rank -= self.binom[i, v]
-            for i in range(k):
-                rows = rows[rows[:, i] == rows[:, i].min()]
-            row = tuple(int(v) for v in rows[0])
-            best = row if best is None else min(best, row)
-        return best
+        rank = int(self.offsets[k + 1]) - 1 - int(keys.min())  # colex(S') of the least key
+        out = []
+        for i in range(k, 0, -1):
+            # the i-th smallest element of S' is the largest t with C(t, i) <= rank
+            t = int(np.searchsorted(self.binom[i], rank, side="right")) - 1
+            out.append(self.binom.shape[1] - 1 - t)
+            rank -= int(self.binom[i, t])
+        return tuple(out)
 
 
 def containment_count(h: Hypergraph, s) -> int:
@@ -94,56 +132,27 @@ def containment_count(h: Hypergraph, s) -> int:
     return sum(1 for e in h.edges if s.issubset(e))
 
 
-def _subset_keys(h: Hypergraph, offsets, binom, total: int):
-    """The key of every nonempty subset of every edge, unsorted."""
-    import numpy as np
-
-    matrix, sizes = h.packed
-    offsets = np.array(offsets, dtype=np.int64)
-    keys = np.empty(total, dtype=np.int64)
-    at = 0
-    for k in range(1, len(offsets) - 1):
-        # only the edge's own k columns: the padding repeats a vertex
-        edges = matrix[sizes == k, :k]
-        width = (1 << k) - 1
-        pop = np.array([p.bit_count() for p in range(width + 1)])
-        block = block_rows(width)
-        for lo in range(0, len(edges), block):
-            v = edges[lo : lo + block]
-            out = keys[at : at + len(v) * width].reshape(len(v), width)
-            # column p - 1 holds the subset whose columns are the bits of p;
-            # with highest bit j, p = 2^j + q and S(p) = S(q) + {v_j}, whose
-            # element v_j is the (|q| + 1)-th smallest
-            for j in range(k):
-                half = 1 << j
-                out[:, half - 1] = binom[1, v[:, j]]
-                rest = binom[pop[1:half, None] + 1, v[:, j]].T
-                np.add(out[:, : half - 1], rest, out=out[:, half : 2 * half - 1])
-            out += offsets[pop[1:]]
-            at += out.size
-    return keys
-
-
 def _candidate_sets(h: Hypergraph) -> CandidateTable:
     """Every distinct nonempty edge subset with its containment count."""
     n = h.num_vertices
     r = max((len(e) for e in h.edges), default=0)
-    offsets = (0, *accumulate(math.comb(n, j) for j in range(r + 1)))
-    if offsets[-1] >= 2**63:
-        raise LimitExceeded(
-            f"candidate keys need {offsets[-1]} values (all subsets of at most {r} of {n} vertices), "
-            "above int64; instance too large for the exact oracle"
-        )
+    offsets, binom = rank_tables(n, r, "candidate keys", "instance too large for the exact oracle")
     total = sum((1 << len(e)) - 1 for e in h.edges)
     need = BYTES_PER_KEY * total + 8 * (r + 1) * n
     check_bytes(need, f"{total} candidate keys", "instance too large for the exact oracle")
     import numpy as np
 
-    binom = np.zeros((r + 1, n), dtype=np.int64)
-    binom[0] = 1
-    for i in range(1, r + 1):
-        np.cumsum(binom[i - 1, :-1], out=binom[i, 1:])
-    keys = _subset_keys(h, offsets, binom, total)
+    matrix, sizes = h.packed
+    keys = np.empty(total, dtype=np.int64)
+    at = 0
+    for k in range(1, r + 1):
+        # only the edge's own k columns: the padding repeats a vertex
+        edges = matrix[sizes == k, :k]
+        for lo in range(0, len(edges), block_rows(1 << k)):
+            out = subset_keys(edges[lo : lo + block_rows(1 << k)], offsets, binom)[1:]  # less the empty set
+            keys[at : at + out.size] = out.ravel()
+            at += out.size
+    edges = out = None  # the last block goes before the sort
     keys.sort()
     first = np.empty(total, dtype=bool)
     first[:1] = True
@@ -152,7 +161,7 @@ def _candidate_sets(h: Hypergraph) -> CandidateTable:
     del keys, first
     counts = np.diff(runs, append=total)
     starts = (0, *np.searchsorted(distinct, offsets[1:]).tolist())
-    binom.flags.writeable = distinct.flags.writeable = counts.flags.writeable = False
+    distinct.flags.writeable = counts.flags.writeable = False
     return CandidateTable(distinct, counts, starts, offsets, binom)
 
 

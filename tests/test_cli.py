@@ -11,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rainbowspread import _kernels, cli, spread
+from rainbowspread import _kernels, cli, limits, spread
 from rainbowspread.cli import main
 from rainbowspread.errors import RainbowSpreadError
 from rainbowspread.generators import GeneratorError, gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph, HypergraphError, write_hypergraph
 from rainbowspread.lifting import ChromaticityError
 from rainbowspread.limits import LimitExceeded
+from rainbowspread.rng import RngStream
 from rainbowspread.threshold import ThresholdUnreachable, TrialPool
 
 
@@ -285,6 +286,72 @@ def test_fragment_rejects_non_finite_C(hc5_path, tmp_path, capsys, C):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--q", "4"], "q=4 < r=5"),
+    (["--gamma", "0"], "gamma must be in (0, 1)"),
+    (["--gamma", "1.5"], "gamma must be in (0, 1)"),
+    (["--C", "0.5"], "need kappa > 0 and a finite C >= 1"),
+    (["--C", "nan"], "need kappa > 0 and a finite C >= 1"),
+    (["--seeds", "3:"], "--seeds 3:: expected a stream id a or a range a:b"),
+    (["--seeds", ":"], "--seeds :: expected a stream id a or a range a:b"),
+    (["--seeds", ":4"], "--seeds :4: expected a stream id a or a range a:b"),
+    (["--seeds", "a"], "--seeds a: expected a stream id a or a range a:b"),
+    (["--seeds", "5:3"], "--seeds 5:3: range end is below its start"),
+])
+def test_fragment_arguments_checked_before_spread(hc5_path, tmp_path, monkeypatch, capsys, extra, message):
+    def no_spread(h):
+        raise AssertionError("spread oracle ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "max_spread", no_spread)
+    out = tmp_path / "f.txt"
+    assert main(["fragment", "--hypergraph", hc5_path, "--q", "5", *extra, "--out", str(out)]) == 1
+    _single_error(capsys, message)
+    assert not out.exists()
+
+
+SAMPLE_WORST_CASES = [
+    # model, arguments, elements: every vertex, the m drawn, or every (vertex, color) pair
+    ("uniform-m", ["--n", "40000", "--m", "40000"], 40000),
+    ("binomial-p", ["--n", "40000", "--p", "1"], 40000),
+    ("colored-m", ["--n", "40000", "--m", "40000", "--q", "1000000"], 40000),
+    ("colored-p", ["--n", "40000", "--p", "1", "--q", "1000000"], 40000),
+    ("lifted-p", ["--n", "40", "--q", "1000", "--p", "1000"], 40000),
+]
+
+
+@pytest.mark.parametrize("model,argv,elements", SAMPLE_WORST_CASES, ids=[c[0] for c in SAMPLE_WORST_CASES])
+def test_sample_budget_covers_its_output(tmp_path, monkeypatch, capsys, model, argv, elements):
+    out = tmp_path / "s.txt"
+    argv = ["sample", "--model", model, *argv, "--out", str(out)]
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 256 * elements - 1)
+    assert main(argv) == 1
+    _single_error(capsys, f"{elements} sampled elements need {256 * elements} bytes, above the budget of {256 * elements - 1}")
+    assert not out.exists()
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 256 * elements)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_text().splitlines()) == elements + 1  # the header, then every element
+    assert peak <= 256 * elements
+
+
+@pytest.mark.parametrize("argv,elements", [
+    (["--model", "binomial-p", "--n", "100000000000", "--p", "0.5"], 10**11),
+    (["--model", "colored-m", "--n", "100000000000", "--m", "10000000", "--q", "3"], 10**7),
+    (["--model", "lifted-p", "--n", "1000000", "--q", "1000", "--p", "0"], 10**9),
+])
+def test_sample_refused_before_the_first_draw(monkeypatch, capsys, argv, elements):
+    def no_draw(self):
+        raise AssertionError("a draw before the output size was checked")
+
+    monkeypatch.setattr(RngStream, "next_u64", no_draw)
+    assert main(["sample", *argv]) == 1
+    _single_error(capsys, f"{elements} sampled elements need {256 * elements} bytes, above the budget of {2**30}")
+
+
 @pytest.mark.parametrize("argv", [
     ["moments", "{hc5}", "--janson", "--q", "5", "--p", "1.5"],
     ["moments", "{hc5}", "--janson", "--q", "5", "--p", "-0.5"],
@@ -333,11 +400,15 @@ def test_fragment_lift_cap_before_allocation(tmp_path, capsys):
 
 
 def test_fragment_key_width_is_one_error_line(tmp_path, capsys):
-    # 100 vertices at q=7 give 701^7 keys of 7 codes, beyond int64
+    # 700 vertices at q=20 give 14,000 elements, whose sets of up to 7 have no int64 key
     path = tmp_path / "wide.json"
-    write_hypergraph(Hypergraph.from_edges(100, [range(7)]), str(path))
-    assert main(["fragment", "--hypergraph", str(path), "--q", "7"]) == 1
-    _single_error(capsys, "fragment keys need (N*q + 1)^r = 701^7 values, above int64")
+    write_hypergraph(Hypergraph.from_edges(700, [range(7)]), str(path))
+    assert main(["fragment", "--hypergraph", str(path), "--q", "20"]) == 1
+    _single_error(
+        capsys,
+        "fragment keys need 20894474348977265025277301 values (all subsets of at most 7 of 14000 elements), "
+        "above int64; use a smaller --q or a smaller hypergraph",
+    )
 
 
 def test_fragment_full_lift_over_cap_runs(hc5_path, tmp_path):

@@ -12,7 +12,6 @@ from rainbowspread import fragmentation
 from rainbowspread.errors import RainbowSpreadError
 from rainbowspread.fragmentation import (
     FragmentationTrace,
-    _key_weights,
     apply_round,
     initial_survivors,
     make_schedule,
@@ -23,6 +22,7 @@ from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import ChromaticityError, lift_size
 from rainbowspread.limits import LimitExceeded
 from rainbowspread.rng import RngStream
+from rainbowspread.spread import max_spread, rank_tables, row_keys
 
 
 def test_schedule_reference_point():
@@ -234,22 +234,27 @@ def test_round_one_from_restricted_lift(seed):
 
 
 def test_key_width_boundary():
-    # keys of 3 codes below 2^21 - 1 fill int64 exactly: (2^21)^3 = 2^63
-    weights = _key_weights(2**21 - 1, 3)
-    assert int(np.full(3, 2**21 - 1) @ weights) == 2**63 - 1
-    with pytest.raises(LimitExceeded, match="2097153\\^3 values"):
-        _key_weights(2**21, 3)
+    # the keys of the sets of at most 7 of n elements fill [0, sum_{j<=7} C(n, j)),
+    # which first passes 2^63 at n = 1733
+    offsets, binom = rank_tables(1732, 7)
+    ends = np.array([range(7), range(1725, 1732)])
+    assert row_keys(ends, offsets, binom).tolist() == [int(offsets[7]), 9202297430591509407]
+    with pytest.raises(LimitExceeded, match="keys need 9239596690719816320 values"):
+        rank_tables(1733, 7)
     assert issubclass(LimitExceeded, RainbowSpreadError)
 
 
 def test_key_width_checked_before_the_lift(monkeypatch):
-    # N*q + 1 = 701 > 2^9, so keys of 7 codes do not fit int64
+    # N*q = 14,000 elements, so keys of up to 7 codes do not fit int64,
+    # while the spread keys of the 700 vertices do
     def no_lift(*args, **kwargs):
         raise AssertionError("lift built before the key width was checked")
 
+    h = Hypergraph.from_edges(700, [range(7)])
+    assert max_spread(h).witness == (0,)
     monkeypatch.setattr(fragmentation, "lift_codes", no_lift)
-    with pytest.raises(LimitExceeded):
-        initial_survivors(Hypergraph.from_edges(100, [range(7)]), 7, {})
+    with pytest.raises(LimitExceeded, match="all subsets of at most 7 of 14000 elements"):
+        initial_survivors(h, 20, {})
 
 
 def test_run_rejects_small_q():

@@ -49,3 +49,17 @@ def test_reader_rejects_garbage(tmp_path):
     path.write_text(json.dumps({"n": 3}))
     with pytest.raises(HypergraphError):
         read_hypergraph(str(path))
+    good = {"format": "hypergraph", "version": 1, "n": 3, "r": 2, "edges": [[0, 1], [1, 2]]}
+    for field, value in [
+        ("format", "nonsense"), ("format", None), ("version", 99), ("version", True), ("version", 1.0),
+        ("n", 3.0), ("n", "3"), ("r", True), ("edges", [[0, 1.9], [1, 2]]), ("edges", [[0, 1], [2, True]]),
+        ("edges", [[0, "1"]]), ("edges", [7]),
+    ]:
+        path.write_text(json.dumps({**good, field: value}))
+        with pytest.raises(HypergraphError, match="malformed"):
+            read_hypergraph(str(path))
+    path.write_text(json.dumps({"format": "nonsense", "version": 99, "n": 3, "r": 2, "edges": [[0, 1.9], [2, True]]}))
+    with pytest.raises(HypergraphError, match="'nonsense' version 99"):
+        read_hypergraph(str(path))
+    path.write_text(json.dumps(good))
+    assert read_hypergraph(str(path)).edges == ((0, 1), (1, 2))

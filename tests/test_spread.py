@@ -114,10 +114,16 @@ def test_max_spread_passes_its_own_check(n, k):
     assert is_kappa_spread(h, math.nextafter(cert.kappa, math.inf)) == cert.witness
 
 
-@pytest.mark.parametrize("h", [gen_hamilton(5), gen_perfect_matching(6, 2)], ids=["hc5", "pm62"])
+@pytest.mark.parametrize(
+    "h",
+    [gen_hamilton(5), gen_perfect_matching(6, 2), Hypergraph.from_edges(4, [(0, 3), (1, 2)])],
+    ids=["hc5", "pm62", "lex-not-colex"],
+)
 def test_tied_instances_match_oracle(h):
     # many sets share each count; at kappa = (m/count)^(1/|S|) a set can sit
-    # exactly on its limit, count * kappa^|S| = m, which does not violate it
+    # exactly on its limit, count * kappa^|S| = m, which does not violate it.
+    # In lex-not-colex the binding 2-sets {0, 3} and {1, 2} tie, and
+    # lexicographic order picks {0, 3} where colex order would pick {1, 2}
     cert = max_spread(h)
     assert (cert.witness, cert.containment_count) == oracles.spread_witness(h)
     m = len(h.edges)
