@@ -129,11 +129,11 @@ def _sampled_codes(wmap: dict[int, int], q: int):
 def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     """Apply the psi/chi minimization for one sampled colored set.
 
-    Returns (compat, rem, src): compat marks the rows that agree with the
-    sample, rem holds their remainders (the elements on unsampled
-    vertices) as padded rows, and src[i] is the compatible row whose
-    remainder row i picks: the smallest remainder inside row i's own,
-    ties broken by lineage.
+    Returns (compat, rem, src, lengths): compat marks the rows that agree
+    with the sample, rem holds their remainders (the elements on
+    unsampled vertices) as padded rows, lengths their sizes, and src[i]
+    is the compatible row whose remainder row i picks: the smallest
+    remainder inside row i's own, ties broken by lineage.
 
     Every remainder is indexed by its key.  Per remainder length k, in
     blocks of rows, the keys of all subsets whose size some remainder has
@@ -159,7 +159,7 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     # compatible rows ascend in lineage, so a key's first row has the least
     index_keys, index_rows = np.unique(row_keys(rem, offsets, binom), return_index=True)
     if 0 in sizes:  # the empty remainder, key 0, is inside every row's
-        return compat, rem, np.full(len(rem), index_rows[0])
+        return compat, rem, np.full(len(rem), index_rows[0]), lengths
     src = np.empty(len(rem), dtype=np.int64)
     # a hit on row j of size s ranks s * span + j: size first, then lineage
     span = len(rem) + 1
@@ -175,7 +175,7 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
             pos = np.minimum(np.searchsorted(index_keys, found), len(index_keys) - 1)
             best = np.where(index_keys[pos] == found, rank[pos], span * (k + 1)).min(axis=0)
             src[todo] = best % span
-    return compat, rem, src
+    return compat, rem, src, lengths
 
 
 def apply_round(survivors: FragmentStore, wmap: dict[int, int], r_i: float):
@@ -186,9 +186,9 @@ def apply_round(survivors: FragmentStore, wmap: dict[int, int], r_i: float):
     good rows, merged by chosen remainder, are the new store, so good is
     also its total multiplicity.
     """
-    compat, rem, src = _psi_round(survivors, wmap)
+    compat, rem, src, lengths = _psi_round(survivors, wmap)
     mult = survivors.mult[compat]
-    good = (rem != survivors.pad).sum(axis=1)[src] <= r_i
+    good = lengths[src] <= r_i
     merged = np.zeros(len(rem), dtype=np.int64)
     np.add.at(merged, src[good], mult[good])
     chosen = np.flatnonzero(merged)  # every multiplicity is positive

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph
@@ -26,6 +28,17 @@ class GeneratorError(RainbowSpreadError, ValueError):
 def k_subset_index(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Lexicographic id for every k-subset of range(n)."""
     return {s: i for i, s in enumerate(combinations(range(n), k))}
+
+
+def _check_sizes(what: str, n: int, k: int, k_min: int) -> None:
+    """Refuse n < 1 and k < k_min, before anything divides by k or k - 1."""
+    if n < 1 or k < k_min:
+        raise GeneratorError(f"{what} needs n >= 1 and k >= {k_min}, got n={n}, k={k}")
+
+
+def _check_permutation_limit(n: int) -> None:
+    if n > PERMUTATION_N_LIMIT:
+        raise GeneratorError(f"permutation enumeration limited to n <= {PERMUTATION_N_LIMIT}")
 
 
 def gen_hamilton(n: int) -> Hypergraph:
@@ -60,9 +73,7 @@ def _partitions_into_blocks(universe: list[int], k: int):
 
 def gen_perfect_matching(n: int, k: int) -> Hypergraph:
     """Perfect matchings of the complete k-uniform hypergraph on [n]."""
-    if n % k != 0:
-        raise GeneratorError(f"perfect matching requires k | n, got n={n}, k={k}")
-    if count_formula_perfect_matching(n, k) > EDGE_COUNT_LIMIT:
+    if count_formula_perfect_matching(n, k) > EDGE_COUNT_LIMIT:  # which checks n, k and k | n first
         raise GeneratorError("instance exceeds edge-count limit")
     idx = k_subset_index(n, k)
     edges = []
@@ -71,85 +82,55 @@ def gen_perfect_matching(n: int, k: int) -> Hypergraph:
     return Hypergraph(len(idx), tuple(edges), n // k)
 
 
-def gen_loose_hamilton(n: int, k: int) -> Hypergraph:
-    """Loose Hamilton cycles: consecutive k-edges share exactly one vertex.
+def _images(structure, n: int, k: int) -> Hypergraph:
+    """The distinct images of a k-uniform structure on [n] under every
+    vertex permutation, as edges over the k-subset ids, in sorted order.
 
-    Enumerated over all cyclic vertex arrangements, deduplicated by the
-    canonical (sorted tuple of sorted edges) form.
+    An image is keyed by the sorted tuple of its edges' ids.  Ids ascend
+    with their vertex tuples, so this is the order of the sorted tuples
+    of sorted vertex tuples, in a fraction of their memory.
     """
-    if k < 3:
-        raise GeneratorError("loose Hamilton cycles need k >= 3")
+    idx = k_subset_index(n, k)
+    getters = [itemgetter(*e) for e in structure]
+    seen = {tuple(sorted([idx[tuple(sorted(g(p)))] for g in getters])) for p in permutations(range(n))}
+    return Hypergraph(len(idx), tuple(sorted(seen)), len(structure))
+
+
+def gen_loose_hamilton(n: int, k: int) -> Hypergraph:
+    """Loose Hamilton cycles: consecutive k-edges share exactly one vertex."""
+    _check_sizes("loose hamilton", n, k, 3)
     if n % (k - 1) != 0:
         raise GeneratorError(f"loose hamilton requires (k-1) | n, got n={n}, k={k}")
     if math.factorial(n) > 50_000_000:
         raise GeneratorError("instance exceeds enumeration limit")
-    num_edges = n // (k - 1)
-    if num_edges < 3:
+    if n // (k - 1) < 3:
         raise GeneratorError("need at least 3 edges for a loose cycle")
-    idx = k_subset_index(n, k)
-    seen = set()
-    for perm in permutations(range(n)):
-        blocks = []
-        for i in range(num_edges):
-            start = i * (k - 1)
-            block = [perm[(start + j) % n] for j in range(k)]
-            blocks.append(tuple(sorted(block)))
-        canon = tuple(sorted(blocks))
-        seen.add(canon)
-    edges = sorted(tuple(sorted(idx[b] for b in blocks)) for blocks in seen)
-    return Hypergraph(len(idx), tuple(edges), num_edges)
-
-
-def _permutation_images(edge_lists: list[tuple[int, ...]], n: int, k: int) -> list[frozenset]:
-    if n > PERMUTATION_N_LIMIT:
-        raise GeneratorError(f"permutation enumeration limited to n <= {PERMUTATION_N_LIMIT}")
-    seen = set()
-    for perm in permutations(range(n)):
-        image = frozenset(tuple(sorted(perm[v] for v in e)) for e in edge_lists)
-        seen.add(image)
-    return sorted(seen, key=sorted)
-
-
-def _check_spanning(edge_lists, n):
-    verts = set()
-    for e in edge_lists:
-        verts.update(e)
-    if verts != set(range(n)):
-        raise GeneratorError(f"structure must span vertices 0..{n - 1}")
+    cycle = [tuple(sorted((s + j) % n for j in range(k))) for s in range(0, n, k - 1)]
+    return _images(cycle, n, k)
 
 
 def gen_tree_copies(tree_edges, n: int) -> Hypergraph:
     """All distinct images of a spanning tree under vertex permutations."""
-    tree_edges = [tuple(sorted(e)) for e in tree_edges]
-    if any(len(e) != 2 for e in tree_edges):
-        raise GeneratorError("tree edges must be pairs")
-    if len(tree_edges) != n - 1:
-        raise GeneratorError("a spanning tree on n vertices has n-1 edges")
-    _check_spanning(tree_edges, n)
-    idx = k_subset_index(n, 2)
-    copies = _permutation_images(tree_edges, n, 2)
-    edges = tuple(tuple(sorted(idx[e] for e in image)) for image in copies)
-    return Hypergraph(len(idx), edges, n - 1)
+    return gen_cactus_copies(tree_edges, n, 2)
 
 
 def gen_cactus_copies(cactus_edges, n: int, k: int) -> Hypergraph:
     """All distinct images of a spanning k-uniform cactus under permutations."""
+    _check_sizes("cactus", n, k, 2)
+    _check_permutation_limit(n)
     cactus_edges = [tuple(sorted(e)) for e in cactus_edges]
-    if any(len(e) != k for e in cactus_edges):
-        raise GeneratorError(f"cactus edges must have size k={k}")
-    if (n - 1) % (k - 1) != 0:
-        raise GeneratorError(f"cactus requires (k-1) | (n-1), got n={n}, k={k}")
+    if any(len(set(e)) != k for e in cactus_edges):
+        raise GeneratorError(f"cactus edges must have k={k} distinct vertices")
     if len(cactus_edges) * (k - 1) + 1 != n:
         raise GeneratorError("a spanning cactus with m edges has m(k-1)+1 vertices")
-    _check_spanning(cactus_edges, n)
-    idx = k_subset_index(n, k)
-    copies = _permutation_images(cactus_edges, n, k)
-    edges = tuple(tuple(sorted(idx[e] for e in image)) for image in copies)
-    return Hypergraph(len(idx), edges, len(cactus_edges))
+    if {v for e in cactus_edges for v in e} != set(range(n)):
+        raise GeneratorError(f"structure must span vertices 0..{n - 1}")
+    return _images(cactus_edges, n, k)
 
 
 def automorphism_count(edge_lists, n: int) -> int:
     """|Aut| by brute force: permutations of [n] fixing the edge set."""
+    _check_permutation_limit(n)
     canon = frozenset(tuple(sorted(e)) for e in edge_lists)
     count = 0
     for perm in permutations(range(n)):
@@ -163,12 +144,14 @@ def count_formula_hamilton(n: int) -> int:
 
 
 def count_formula_perfect_matching(n: int, k: int) -> int:
+    _check_sizes("perfect matching", n, k, 1)
     if n % k != 0:
-        raise GeneratorError(f"k must divide n")
+        raise GeneratorError(f"perfect matching requires k | n, got n={n}, k={k}")
     return math.factorial(n) // (math.factorial(n // k) * math.factorial(k) ** (n // k))
 
 
 def count_formula_loose_hamilton(n: int, k: int) -> int:
+    _check_sizes("loose hamilton", n, k, 3)
     if n % (k - 1) != 0:
         raise GeneratorError("(k-1) must divide n")
     num = (k - 1) * math.factorial(n)
@@ -180,6 +163,7 @@ def count_formula_loose_hamilton(n: int, k: int) -> int:
 
 def loose_path_cactus(n: int, k: int) -> list[tuple[int, ...]]:
     """A spanning loose path: each new k-edge attaches at one old vertex."""
+    _check_sizes("loose path", n, k, 2)
     if (n - 1) % (k - 1) != 0:
         raise GeneratorError(f"loose path requires (k-1) | (n-1)")
     m = (n - 1) // (k - 1)
@@ -204,30 +188,40 @@ class StructureSpec:
     structure_edges: tuple[tuple[int, ...], ...] | None = None
 
     def generate(self) -> Hypergraph:
-        if self.kind == "hamilton":
-            return gen_hamilton(self.n)
-        if self.kind == "pm":
-            return gen_perfect_matching(self.n, self.k)
-        if self.kind == "loose":
-            return gen_loose_hamilton(self.n, self.k)
-        if self.kind == "tree":
-            return gen_tree_copies(list(self.structure_edges), self.n)
-        if self.kind == "cactus":
-            return gen_cactus_copies(list(self.structure_edges), self.n, self.k)
-        raise GeneratorError(f"unknown structure kind {self.kind!r}")
+        return _kind(self.kind).generate(self)
 
     def count_formula(self) -> int:
         """Closed-form (or independently computed) edge count oracle."""
-        if self.kind == "hamilton":
-            return count_formula_hamilton(self.n)
-        if self.kind == "pm":
-            return count_formula_perfect_matching(self.n, self.k)
-        if self.kind == "loose":
-            return count_formula_loose_hamilton(self.n, self.k)
-        if self.kind in ("tree", "cactus"):
-            aut = automorphism_count(list(self.structure_edges), self.n)
-            return math.factorial(self.n) // aut
-        raise GeneratorError(f"unknown structure kind {self.kind!r}")
+        return _kind(self.kind).count(self)
+
+
+class _Kind(NamedTuple):
+    generate: Callable[[StructureSpec], Hypergraph]
+    count: Callable[[StructureSpec], int]
+    needs_k: bool
+    # the copy kinds: structure name -> builder(n, k); a file= may stand in
+    named: dict[str, Callable] | None = None
+
+
+def _copies_count(spec: StructureSpec) -> int:
+    return math.factorial(spec.n) // automorphism_count(spec.structure_edges, spec.n)
+
+
+_KINDS = {
+    "hamilton": _Kind(lambda s: gen_hamilton(s.n), lambda s: count_formula_hamilton(s.n), False),
+    "pm": _Kind(lambda s: gen_perfect_matching(s.n, s.k), lambda s: count_formula_perfect_matching(s.n, s.k), True),
+    "loose": _Kind(lambda s: gen_loose_hamilton(s.n, s.k), lambda s: count_formula_loose_hamilton(s.n, s.k), True),
+    "tree": _Kind(lambda s: gen_tree_copies(s.structure_edges, s.n), _copies_count, False,
+                  {"path": lambda n, k: path_tree(n), "star": lambda n, k: star_tree(n)}),
+    "cactus": _Kind(lambda s: gen_cactus_copies(s.structure_edges, s.n, s.k), _copies_count, True,
+                    {"loosepath": loose_path_cactus}),
+}
+
+
+def _kind(name: str) -> _Kind:
+    if name not in _KINDS:
+        raise GeneratorError(f"unknown structure kind {name!r}")
+    return _KINDS[name]
 
 
 def parse_spec(text: str) -> StructureSpec:
@@ -249,30 +243,17 @@ def parse_spec(text: str) -> StructureSpec:
     except (KeyError, ValueError) as exc:
         raise GeneratorError(f"cannot parse structure spec {text!r}: {exc}") from exc
 
+    entry = _kind(kind)
+    if entry.needs_k and k is None:
+        raise GeneratorError(f"{kind} spec needs k=")
     structure = None
-    if kind == "tree":
-        if named == "path":
-            structure = tuple(path_tree(n))
-        elif named == "star":
-            structure = tuple(star_tree(n))
+    if entry.named is not None:
+        if named in entry.named:
+            structure = tuple(entry.named[named](n, k))
         elif "file" in params:
             structure = _read_structure_file(params["file"])
         else:
-            raise GeneratorError("tree spec needs 'path', 'star', or file=...")
-    elif kind == "cactus":
-        if k is None:
-            raise GeneratorError("cactus spec needs k=")
-        if named == "loosepath":
-            structure = tuple(loose_path_cactus(n, k))
-        elif "file" in params:
-            structure = _read_structure_file(params["file"])
-        else:
-            raise GeneratorError("cactus spec needs 'loosepath' or file=...")
-    elif kind in ("pm", "loose"):
-        if k is None:
-            raise GeneratorError(f"{kind} spec needs k=")
-    elif kind != "hamilton":
-        raise GeneratorError(f"unknown structure kind {kind!r}")
+            raise GeneratorError(f"{kind} spec needs {' or '.join(map(repr, entry.named))} or file=...")
     return StructureSpec(kind=kind, n=n, k=k, structure_edges=structure)
 
 

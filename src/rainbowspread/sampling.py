@@ -78,34 +78,38 @@ class LiftedSample:
 
 def sample_uniform_subset(n: int, m: int, rng: RngStream) -> list[int]:
     """Uniformly random m-subset of range(n), sorted."""
-    if m > n:
-        raise ValueError(f"m={m} exceeds ground set size {n}")
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     return rng.sample_without_replacement(n, m)
 
 
 def sample_binomial_subset(n: int, p: float, rng: RngStream) -> list[int]:
     """Each element of range(n) included independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    if not (n >= 0 and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be in [0, 1] and n >= 0, got p={p}, n={n}")
     return [v for v in range(n) if rng.bernoulli(p)]
 
 
 def sample_colored_m(n: int, m: int, q: int, rng: RngStream) -> ColoredSet:
     """Uniform m-subset, each chosen vertex colored uniformly from [1, q]."""
+    if q < 1:
+        raise ValueError(f"need q >= 1 colors, got q={q}")
     verts = sample_uniform_subset(n, m, rng)
     return ColoredSet(tuple((v, rng.randint(1, q)) for v in verts))
 
 
 def sample_colored_p(n: int, p: float, q: int, rng: RngStream) -> ColoredSet:
     """Binomial vertex set, independent uniform colors."""
+    if q < 1:
+        raise ValueError(f"need q >= 1 colors, got q={q}")
     verts = sample_binomial_subset(n, p, rng)
     return ColoredSet(tuple((v, rng.randint(1, q)) for v in verts))
 
 
 def sample_lifted_binomial(n: int, q: int, p: float, rng: RngStream) -> LiftedSample:
     """Each (vertex, color) pair included independently with probability p/q."""
-    if not (q >= 1 and 0.0 <= p <= q):
-        raise ValueError(f"need q >= 1 and 0 <= p <= q, got p={p}, q={q}")
+    if not (n >= 0 and q >= 1 and 0.0 <= p <= q):
+        raise ValueError(f"need q >= 1 and 0 <= p <= q and n >= 0, got p={p}, q={q}, n={n}")
     pq = p / q
     elems = set()
     for v in range(n):

@@ -238,7 +238,7 @@ def dict_from_store(store: FragmentStore, lineages=None) -> dict:
 def store_picks(store: FragmentStore, wmap: dict[int, int]) -> list:
     """`fragmentation._psi_round` on the store in `psi_round`'s form, one
     entry per store row."""
-    compat, rem, src = store_psi_round(store, wmap)
+    compat, rem, src, _ = store_psi_round(store, wmap)
     compat_lineage = store.lineage[compat]
     picks = iter(src.tolist())
     out = []

@@ -117,6 +117,22 @@ def test_spread_budget_before_allocation(tmp_path, capsys):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--model", "binomial-p", "--n", "-3", "--p", "0.5"], "p must be in [0, 1] and n >= 0"),
+    (["--model", "uniform-m", "--n", "-3"], "need 0 <= m <= n"),
+    (["--model", "lifted-p", "--n", "-3", "--q", "2", "--p", "0.5"], "need q >= 1 and 0 <= p <= q and n >= 0"),
+    (["--model", "colored-m", "--n", "10", "--m", "4", "--q", "0"], "need q >= 1 colors"),
+    (["--model", "colored-p", "--n", "10", "--p", "0.5", "--q", "0"], "need q >= 1 colors"),
+])
+def test_sample_sizes_checked_before_the_first_draw(monkeypatch, capsys, argv, message):
+    def no_draw(self):
+        raise AssertionError("a draw before n and q were checked")
+
+    monkeypatch.setattr(RngStream, "next_u64", no_draw)
+    assert main(["sample", *argv]) == 1
+    _single_error(capsys, message)
+
+
 def test_spread_key_width_is_one_error_line(tmp_path, capsys):
     # C(2000, 7) > 2^63: the 7-subsets of 2000 vertices have no int64 colex rank
     path = tmp_path / "wide.json"
@@ -137,6 +153,24 @@ def test_generate_and_roundtrip(tmp_path, capsys):
 def test_generate_bad_spec():
     assert main(["generate", "hamilton:n=banana"]) == 1
     assert main(["generate", "nosuchkind:n=5"]) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    "pm:n=6,k=0",
+    "pm:n=-4,k=2",
+    "pm:n=0,k=2",
+    "loose:n=6,k=1",
+    "loose:n=-2,k=3",
+    "cactus:loosepath,n=5,k=1",
+    "cactus:loosepath,n=0,k=3",
+    "tree:path,n=-1",
+    "tree:star,n=0",
+])
+def test_generate_bad_sizes_are_one_error_line(capsys, spec):
+    # each is refused before anything divides by k or takes a factorial
+    assert main(["generate", spec]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "needs n >= 1 and k >= " in err[0]
 
 
 def test_moments_janson(hc5_path, tmp_path, capsys):
@@ -488,18 +522,17 @@ def test_library_errors_share_one_base():
         assert issubclass(cls, RainbowSpreadError) and issubclass(cls, builtin)
 
 
-def test_benchmark_hook_sites_exist():
+def test_benchmark_hook_sites_exist(hc5_path, tmp_path):
     # perfbench/traced_cli.py imports the CLI, then installs the tracer,
     # which wraps functions by name in every module that binds them
     root = Path(__file__).resolve().parents[1]
-    code = (
-        "import json, tracer\n"
-        "from rainbowspread import cli\n"
-        "print(json.dumps(tracer.install(tracer.Recorder())))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == []
+    spans = tmp_path / "spans.json"
+    argv = [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans), "spread", hc5_path]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    subprocess.run(argv, env=env, capture_output=True, check=True)
+    payload = json.loads(spans.read_text())
+    assert payload["missing"] == []
+    assert "spread.max_spread" in {payload["names"][span[0]] for span in payload["spans"]}
 
 
 def test_library_error_is_one_error_line(hc5_path, monkeypatch, capsys):

@@ -1,7 +1,11 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rainbowspread.errors import RainbowSpreadError
 from rainbowspread.generators import (
     GeneratorError,
     StructureSpec,
@@ -150,3 +154,50 @@ def test_structure_file(tmp_path):
     f.write_text("# a path\n0 1\n1 2\n2 3\n")
     s = parse_spec(f"tree:file={f},n=4")
     assert len(s.generate().edges) == 12
+    f.write_text("0 0\n1 2\n")  # spans 0..2, but its first edge is a loop
+    with pytest.raises(GeneratorError, match="distinct vertices"):
+        parse_spec(f"tree:file={f},n=3").generate()
+
+
+# sha256 of repr((num_vertices, r_bound, edges)), the edges in generated order
+FROZEN_DIGESTS = {
+    "hamilton:n=7": "2085f3a55505d018eb4a4b882e12010c7434877dfef74cdb8da576b63a3f346a",
+    "pm:n=8,k=2": "19f561888a50f6254910623260a1db8f5c5f75faf360290740a5a55f60ab1b5d",
+    "pm:n=9,k=3": "10160abac062f839bc6bfb5d8a74fbc232feab3fdf7b2ec81e8b6a0340a856e2",
+    "loose:n=6,k=3": "29628acccbfc7e06055d6c1e3227166bd3c15d5da9673560a5944099ed5113cf",
+    "loose:n=8,k=3": "74f4dacb901456d1350fb29bfd1b2f162d64ce803ecb0cf8e9ed5ee78a3549fb",
+    "loose:n=9,k=4": "8225a35ec548c12b181179c10018f0100a216bf5d57258aa6ff517de5de3ea46",
+    "tree:path,n=7": "5f0dc0cadeee4d873dbc06386bbcf443cc3111d5523b5f2e31c5f07de1ed8f13",
+    "tree:star,n=6": "6b9feb4aaa29a67042cd4a88004f6fcf99ebd5a1a74c9c842dc66c813fb764d0",
+    "tree:path,n=8": "0a8a5d20bf38c31deb9d7e027ef3830150307c12b2b6709f3e3715dd3ec578a1",
+    "cactus:loosepath,n=7,k=3": "0f50c808a2f04a1f78cc855c04164ad01a180dec5317b2912edb3254e4c9b8cb",
+    "cactus:loosepath,n=7,k=4": "52e5af77051ad94ed2effb83cda1aff3cafcc71e6c41f89ed346eec5cd5a9f44",
+    "cactus:loosepath,n=5,k=2": "2738bf2e670c6cdcc65ccbf19216369674249c8cf55ccdac65007cd1299d03a0",
+}
+
+
+@pytest.mark.parametrize("spec", FROZEN_DIGESTS)
+def test_generated_edges_frozen(spec):
+    h = parse_spec(spec).generate()
+    digest = hashlib.sha256(repr((h.num_vertices, h.r_bound, h.edges)).encode()).hexdigest()
+    assert digest == FROZEN_DIGESTS[spec]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head=st.sampled_from(["hamilton:", "pm:", "loose:", "tree:path,", "tree:star,", "cactus:loosepath,"]),
+    n=st.integers(-2, 7),
+    k=st.none() | st.integers(-1, 5),
+)
+@example(head="pm:", n=6, k=0)
+@example(head="cactus:loosepath,", n=5, k=1)
+def test_spec_is_refused_or_matches_its_count(head, n, k):
+    # as `generate` runs them: the enumeration, then its count oracle
+    spec_text = f"{head}n={n}" + ("" if k is None else f",k={k}")
+    try:
+        spec = parse_spec(spec_text)
+        edges = len(spec.generate().edges)
+        count = spec.count_formula()
+    except RainbowSpreadError:
+        return
+    assert edges == count
