@@ -4,17 +4,21 @@ Edges are packed once into an (edges x r) vertex matrix by `pack_edges`,
 stored column by column.  A shorter edge is padded by repeating its first vertex, which changes
 neither the largest position in its row nor its set of colors.
 
-Each kernel loops over the r slot columns of the matrix: it gathers the
-values of one column for every edge at once, a contiguous (..., edges)
-array, so nothing is sorted or reduced along a length-r axis.  The last
-position of an edge is a running maximum over its columns.  An edge is
-rainbow iff its colors differ in every pair of slots i < j with j below
-the edge's size; a pair whose later slot is padding is skipped.  The
-test compares values only, so it is exact for every q and every dtype.
-
-Every kernel also takes a batch: `pos`, `colors` and `wcolor` may carry
+Every kernel takes a batch: `pos`, `colors` and `wcolor` may carry
 leading axes (one row per trial or state) in front of the vertex axis,
 and the result then has those leading axes; a 1-D input gives an int.
+
+Inside, the layout is vertex-major with the batch last.  The vertex
+axis moves to the front once, and one take gathers every slot column
+into an (r, edges, *batch) array, so each index copies a contiguous run
+of the batch; a caller that holds its rows vertex-major and passes their
+transpose makes that move free.  The last position of an edge is the
+maximum over its r slots.  An edge is rainbow iff its colors differ in
+every pair of its own slots; the pairs of all r slots are compared
+first, then the edges of each shorter size again on their own slots.
+The test compares values only, so it is exact for every q and every
+dtype.  A reduction over edges moves the edge axis last first, so it
+runs along memory.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ IMPLEMENTATION = "numpy"
 def pack_edges(edges):
     """(matrix, sizes): row i is edge i padded to r columns with its first
     vertex; sizes[i] is the edge's own vertex count.  The matrix is stored
-    column by column, so each slot column is one contiguous array."""
+    column by column, so matrix.T is one contiguous (r, edges) index."""
     width = max((len(e) for e in edges), default=1)
     cols = [[e[j] if j < len(e) else e[0] for e in edges] for j in range(width)]
     matrix = np.array(cols, dtype=np.int64).reshape(width, len(edges)).T
@@ -36,40 +40,37 @@ def pack_edges(edges):
 
 
 def _slots(values, matrix):
-    """values[..., matrix[:, j]] for each slot column j, as r arrays."""
-    # pack_edges stores the matrix column by column, so each col is one
-    # contiguous index, which np.take gathers much faster than a strided one
-    return [np.take(values, col, axis=-1) for col in matrix.T]
+    """values[..., matrix[:, j]] for every slot column j, as one
+    (r, edges, *batch) array."""
+    rows = values.transpose(-1, *range(values.ndim - 1))  # np.moveaxis(values, -1, 0), faster
+    return np.take(rows, matrix.T, axis=0)
 
 
-def _last(cols):
-    """Per edge, the largest value over its slot columns."""
-    last = cols[0].copy()
-    for col in cols[1:]:
-        np.maximum(last, col, out=last)
-    return last
+def _clash(slots, sizes):
+    """(edges, *batch) mask of edges with two equal colors among their own
+    slots."""
+    clash = np.zeros(slots.shape[1:], dtype=bool)
+    for j in range(1, len(slots)):
+        clash |= (slots[:j] == slots[j]).any(axis=0)
+    # a shorter edge's padding repeats its slot 0, so it clashed above;
+    # its own slots are the first `size`
+    for size in set(sizes[sizes < len(slots)].tolist()):  # np.unique would import numpy.ma
+        short = np.flatnonzero(sizes == size)
+        clash[short] = _clash(slots[:size, short], sizes[short])
+    return clash
 
 
-def _rainbow(cols, sizes):
-    """Mask of edges whose colors are pairwise distinct over their own slots."""
-    clash = np.zeros(cols[0].shape, dtype=bool)
-    same = np.empty_like(clash)
-    eq = np.empty_like(clash)
-    for j in range(1, len(cols)):
-        np.equal(cols[0], cols[j], out=same)
-        for i in range(1, j):
-            np.equal(cols[i], cols[j], out=eq)
-            same |= eq
-        same &= j < sizes  # slot j of a shorter edge repeats slot 0
-        clash |= same
-    return ~clash
+def _edges_last(x):
+    """x with its edge axis (axis 0) moved last, laid out so that a
+    reduction over edges runs along memory."""
+    return np.ascontiguousarray(x.transpose(*range(1, x.ndim), 0))
 
 
-def _first_hit(last, hit, n: int):
-    """1 + the smallest `last` over edges where `hit` holds, per leading
-    index; n + 1 where no edge hits.  `last` may be any integer dtype that
-    holds n, so the sentinel is applied before widening."""
-    t = np.where(hit, last, n).min(axis=-1, initial=n)
+def _first_hit(last, n: int):
+    """1 + the smallest `last` over edges, per batch index; n + 1 when no
+    edge has `last` below n.  `last` may be any integer dtype that holds
+    n, so the sentinel is applied before widening."""
+    t = _edges_last(last).min(axis=-1, initial=n)
     return int(t) + 1 if t.ndim == 0 else t.astype(np.int64) + 1
 
 
@@ -80,13 +81,16 @@ def rainbow_hit_time(matrix, sizes, pos, colors):
     pos[..., v] is the position of vertex v in the permutation (0-based);
     colors[..., v] >= 1 is the color v would receive once sampled.
     """
-    rainbow = _rainbow(_slots(colors, matrix), sizes)
-    return _first_hit(_last(_slots(pos, matrix)), rainbow, pos.shape[-1])
+    n = pos.shape[-1]
+    clash = _clash(_slots(colors, matrix), sizes)
+    # every position is below n, so the sentinel n wins the maximum
+    last = np.maximum(_slots(pos, matrix).max(axis=0), np.multiply(clash, n, dtype=pos.dtype))
+    return _first_hit(last, n)
 
 
 def cover_hit_time(matrix, pos):
     """Uncolored variant of rainbow_hit_time (plain edge containment)."""
-    return _first_hit(_last(_slots(pos, matrix)), True, pos.shape[-1])
+    return _first_hit(_slots(pos, matrix).max(axis=0), pos.shape[-1])
 
 
 def first_rainbow_edge(matrix, sizes, wcolor):
@@ -94,11 +98,9 @@ def first_rainbow_edge(matrix, sizes, wcolor):
 
     wcolor[..., v] is the assigned color (>= 1), or 0 when v is unsampled.
     """
-    cols = _slots(wcolor, matrix)
-    hits = _rainbow(cols, sizes)
-    for col in cols:
-        hits &= col > 0
+    slots = _slots(wcolor, matrix)
+    hits = ~_clash(slots, sizes) & (slots.min(axis=0) > 0)
     e = len(matrix)
-    first = np.where(hits, np.arange(e), e).min(axis=-1, initial=e)
+    first = np.where(_edges_last(hits), np.arange(e), e).min(axis=-1, initial=e)
     first = np.where(first < e, first, -1)
     return int(first) if first.ndim == 0 else first

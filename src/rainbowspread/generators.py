@@ -18,6 +18,7 @@ from .hypergraph import Hypergraph
 
 HAMILTON_N_LIMIT = 9
 PERMUTATION_N_LIMIT = 8
+LOOSE_N_LIMIT = 11  # the largest n with n! <= 50,000,000 permutations to walk
 EDGE_COUNT_LIMIT = 1_000_000
 
 
@@ -71,9 +72,34 @@ def _partitions_into_blocks(universe: list[int], k: int):
             yield [block] + tail
 
 
+def _check_perfect_matching(n: int, k: int) -> None:
+    _check_sizes("perfect matching", n, k, 1)
+    if n % k != 0:
+        raise GeneratorError(f"perfect matching requires k | n, got n={n}, k={k}")
+
+
+def _perfect_matchings_above(n: int, k: int, limit: int) -> bool:
+    """Whether pm(n, k) has more than `limit` matchings.
+
+    The count is the product over the n/k blocks of C(m - 1, k - 1), the
+    choices for the block of the least free vertex when m are free.  Each
+    binomial is built by its increasing partial products C(m - 1 - b + i, i),
+    so the walk stops at the first partial product above the limit.
+    """
+    count = 1
+    for m in range(n, 0, -k):
+        b = min(k - 1, m - k)  # C(m - 1, k - 1) = C(m - 1, b)
+        for i in range(1, b + 1):
+            count = count * (m - 1 - b + i) // i
+            if count > limit:
+                return True
+    return count > limit
+
+
 def gen_perfect_matching(n: int, k: int) -> Hypergraph:
     """Perfect matchings of the complete k-uniform hypergraph on [n]."""
-    if count_formula_perfect_matching(n, k) > EDGE_COUNT_LIMIT:  # which checks n, k and k | n first
+    _check_perfect_matching(n, k)
+    if _perfect_matchings_above(n, k, EDGE_COUNT_LIMIT):
         raise GeneratorError("instance exceeds edge-count limit")
     idx = k_subset_index(n, k)
     edges = []
@@ -101,7 +127,7 @@ def gen_loose_hamilton(n: int, k: int) -> Hypergraph:
     _check_sizes("loose hamilton", n, k, 3)
     if n % (k - 1) != 0:
         raise GeneratorError(f"loose hamilton requires (k-1) | n, got n={n}, k={k}")
-    if math.factorial(n) > 50_000_000:
+    if n > LOOSE_N_LIMIT:
         raise GeneratorError("instance exceeds enumeration limit")
     if n // (k - 1) < 3:
         raise GeneratorError("need at least 3 edges for a loose cycle")
@@ -144,9 +170,7 @@ def count_formula_hamilton(n: int) -> int:
 
 
 def count_formula_perfect_matching(n: int, k: int) -> int:
-    _check_sizes("perfect matching", n, k, 1)
-    if n % k != 0:
-        raise GeneratorError(f"perfect matching requires k | n, got n={n}, k={k}")
+    _check_perfect_matching(n, k)
     return math.factorial(n) // (math.factorial(n // k) * math.factorial(k) ** (n // k))
 
 

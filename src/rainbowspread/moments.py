@@ -201,13 +201,14 @@ def exact_uncover_probability(g: Hypergraph, q: int, alpha: float) -> float:
     matrix, sizes = g.packed
     p_absent = 1.0 - alpha
     p_color = alpha / q
-    place = (q + 1) ** np.arange(n, dtype=np.int64)
+    place = (q + 1) ** np.arange(n, dtype=np.int64)[:, None]
     rows = block_rows(max(matrix.size, n))  # of (state, edge, slot) entries
     uncovered = np.zeros(n + 1, dtype=np.int64)
     for lo in range(0, states, rows):
-        wcolor = np.arange(lo, min(lo + rows, states))[:, None] // place % (q + 1)
-        miss = wcolor[_kernels.first_rainbow_edge(matrix, sizes, wcolor) < 0]
-        uncovered += np.bincount(np.count_nonzero(miss, axis=1), minlength=n + 1)
+        # vertex-major, one column per state, the kernels' own layout
+        wcolor = np.arange(lo, min(lo + rows, states)) // place % (q + 1)
+        miss = wcolor[:, _kernels.first_rainbow_edge(matrix, sizes, wcolor.T) < 0]
+        uncovered += np.bincount(np.count_nonzero(miss, axis=0), minlength=n + 1)
     return math.fsum(int(c) * p_color**k * p_absent ** (n - k) for k, c in enumerate(uncovered))
 
 

@@ -232,8 +232,10 @@ def pad_to_uniform(h: Hypergraph) -> Hypergraph:
 
     New vertices are appended after the original ids; each edge copy gets
     its own distinct padding elements, so any S touching a padding vertex
-    is contained in exactly one edge.
+    is contained in exactly one edge.  A uniform `h` is returned as it is.
     """
+    if h.is_uniform:
+        return h
     next_vertex = h.num_vertices
     new_edges = []
     for e in h.edges:

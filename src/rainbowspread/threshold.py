@@ -74,6 +74,11 @@ class TrialPool:
         # narrowest type holding every position, the sentinel n and every color
         self._dtype = np.min_scalar_type(max(self.n, q))
         self._block = block_rows(max(self.matrix.size, 2 * self.n))  # per trial: entries or draws
+        # a trial's draws: Fisher-Yates steps randrange(n), ..., randrange(2),
+        # then randint(1, q) for each vertex
+        moduli = [*range(self.n, 1, -1), *[q] * self.n]
+        self._moduli = np.array(moduli, dtype=np.uint64)
+        self._limits = accept_limits(moduli)
         self._colored = np.empty(0, dtype=np.int64)
         self._uncolored = np.empty(0, dtype=np.int64)
 
@@ -89,27 +94,27 @@ class TrialPool:
         return ct, ut
 
     def _run_block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Hit times of trials lo..hi-1, as _run_trial computes them."""
-        n = self.n
-        # a trial's draws: Fisher-Yates steps randrange(n), ..., randrange(2),
-        # then randint(1, q) for each vertex
-        moduli = [*range(n, 1, -1), *[self.q] * n]
-        limits = accept_limits(moduli)
-        draws = stream_draws(child_keys(self.rng.key, np.arange(lo, hi)), len(moduli))
-        picks = (draws % np.array(moduli, dtype=np.uint64)).astype(self._dtype)
-        rows = np.arange(hi - lo)
-        perm = np.tile(np.arange(n, dtype=self._dtype), (hi - lo, 1))
-        for step, i in enumerate(range(n - 1, 0, -1)):
-            j = picks[:, step]
-            swapped = perm[rows, j]
-            perm[rows, j] = perm[:, i]
-            perm[:, i] = swapped
+        """Hit times of trials lo..hi-1, as _run_trial computes them.
+
+        The block is vertex-major, one column per trial, so the kernels
+        get `pos.T` and `colors.T` as views in their own layout."""
+        n, b = self.n, hi - lo
+        steps = max(n - 1, 0)
+        draws = stream_draws(child_keys(self.rng.key, np.arange(lo, hi)), len(self._moduli))
+        picks = (draws % self._moduli).T.astype(self._dtype, order="C")  # row i: draw i of each trial
+        cols = np.arange(b)
+        perm = np.repeat(np.arange(n, dtype=self._dtype)[:, None], b, axis=1)
+        flat = perm.reshape(-1)  # perm[j, t] is flat[j * b + t]
+        for i, at in zip(range(n - 1, 0, -1), picks[:steps].astype(np.intp) * b + cols):
+            swapped = flat.take(at)
+            flat.put(at, perm[i])
+            perm[i] = swapped
         pos = np.empty_like(perm)
-        pos[rows[:, None], perm] = np.arange(n, dtype=self._dtype)
-        colors = picks[:, max(n - 1, 0) :] + 1
-        ct = _kernels.rainbow_hit_time(self.matrix, self.sizes, pos, colors)
-        ut = _kernels.cover_hit_time(self.matrix, pos)
-        for row in _rejected_rows(draws, limits):
+        pos[perm, cols] = np.arange(n, dtype=self._dtype)[:, None]
+        colors = picks[steps:] + 1
+        ct = _kernels.rainbow_hit_time(self.matrix, self.sizes, pos.T, colors.T)
+        ut = _kernels.cover_hit_time(self.matrix, pos.T)
+        for row in _rejected_rows(draws, self._limits):
             ct[row], ut[row] = self._run_trial(lo + int(row))
         return ct, ut
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rainbowspread import generators
 from rainbowspread.errors import RainbowSpreadError
 from rainbowspread.generators import (
     GeneratorError,
@@ -65,6 +66,52 @@ def test_divisibility_errors():
         gen_loose_hamilton(7, 3)
     with pytest.raises(GeneratorError):
         gen_hamilton(3)
+
+
+def _small_factorials_only(monkeypatch):
+    """Make generators.math.factorial refuse arguments above 20, so a
+    ceiling that reaches for a large factorial fails the test."""
+    real = math.factorial
+
+    def factorial(x):
+        assert x <= 20, f"factorial({x}) before the ceiling"
+        return real(x)
+
+    monkeypatch.setattr(generators.math, "factorial", factorial)
+
+
+@pytest.mark.parametrize("n,k", [(12, 3), (1_000_000, 3), (10**18, 3)])
+def test_loose_ceiling_refuses_on_n_alone(monkeypatch, n, k):
+    _small_factorials_only(monkeypatch)
+    with pytest.raises(GeneratorError, match="enumeration limit"):
+        gen_loose_hamilton(n, k)
+
+
+def test_loose_ceiling_admits_eleven():
+    # 11! <= 50,000,000 < 12!: n = 11 passes the ceiling, and the edge count decides
+    assert generators.LOOSE_N_LIMIT == 11
+    assert math.factorial(11) <= 50_000_000 < math.factorial(12)
+    with pytest.raises(GeneratorError, match="at least 3 edges"):
+        gen_loose_hamilton(11, 12)
+
+
+@pytest.mark.parametrize("n,k", [(200_000, 2), (999_999, 3), (4 * 10**6, 2 * 10**6), (10**12, 2), (16, 2)])
+def test_pm_ceiling_stops_at_the_limit(monkeypatch, n, k):
+    _small_factorials_only(monkeypatch)
+    with pytest.raises(GeneratorError, match="edge-count limit"):
+        gen_perfect_matching(n, k)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 14, 15, 104, 105, 944, 945, 10_394, 10_395])
+def test_pm_ceiling_agrees_with_the_count(monkeypatch, limit):
+    monkeypatch.setattr(generators, "EDGE_COUNT_LIMIT", limit)
+    for n, k in [(1, 1), (3, 3), (6, 2), (8, 2), (9, 3), (10, 2), (12, 2), (12, 4)]:
+        count = count_formula_perfect_matching(n, k)
+        if count > limit:
+            with pytest.raises(GeneratorError, match="edge-count limit"):
+                gen_perfect_matching(n, k)
+        else:
+            assert len(gen_perfect_matching(n, k).edges) == count
 
 
 def test_loose_hamilton_counts():

@@ -136,6 +136,46 @@ def test_batched_rows_match_single_rows(stream_id, dtype):
     assert all(g.dtype == np.int64 for g in got)
 
 
+def vertex_major(values):
+    """The same values held vertex-major, batch last, as a view in the
+    kernels' (*batch, n) indexing; the trial engine passes such views."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(values, -1, 0)), 0, -1)
+
+
+# every batch shape, dtype and memory layout gives, element by element,
+# what the scalar references give on that element's row
+@pytest.mark.parametrize("batch", [(), (1,), (6,), (52,), (3, 4)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("edges_kind", ["padded", "edgeless"])
+@pytest.mark.parametrize("layout", ["batch-major", "vertex-major"])
+def test_batch_shapes_match_reference(batch, dtype, edges_kind, layout):
+    rows = [random_instance(RngStream(783, k), (12, 12), 15, (1, 5), 1, 4)
+            for k in range(int(np.prod(batch)))]
+    edges = [] if edges_kind == "edgeless" else rows[0][0] + [(0, 1, 2, 3, 4), (5,)]
+    matrix, sizes = pack_edges(edges)
+    assert edges_kind == "edgeless" or sizes.min() < matrix.shape[1]  # some slots are padding
+    pos, colors, wcolor = (np.stack([row[i] for row in rows]).reshape(*batch, 12).astype(dtype)
+                           for i in (1, 2, 3))
+    if layout == "vertex-major":
+        pos, colors, wcolor = map(vertex_major, (pos, colors, wcolor))
+    got = (
+        rainbow_hit_time(matrix, sizes, pos, colors),
+        cover_hit_time(matrix, pos),
+        first_rainbow_edge(matrix, sizes, wcolor),
+    )
+    want = [
+        [ref_rainbow_hit_time(edges, p, c) for p, c in zip(pos.reshape(-1, 12), colors.reshape(-1, 12))],
+        [ref_cover_hit_time(edges, p) for p in pos.reshape(-1, 12)],
+        [ref_first_rainbow_edge(edges, w) for w in wcolor.reshape(-1, 12)],
+    ]
+    if batch == ():
+        assert all(type(g) is int for g in got)
+        assert [[g] for g in got] == want
+    else:
+        assert all(g.shape == batch and g.dtype == np.int64 for g in got)
+        assert [g.ravel().tolist() for g in got] == want
+
+
 def assert_rows_agree(edges, pos, colors, wcolor):
     """Batched kernels on (rows, n) inputs against the scalar references."""
     matrix, sizes = pack_edges(edges)
@@ -208,7 +248,7 @@ def test_no_edges():
 def test_pack_edges_pads_with_first_vertex():
     matrix, sizes = pack_edges([(3,), (0, 2, 4), (1, 5)])
     assert matrix.tolist() == [[3, 3, 3], [0, 2, 4], [1, 5, 1]]
-    assert matrix.T.flags.c_contiguous  # each slot column is one array for the kernels
+    assert matrix.T.flags.c_contiguous  # the kernels' one (r, edges) take index
     assert sizes.tolist() == [1, 3, 2]
 
 

@@ -154,7 +154,7 @@ def test_pad_examples():
     assert padded.num_vertices == 2
 
     uniform = gen_hamilton(4)
-    assert pad_to_uniform(uniform).edges == uniform.edges
+    assert pad_to_uniform(uniform) is uniform  # nothing to pad, nothing rebuilt
 
     singletons = Hypergraph(10, tuple((i,) for i in range(10)), 2)
     assert max_spread(singletons).kappa == pytest.approx(10.0, abs=1e-12)

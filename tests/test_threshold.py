@@ -175,6 +175,24 @@ def test_incremental_ensure_matches_scalar_reference(monkeypatch):
     assert np.array_equal(TrialPool(h, 5, RngStream(47, 1)).colored_times(2000), colored)
 
 
+# one path for every block size: one trial per block (as on hamilton
+# n=9), a handful (hamilton n=8) and dozens (hamilton n=7)
+@pytest.mark.parametrize("per_block", [1, 6, 52])
+@pytest.mark.parametrize("case", ["hamilton", "mixed"])
+def test_block_sizes_match_scalar_reference(monkeypatch, per_block, case):
+    if case == "hamilton":
+        h, q, rng = gen_hamilton(5), 5, RngStream(49, 0)
+    else:
+        h, q, rng = random_hypergraph(RngStream(49, 1), 11), 4, RngStream(49, 2)
+    m = h.packed[0]
+    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", per_block * max(m.size, 2 * h.num_vertices))
+    pool = TrialPool(h, q, rng)
+    assert pool._block == per_block
+    colored, uncolored = oracles.scalar_times(pool, 110)
+    assert pool.colored_times(110).tolist() == colored
+    assert pool.uncolored_times(110).tolist() == uncolored
+
+
 def _unxorshift(y, shift):
     x = y
     for _ in range(64 // shift + 1):
