@@ -3,7 +3,9 @@
 Delta sums E(zeta_H* zeta_J*) over ordered pairs of lifted edges whose
 *colored* intersection is nonempty, self-pairs included.  It is computed
 by a combinatorial aggregation that groups pairs by (base sizes, shared
-vertices, shared colors) and never materializes the lift;
+vertices, shared colors) and never materializes the lift.  The pairs per
+(base sizes, shared vertices) come from the containment counts of the
+spread oracle's candidate table, so no pair of edges is enumerated;
 tests/oracles.py holds the brute-force pair enumeration it must match.
 """
 
@@ -80,26 +82,31 @@ def _pair_group_term(a: int, b: int, w: int, q: int, x: float) -> float:
     return total
 
 
-def _delta_aggregate(edges, q: int, x: float) -> float:
-    """Aggregation path: count ordered base pairs by the key (|E|, |F|, shared)."""
-    m = len(edges)
-    n = 1 + max((e[-1] for e in edges), default=0)
-    inc = np.zeros((m, n))  # float64, so the product below runs in BLAS, exactly
-    for i, e in enumerate(edges):
-        inc[i, list(e)] = 1
-    sizes = np.array([len(e) for e in edges], dtype=np.int64)
-    base = 1 + int(sizes.max(initial=0))
-    counts = np.zeros(base**3, dtype=np.int64)
-    rows = block_rows(m)  # of the m x m shared-vertex matrix
-    for lo in range(0, m, rows):
-        shared = (inc[lo : lo + rows] @ inc.T).astype(np.int64)
-        keys = (sizes[lo : lo + rows, None] * base + sizes) * base + shared
-        counts += np.bincount(keys.ravel(), minlength=base**3)
-    terms = [
-        cnt * _pair_group_term(a, b, w, q, x)
-        for (a, b, w), cnt in np.ndenumerate(counts.reshape(base, base, base))
-        if cnt and w
-    ]
+def _delta_aggregate(h: Hypergraph, q: int, x: float) -> float:
+    """Aggregation path: count ordered base pairs by the key (|E|, |F|, shared).
+
+    With c_a(S) the number of size-a edges that contain S, the ordered
+    pairs of a size-a and a size-b edge give
+    N_j = sum_{|S| = j} c_a(S) c_b(S) = sum_{(E, F)} C(|E cap F|, j), so
+    P_w = sum_{j >= w} (-1)^(j - w) C(j, w) N_j pairs share exactly w vertices.
+    """
+    sizes = sorted({len(e) for e in h.edges})
+    # one candidate table per size class, each on h's n, so a set has the same key in all
+    classes = {a: h for a in sizes} if len(sizes) == 1 else {
+        a: Hypergraph(h.num_vertices, tuple(e for e in h.edges if len(e) == a), a) for a in sizes
+    }
+    terms = []
+    for a, ga in classes.items():
+        for b, gb in classes.items():
+            n = []
+            for (_, ka, ca), (_, kb, cb) in zip(ga.candidates.sizes(), gb.candidates.sizes()):
+                at = np.minimum(np.searchsorted(kb, ka), len(kb) - 1)
+                # N_j <= m^2 2^r, below 2^52 at the default table budget: the int64 dot cannot overflow
+                n.append(int(np.dot(ca, np.where(kb[at] == ka, cb[at], 0))))
+            for w in range(1, len(n) + 1):
+                cnt = sum((-1) ** (j - w) * math.comb(j, w) * n[j - 1] for j in range(w, len(n) + 1))
+                if cnt:
+                    terms.append(cnt * _pair_group_term(a, b, w, q, x))
     return math.fsum(terms)
 
 
@@ -107,7 +114,7 @@ def janson_delta_exact(h: Hypergraph, q: int, p: float) -> float:
     """Delta: sum over colored-intersecting ordered pairs of lifted edges
     of (1-p)^(|H*|+|J*|-|H* cap J*|)."""
     check_chromatic(h, q)
-    return _delta_aggregate(h.edges, q, 1.0 - p)
+    return _delta_aggregate(h, q, 1.0 - p)
 
 
 # Numeric hypotheses under which the final 4 mu^2 / kappa step of the
@@ -166,7 +173,7 @@ def chebyshev_report(g: Hypergraph, q: int, alpha: float) -> MomentReport:
     padded = pad_to_uniform(g)
     r = padded.r_bound
     mu = alpha**r * falling_factorial(q, r) / q**r * len(padded.edges)
-    delta = _delta_aggregate(padded.edges, q, alpha / q)
+    delta = _delta_aggregate(padded, q, alpha / q)
     cheb = min(1.0, delta / (mu * mu)) if mu > 0 else 1.0
     report = MomentReport(
         mu=mu,

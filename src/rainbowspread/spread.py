@@ -136,10 +136,11 @@ def _candidate_sets(h: Hypergraph) -> CandidateTable:
     """Every distinct nonempty edge subset with its containment count."""
     n = h.num_vertices
     r = max((len(e) for e in h.edges), default=0)
-    offsets, binom = rank_tables(n, r, "candidate keys", "instance too large for the exact oracle")
+    hint = "instance too large to count its edge subsets exactly"
+    offsets, binom = rank_tables(n, r, "candidate keys", hint)
     total = sum((1 << len(e)) - 1 for e in h.edges)
     need = BYTES_PER_KEY * total + 8 * (r + 1) * n
-    check_bytes(need, f"{total} candidate keys", "instance too large for the exact oracle")
+    check_bytes(need, f"{total} candidate keys", hint)
     import numpy as np
 
     matrix, sizes = h.packed

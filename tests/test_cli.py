@@ -87,6 +87,9 @@ def test_janson_inputs_checked_before_spread(hc5_path, monkeypatch, capsys, extr
     ["moments", "{h}", "--janson", "--q", "5", "--p", "0.05"],
     ["threshold", "--hypergraph", "{h}", "--q", "5", "--trials", "200", "--target", "0.2", "--m-list", "3,5"],
     ["fragment", "--hypergraph", "{h}", "--q", "5", "--seeds", "0:2"],
+    # Delta counts its pairs from the same table as the spread check
+    ["moments", "{h}", "--janson", "--q", "5", "--p", "0.05", "--kappa", "1.01"],
+    ["moments", "{h}", "--chebyshev", "--q", "5"],
 ])
 def test_one_candidate_pass_per_invocation(hc5_path, tmp_path, monkeypatch, argv):
     calls = []
@@ -115,6 +118,25 @@ def test_spread_budget_before_allocation(tmp_path, capsys):
     assert rc == 1
     _single_error(capsys, f"67108863 candidate keys need 1677727191 bytes, above the budget of {2**30}")
     assert peak < 2**20
+
+
+def test_moments_key_width_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # padded to 30-uniform, the ten single-vertex edges bring 290 fresh
+    # vertices: the sets of up to 30 of 330 vertices have no int64 key
+    path = tmp_path / "wide.json"
+    write_hypergraph(Hypergraph.from_edges(40, [range(30), *([v] for v in range(30, 40))]), str(path))
+
+    def no_keys(*args):
+        raise AssertionError("a key array before the key width was checked")
+
+    monkeypatch.setattr(spread, "subset_keys", no_keys)
+    assert main(["moments", str(path), "--chebyshev", "--q", "30", "--out", str(tmp_path / "o.txt")]) == 1
+    _single_error(
+        capsys,
+        "candidate keys need 3862062052843610058086745419404774491255808 values (all subsets of at most 30 of 330 "
+        "elements), above int64; instance too large to count its edge subsets exactly",
+    )
+    assert not (tmp_path / "o.txt").exists()
 
 
 @pytest.mark.parametrize("argv,message", [

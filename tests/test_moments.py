@@ -45,12 +45,36 @@ def test_delta_dual_paths_agree(h, q, p):
 
 @pytest.mark.parametrize("h,q,p", DUAL_PATH_CASES)
 def test_delta_aggregate_row_blocks(h, q, p, monkeypatch):
-    one_block = janson_delta_exact(h, q, p)
-    # a budget below one row puts every edge in its own block
+    one_block = janson_delta_exact(Hypergraph(h.num_vertices, h.edges, h.r_bound), q, p)
+    # a budget below one row puts every edge in its own key block; a fresh
+    # hypergraph, so that its candidate table is built under the patch
     monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 1)
-    blocked = janson_delta_exact(h, q, p)
+    blocked = janson_delta_exact(Hypergraph(h.num_vertices, h.edges, h.r_bound), q, p)
     assert blocked == one_block
     assert math.isclose(blocked, oracles.delta_pairs(h, q, 1 - p), rel_tol=1e-10)
+
+
+# sizes 1 to 3, and (1, 2) twice
+MIXED = Hypergraph.from_edges(6, [(0,), (1, 2), (0, 1, 2), (2, 4, 5), (1, 2), (3,)])
+
+
+def test_delta_outputs_pinned():
+    # bit for bit: how Delta counts its pairs may change, these values may not
+    assert janson_delta_exact(MIXED, 4, 0.15) == 1022.7289249999999
+    assert chebyshev_report(MIXED, 4, 0.6).as_dict() == {
+        "mu": 0.48599999999999993,
+        "delta": 1.123875,
+        "janson_bound": 0.974071791383191,
+        "chain_bounds": {"chebyshev_zero_bound": 1.0},
+        "checks": {},
+    }
+    assert chebyshev_report(gen_hamilton(5), 5, 0.5).as_dict() == {
+        "mu": 0.0144,
+        "delta": 0.019490400000000005,
+        "janson_bound": 0.9986709984237396,
+        "chain_bounds": {"chebyshev_zero_bound": 1.0},
+        "checks": {},
+    }
 
 
 def test_delta_single_edge_closed_form():
