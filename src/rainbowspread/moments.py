@@ -11,7 +11,9 @@ tests/oracles.py holds the brute-force pair enumeration it must match.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +23,7 @@ from .hypergraph import Hypergraph, HypergraphError
 # perfbench's tracer wraps it in every module that names it
 from .lifting import check_chromatic, falling_factorial, lift_rainbow, lift_size  # noqa: F401
 from .limits import LimitExceeded, block_rows
-from .spread import is_kappa_spread, pad_to_uniform
+from .spread import check_candidate_bytes, is_kappa_spread
 
 
 @dataclass
@@ -82,32 +84,37 @@ def _pair_group_term(a: int, b: int, w: int, q: int, x: float) -> float:
     return total
 
 
-def _delta_aggregate(h: Hypergraph, q: int, x: float) -> float:
+def _delta_aggregate(h: Hypergraph, q: int, x: float, pad_to: int = 0) -> float:
     """Aggregation path: count ordered base pairs by the key (|E|, |F|, shared).
 
     With c_a(S) the number of size-a edges that contain S, the ordered
     pairs of a size-a and a size-b edge give
     N_j = sum_{|S| = j} c_a(S) c_b(S) = sum_{(E, F)} C(|E cap F|, j), so
     P_w = sum_{j >= w} (-1)^(j - w) C(j, w) N_j pairs share exactly w vertices.
+    pad_to = r counts the pairs of h padded to r-uniform (`pad_to_uniform`)
+    without building it.
     """
-    sizes = sorted({len(e) for e in h.edges})
-    # one candidate table per size class, each on h's n, so a set has the same key in all
-    classes = {a: h for a in sizes} if len(sizes) == 1 else {
-        a: Hypergraph(h.num_vertices, tuple(e for e in h.edges if len(e) == a), a) for a in sizes
-    }
-    terms = []
-    for a, ga in classes.items():
-        for b, gb in classes.items():
-            n = []
-            for (_, ka, ca), (_, kb, cb) in zip(ga.candidates.sizes(), gb.candidates.sizes()):
-                at = np.minimum(np.searchsorted(kb, ka), len(kb) - 1)
-                # N_j <= m^2 2^r, below 2^52 at the default table budget: the int64 dot cannot overflow
-                n.append(int(np.dot(ca, np.where(kb[at] == ka, cb[at], 0))))
-            for w in range(1, len(n) + 1):
-                cnt = sum((-1) ** (j - w) * math.comb(j, w) * n[j - 1] for j in range(w, len(n) + 1))
-                if cnt:
-                    terms.append(cnt * _pair_group_term(a, b, w, q, x))
-    return math.fsum(terms)
+    sizes = {len(e) for e in h.edges}
+    if len(sizes) > 1 and not pad_to:
+        check_candidate_bytes(h)  # the class tables, alive together, hold the keys of h's one table
+        # one candidate table per size class, each on h's n, so a set has the same key in all
+        classes = {a: Hypergraph(h.num_vertices, tuple(e for e in h.edges if len(e) == a), a) for a in sizes}
+    else:
+        classes = {pad_to or max(sizes, default=0): h}
+    pairs = Counter()
+    for (a, ga), (b, gb) in itertools.product(classes.items(), repeat=2):
+        overlaps = []  # N_j for j = 1, 2, ...
+        for (_, ka, ca), (_, kb, cb) in zip(ga.candidates.sizes(), gb.candidates.sizes()):
+            at = np.minimum(np.searchsorted(kb, ka), len(kb) - 1)
+            # N_j <= m_b * sum(ca), each factor at most the keys enumerated for one
+            # table, so the int64 dot reaches 2^63 only past tables of 2^31.5 keys (76 GB)
+            overlaps.append(int(np.dot(ca, np.where(kb[at] == ka, cb[at], 0))))
+        for w in range(1, len(overlaps) + 1):
+            pairs[a, b, w] += sum((-1) ** (j - w) * math.comb(j, w) * nj for j, nj in enumerate(overlaps[w - 1 :], w))
+    if pad_to:  # the padding is fresh for each edge copy: only a self-pair moves, from |E| to r shared
+        pairs.subtract((pad_to, pad_to, len(e)) for e in h.edges)
+        pairs[pad_to, pad_to, pad_to] += len(h)
+    return math.fsum(cnt * _pair_group_term(a, b, w, q, x) for (a, b, w), cnt in pairs.items() if cnt)
 
 
 def janson_delta_exact(h: Hypergraph, q: int, p: float) -> float:
@@ -163,17 +170,17 @@ def janson_chain_check(h: Hypergraph, q: int, p: float, kappa: float) -> MomentR
 def chebyshev_report(g: Hypergraph, q: int, alpha: float) -> MomentReport:
     """Endgame moments for the colored alpha-sample hitting the lift of G.
 
-    G is padded to r-uniform internally.  mu = alpha^r (q)_r / q^r |G|;
+    G counts as padded to r-uniform, though the padding is never built.
+    mu = alpha^r (q)_r / q^r |G|;
     the variance-style sum uses the same pair aggregation as Delta with
     weight (alpha/q)^(2r - shared).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     check_chromatic(g, q)
-    padded = pad_to_uniform(g)
-    r = padded.r_bound
-    mu = alpha**r * falling_factorial(q, r) / q**r * len(padded.edges)
-    delta = _delta_aggregate(padded, q, alpha / q)
+    r = g.r_bound
+    mu = alpha**r * falling_factorial(q, r) / q**r * len(g.edges)
+    delta = _delta_aggregate(g, q, alpha / q, pad_to=r)
     cheb = min(1.0, delta / (mu * mu)) if mu > 0 else 1.0
     report = MomentReport(
         mu=mu,

@@ -132,15 +132,23 @@ def containment_count(h: Hypergraph, s) -> int:
     return sum(1 for e in h.edges if s.issubset(e))
 
 
+CANDIDATE_HINT = "instance too large to count its edge subsets exactly"
+
+
+def check_candidate_bytes(h: Hypergraph) -> int:
+    """The number of keys enumerated for h's candidate table, after
+    refusing the table, before it exists, when it exceeds the byte budget."""
+    r = max((len(e) for e in h.edges), default=0)
+    total = sum((1 << len(e)) - 1 for e in h.edges)
+    check_bytes(BYTES_PER_KEY * total + 8 * (r + 1) * h.num_vertices, f"{total} candidate keys", CANDIDATE_HINT)
+    return total
+
+
 def _candidate_sets(h: Hypergraph) -> CandidateTable:
     """Every distinct nonempty edge subset with its containment count."""
-    n = h.num_vertices
     r = max((len(e) for e in h.edges), default=0)
-    hint = "instance too large to count its edge subsets exactly"
-    offsets, binom = rank_tables(n, r, "candidate keys", hint)
-    total = sum((1 << len(e)) - 1 for e in h.edges)
-    need = BYTES_PER_KEY * total + 8 * (r + 1) * n
-    check_bytes(need, f"{total} candidate keys", hint)
+    offsets, binom = rank_tables(h.num_vertices, r, "candidate keys", CANDIDATE_HINT)
+    total = check_candidate_bytes(h)
     import numpy as np
 
     matrix, sizes = h.packed

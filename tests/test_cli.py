@@ -120,23 +120,25 @@ def test_spread_budget_before_allocation(tmp_path, capsys):
     assert peak < 2**20
 
 
-def test_moments_key_width_is_one_error_line(tmp_path, monkeypatch, capsys):
-    # padded to 30-uniform, the ten single-vertex edges bring 290 fresh
-    # vertices: the sets of up to 30 of 330 vertices have no int64 key
+def test_moments_refuses_what_spread_refuses(tmp_path, monkeypatch, capsys):
+    # --chebyshev counts the padded pairs from G's own table, so a 30-vertex
+    # edge is refused as `spread` refuses it: its 2^30 + 9 keys exceed the byte budget
     path = tmp_path / "wide.json"
     write_hypergraph(Hypergraph.from_edges(40, [range(30), *([v] for v in range(30, 40))]), str(path))
 
     def no_keys(*args):
-        raise AssertionError("a key array before the key width was checked")
+        raise AssertionError("a key array before the byte budget was checked")
 
     monkeypatch.setattr(spread, "subset_keys", no_keys)
-    assert main(["moments", str(path), "--chebyshev", "--q", "30", "--out", str(tmp_path / "o.txt")]) == 1
-    _single_error(
-        capsys,
-        "candidate keys need 3862062052843610058086745419404774491255808 values (all subsets of at most 30 of 330 "
-        "elements), above int64; instance too large to count its edge subsets exactly",
+    message = (
+        f"1073741833 candidate keys need 26843555745 bytes, above the budget of {2**30}; "
+        "instance too large to count its edge subsets exactly"
     )
+    assert main(["moments", str(path), "--chebyshev", "--q", "30", "--out", str(tmp_path / "o.txt")]) == 1
+    _single_error(capsys, message)
     assert not (tmp_path / "o.txt").exists()
+    assert main(["spread", str(path)]) == 1
+    _single_error(capsys, message)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -5,7 +5,7 @@ import math
 import oracles
 import pytest
 
-from rainbowspread import _kernels, limits
+from rainbowspread import _kernels, limits, spread
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import falling_factorial, lift_rainbow, lift_size
@@ -75,6 +75,27 @@ def test_delta_outputs_pinned():
         "chain_bounds": {"chebyshev_zero_bound": 1.0},
         "checks": {},
     }
+    # padded to 8-uniform this has 1,608 vertices; it is counted on its 208
+    singletons = Hypergraph.from_edges(208, [range(8), *([v] for v in range(8, 208))])
+    assert chebyshev_report(singletons, 8, 0.5).as_dict() == {
+        "mu": 0.0018869340419769287,
+        "delta": 0.0021684252784570646,
+        "janson_bound": 0.9997947730350524,
+        "chain_bounds": {"chebyshev_zero_bound": 1.0},
+        "checks": {},
+    }
+
+
+def test_delta_size_classes_share_one_budget(monkeypatch):
+    # MIXED's whole table needs 742 bytes, its largest class table 542
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 700)
+
+    def no_table(h):
+        raise AssertionError("a class table before the summed budget was checked")
+
+    monkeypatch.setattr(spread, "_candidate_sets", no_table)
+    with pytest.raises(LimitExceeded, match="22 candidate keys need 742 bytes"):
+        janson_delta_exact(Hypergraph(MIXED.num_vertices, MIXED.edges, MIXED.r_bound), 4, 0.15)
 
 
 def test_delta_single_edge_closed_form():
