@@ -7,16 +7,18 @@ enough.  After the last round a final uniform sample must cover some
 surviving fragment outright.
 
 Fragments live in an integer store (see `FragmentStore`): one row of
-element codes per distinct element set, with a multiplicity and a
-lineage rank.  Merging equal element sets preserves the multiset
-semantics exactly because psi only looks at element sets.
+element codes per distinct element set, with a multiplicity, in the one
+fixed order that breaks psi's ties.  Merging equal element sets
+preserves the multiset semantics exactly because psi only looks at
+element sets.
 tests/oracles.py holds the dict-based reference form of the round.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .hypergraph import Hypergraph
 from .lifting import check_chromatic, lift_codes, lift_rainbow, lift_size  # noqa: F401
 from .limits import block_rows
 from .rng import RngStream, round_half_up
-from .sampling import ColoredSet, contains_rainbow_edge
+from .sampling import ColoredSet, contains_rainbow_edge, sample_colored_m, sample_colored_p
 from .spread import max_spread, rank_tables, row_keys, subset_keys
 
 
@@ -94,23 +96,22 @@ def make_schedule(r: int, kappa: float, gamma: float, C: float) -> Schedule:
 # The fragment store.  Element (v, c) of X x [q] is coded v*q + c - 1 (as
 # in `lift_codes`), and a fragment is a row of its element codes in
 # ascending order, padded on the right with pad = N*q; a row's length is
-# its count of codes below pad.  Each row carries a multiplicity and a
-# lineage rank: the position, in round 1's restricted lift, of the lifted
-# edge that the fragment descends from.  That lift is in canonical order,
-# which is the order of (base edge, colors) lineages, so ranks break ties
-# as those lineages would.  Rows are distinct and kept in ascending
-# lineage order, so a row's position orders lineages too.  A row, or a
-# subset of one, is searched by its `spread` key as a set of N*q elements.
+# its count of codes below pad.  Each row carries a multiplicity.  Rows
+# are distinct, and their order is the one fixed order on fragments that
+# psi needs to break ties between minimal remainders: the order of round
+# 1's restricted lift (by base edge, then colors), each row standing
+# where the lifted edge it descends from stood.  Every round keeps it,
+# so a row's position is its lineage.  A row, or a subset of one, is
+# searched by its `spread` key as a set of N*q elements.
 
 
 @dataclass(frozen=True)
 class FragmentStore:
-    """Surviving fragments: codes (F, r) int64, mult (F,) int64 and
-    lineage (F,) int64 ranks, ascending; pad = N*q."""
+    """Surviving fragments, in lineage order: codes (F, r) int64 and
+    mult (F,) int64; pad = N*q."""
 
     codes: np.ndarray
     mult: np.ndarray
-    lineage: np.ndarray
     q: int
     pad: int
 
@@ -133,12 +134,12 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     with the sample, rem holds their remainders (the elements on
     unsampled vertices) as padded rows, lengths their sizes, and src[i]
     is the compatible row whose remainder row i picks: the smallest
-    remainder inside row i's own, ties broken by lineage.
+    remainder inside row i's own, ties broken by row order.
 
     Every remainder is indexed by its key.  Per remainder length k, in
     blocks of rows, the keys of all subsets whose size some remainder has
     are looked up at once; a row takes the hit of least size, and there
-    of least lineage.  Its own remainder is indexed, so every row hits.
+    of least row.  Its own remainder is indexed, so every row hits.
     """
     q, pad = store.q, store.pad
     offsets, binom = rank_tables(pad, store.codes.shape[1])
@@ -156,12 +157,12 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     # only subsets of these sizes can hit; bincount, because np.unique
     # without index or count outputs imports numpy.ma
     sizes = np.flatnonzero(np.bincount(lengths)).tolist()
-    # compatible rows ascend in lineage, so a key's first row has the least
+    # np.unique's index is a key's first row, the least in row order
     index_keys, index_rows = np.unique(row_keys(rem, offsets, binom), return_index=True)
     if 0 in sizes:  # the empty remainder, key 0, is inside every row's
         return compat, rem, np.full(len(rem), index_rows[0]), lengths
     src = np.empty(len(rem), dtype=np.int64)
-    # a hit on row j of size s ranks s * span + j: size first, then lineage
+    # a hit on row j of size s ranks s * span + j: size first, then row
     span = len(rem) + 1
     rank = index_rows + span * lengths[index_rows]
     for k in sizes:
@@ -191,14 +192,9 @@ def apply_round(survivors: FragmentStore, wmap: dict[int, int], r_i: float):
     good = lengths[src] <= r_i
     merged = np.zeros(len(rem), dtype=np.int64)
     np.add.at(merged, src[good], mult[good])
-    chosen = np.flatnonzero(merged)  # every multiplicity is positive
-    new = FragmentStore(
-        codes=rem[chosen],
-        mult=merged[chosen],
-        lineage=survivors.lineage[compat][chosen],
-        q=survivors.q,
-        pad=survivors.pad,
-    )
+    # every multiplicity is positive, and chosen ascends, so rows keep their order
+    chosen = np.flatnonzero(merged)
+    new = FragmentStore(codes=rem[chosen], mult=merged[chosen], q=survivors.q, pad=survivors.pad)
     return new, int(mult.sum()), int(merged.sum())
 
 
@@ -292,17 +288,16 @@ def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]) -> FragmentSt
     These are the fragments compatible with round 1's sample wmap.  The
     clashing ones are left out: psi never indexes them, so round 1 picks
     the same remainders as it would over the full lift.  Rows repeat only
-    where an edge repeats: each edge's first copy is kept, with the copy
-    count as multiplicity.  psi's keys are checked before the lift exists.
+    where an edge repeats, so each distinct edge is lifted once, at its
+    first copy, with the copy count as multiplicity.  psi's keys are
+    checked before the lift exists.
     """
     pad = h.num_vertices * q
     rank_tables(pad, h.r_bound, "fragment keys", "use a smaller --q or a smaller hypergraph")
-    codes, base = lift_codes(h, q, wmap)
-    first: dict[tuple[int, ...], int] = {}
-    owner = np.array([first.setdefault(e, i) for i, e in enumerate(h.edges)], dtype=np.int64)
-    lineage = np.flatnonzero(owner[base] == base)
-    mult = np.bincount(owner, minlength=len(h.edges))[base[lineage]]
-    return FragmentStore(codes=codes[lineage], mult=mult, lineage=lineage, q=q, pad=pad)
+    copies = Counter(h.edges)  # in first-copy order
+    codes, base = lift_codes(replace(h, edges=tuple(copies)), q, wmap)
+    mult = np.fromiter(copies.values(), dtype=np.int64, count=len(copies))[base]
+    return FragmentStore(codes=codes, mult=mult, q=q, pad=pad)
 
 
 def run_fragmentation(
@@ -343,10 +338,10 @@ def run_fragmentation(
     for i in range(1, sched.ell + 1):
         if fixed_size_rounds:
             m_i = round_half_up(sched.p * len(residual))
-            chosen = [residual[j] for j in rng.sample_without_replacement(len(residual), m_i)]
+            sample = sample_colored_m(len(residual), m_i, q, rng)
         else:
-            chosen = [v for v in residual if rng.bernoulli(sched.p)]
-        wmap = {v: rng.randint(1, q) for v in chosen}
+            sample = sample_colored_p(len(residual), sched.p, q, rng)
+        wmap = {residual[j]: c for j, c in sample.assignment}
         if i == 1:
             survivors = initial_survivors(h, q, wmap)
 
@@ -371,8 +366,8 @@ def run_fragmentation(
 
     # endgame: a uniform Nrho-subset of the residual, randomly colored
     m_end = min(round_half_up(h.num_vertices * sched.rho), len(residual))
-    chosen = [residual[j] for j in rng.sample_without_replacement(len(residual), m_end)]
-    wend = {v: rng.randint(1, q) for v in chosen}
+    sample = sample_colored_m(len(residual), m_end, q, rng)
+    wend = {residual[j]: c for j, c in sample.assignment}
     hit = endgame_hit(survivors, wend)
     for v, c in wend.items():
         w_union[v] = c

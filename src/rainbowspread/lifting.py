@@ -88,10 +88,12 @@ def lift_codes(h: Hypergraph, q: int, w: dict[int, int] | None = None):
     check_chromatic(h, q)
     w = w or {}
     total = lift_size(h, q, w)
-    # a fragmentation round's peak per row, 17r + 84 bytes: two int64 copies
-    # and a clash byte per code, 32 B of row values and key, 49 B of the key
-    # index's np.unique buffers and a margin (tracemalloc: 186 B/row on
-    # hamilton n=7 at q=7 and 138 on pm(8,2) at q=12, seed 0)
+    # a fragmentation round's peak per row, 17r + 84 bytes: per code the
+    # store's and the remainders' int64 copies and a clash byte; per row
+    # 40 B of multiplicity, length, key, pick and rank, 33 B of the key
+    # index and its np.unique buffers, and a margin (tracemalloc over a
+    # whole seed-0 run: 178 B/row on hamilton n=7 at q=7 and 130 on
+    # pm(8,2) at q=12)
     need = total * (17 * h.r_bound + 84)
     check_bytes(need, f"{total} lifted edges", "use a smaller --q or a smaller hypergraph")
     import numpy as np  # here, so that importing the package does not load numpy

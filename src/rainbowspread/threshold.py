@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph
-from .limits import block_rows
+from .limits import block_rows, check_bytes
 from .rng import RngStream, accept_limits, child_keys, stream_draws
 from .spread import max_spread
 
@@ -66,6 +66,8 @@ class TrialPool:
     """
 
     def __init__(self, h: Hypergraph, q: int, rng: RngStream):
+        if not 1 <= q < 2**64:  # a color draw is randint(1, q) on one uint64
+            raise ValueError(f"q={q}: the trials need 1 <= q < 2**64 colors")
         self.h = h
         self.q = q
         self.rng = rng
@@ -119,13 +121,17 @@ class TrialPool:
         return ct, ut
 
     def ensure(self, trials: int) -> None:
-        starts = range(len(self._colored), trials, self._block)
-        blocks = [self._run_block(lo, min(lo + self._block, trials)) for lo in starts]
-        if blocks:
-            self._colored = np.concatenate([self._colored, *(ct for ct, _ in blocks)])
-            self._uncolored = np.concatenate([self._uncolored, *(ut for _, ut in blocks)])
-            # callers get slices of these arrays, so no caller may write them
-            self._colored.flags.writeable = self._uncolored.flags.writeable = False
+        have = len(self._colored)
+        if trials <= have:
+            return
+        colored, uncolored = np.empty(trials, dtype=np.int64), np.empty(trials, dtype=np.int64)
+        colored[:have], uncolored[:have] = self._colored, self._uncolored
+        for lo in range(have, trials, self._block):
+            hi = min(lo + self._block, trials)
+            colored[lo:hi], uncolored[lo:hi] = self._run_block(lo, hi)
+        # callers get slices of these arrays, so no caller may write them
+        colored.flags.writeable = uncolored.flags.writeable = False
+        self._colored, self._uncolored = colored, uncolored
 
     def colored_times(self, trials: int) -> np.ndarray:
         self.ensure(trials)
@@ -137,8 +143,12 @@ class TrialPool:
 
 
 def _check_trials(trials: int) -> None:
+    """Refuse a trial count below 1, or one whose hit times exceed the
+    byte budget: 32 B a trial, two int64 times in the arrays that
+    `ensure` fills while the pool still holds its shorter ones."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    check_bytes(32 * trials, f"{trials} trials", "use fewer --trials")
 
 
 def hit_probability(pool: TrialPool, m: int, trials: int):

@@ -7,7 +7,9 @@ tests.
 Fragmentation here works on the dict form of the fragment store:
 {elements: (multiplicity, lineage)}, where elements is a tuple of
 (vertex, color) sorted by vertex and lineage is any ordered value, in
-round 1 the (base edge, colors) of the originating lifted edge.
+round 1 the (base edge, colors) of the originating lifted edge.  A
+store holds the same fragments as rows in ascending lineage, without
+the lineages themselves.
 """
 
 from __future__ import annotations
@@ -206,43 +208,41 @@ def endgame_hit(survivors: dict, wmap: dict[int, int]) -> bool:
 # adapters between the dict form and `FragmentStore`
 
 
+def by_lineage(survivors: dict) -> list:
+    """The dict's fragments as (elements, multiplicity), in ascending
+    lineage: the rows a store of them holds, in its order."""
+    return [(elems, mult) for elems, (mult, _) in sorted(survivors.items(), key=lambda item: item[1][1])]
+
+
 def store_from_dict(survivors: dict, num_vertices: int, q: int, width: int) -> FragmentStore:
-    """A store holding the dict's fragments; lineages must be distinct ints."""
-    items = sorted(survivors.items(), key=lambda item: item[1][1])
+    """A store holding the dict's fragments; lineages must be distinct."""
+    rows = by_lineage(survivors)
     pad = num_vertices * q
-    codes = np.full((len(items), width), pad, dtype=np.int64)
-    for row, (elems, _) in zip(codes, items):
+    codes = np.full((len(rows), width), pad, dtype=np.int64)
+    for row, (elems, _) in zip(codes, rows):
         row[: len(elems)] = [v * q + c - 1 for v, c in elems]
-    return FragmentStore(
-        codes=codes,
-        mult=np.array([mult for _, (mult, _) in items], dtype=np.int64),
-        lineage=np.array([lin for _, (_, lin) in items], dtype=np.int64),
-        q=q,
-        pad=pad,
-    )
+    mult = np.array([mult for _, mult in rows], dtype=np.int64)
+    return FragmentStore(codes=codes, mult=mult, q=q, pad=pad)
 
 
 def _elements(store: FragmentStore, row) -> tuple:
     return tuple((int(c) // store.q, int(c) % store.q + 1) for c in row if c < store.pad)
 
 
-def dict_from_store(store: FragmentStore, lineages=None) -> dict:
-    """The store's fragments in dict form; lineages maps a rank to the
-    lineage to report (default: the rank itself)."""
-    return {
-        _elements(store, row): (int(mult), lineages[lin] if lineages is not None else int(lin))
-        for row, mult, lin in zip(store.codes, store.mult, store.lineage)
-    }
+def store_rows(store: FragmentStore) -> list:
+    """The store's rows as (elements, multiplicity), in its order."""
+    return [(_elements(store, row), int(mult)) for row, mult in zip(store.codes, store.mult)]
 
 
 def store_picks(store: FragmentStore, wmap: dict[int, int]) -> list:
     """`fragmentation._psi_round` on the store in `psi_round`'s form, one
-    entry per store row."""
+    entry per store row, with the store row that the chosen remainder
+    comes from in place of its lineage."""
     compat, rem, src, _ = store_psi_round(store, wmap)
-    compat_lineage = store.lineage[compat]
+    rows = np.flatnonzero(compat)
     picks = iter(src.tolist())
     out = []
     for ok in compat.tolist():
         chosen = next(picks) if ok else None
-        out.append(None if chosen is None else (_elements(store, rem[chosen]), int(compat_lineage[chosen])))
+        out.append(None if chosen is None else (_elements(store, rem[chosen]), int(rows[chosen])))
     return out

@@ -301,6 +301,7 @@ def test_threshold_unreachable_exit(hc5_path):
     (["--target", "1.5"], "target must be in (0, 1]"),
     # a second --hypergraph replaces the first
     (["--hypergraph", "edgeless.json"], "hypergraph has no edges"),
+    (["--trials", "18446744073709551616"], "18446744073709551616 trials need 590295810358705651712 bytes"),
 ])
 def test_threshold_rejects_bad_trials_and_target(hc5_path, tmp_path, monkeypatch, capsys,
                                                   extra, message):
@@ -325,6 +326,32 @@ def test_threshold_validates_before_trials(tmp_path, monkeypatch, capsys, edges,
     monkeypatch.setattr(TrialPool, "ensure", no_trial)
     assert main(["threshold", "--hypergraph", str(path), "--q", "3", "--m-list", m_list]) == 1
     _single_error(capsys, message)
+
+
+@pytest.mark.parametrize("q", ["0", "-1", "18446744073709551616"])
+def test_threshold_refuses_q_out_of_range(hc5_path, monkeypatch, capsys, q):
+    def no_array(*args, **kwargs):
+        raise AssertionError("array built before q was checked")
+
+    monkeypatch.setattr(np, "array", no_array)
+    assert main(["threshold", "--hypergraph", hc5_path, "--q", q]) == 1
+    _single_error(capsys, f"q={q}: the trials need 1 <= q < 2**64 colors")
+
+
+def test_threshold_trials_ceiling(hc5_path, monkeypatch, capsys):
+    # 32 bytes a trial: at a budget of 32,000 bytes 1,000 trials run and
+    # 1,001 are refused before any trial is drawn
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 32_000)
+    argv = ["threshold", "--hypergraph", hc5_path, "--q", "5", "--target", "0.2", "--m-list", "3,5"]
+    assert main([*argv, "--trials", "1000"]) == 0
+    capsys.readouterr()
+
+    def no_trial(self, trials):
+        raise AssertionError("trial drawn before the trial count was checked")
+
+    monkeypatch.setattr(TrialPool, "ensure", no_trial)
+    assert main([*argv, "--trials", "1001"]) == 1
+    _single_error(capsys, "1001 trials need 32032 bytes, above the budget of 32000")
 
 
 def test_fragment_rejects_reversed_seed_range(hc5_path, tmp_path, capsys):

@@ -61,12 +61,11 @@ def test_rounds_match_oracle(data):
     h, q = data.draw(instances())
     samples = data.draw(st.lists(colorings(h, q), min_size=1, max_size=4))
     bounds = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0]), min_size=4, max_size=4))
-    lineages = [(le.base, le.colors) for le in oracles.lift_rainbow(h, q, samples[0])]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(limits, "BLOCK_ELEMENTS", data.draw(block_elements()))
         store = initial_survivors(h, q, samples[0])
         expected = oracles.initial_survivors(h, q, samples[0])
-        assert oracles.dict_from_store(store, lineages) == expected
+        assert oracles.store_rows(store) == oracles.by_lineage(expected)
         for wmap, r_i in zip(samples, bounds):
             reference = oracles.apply_round(expected, wmap, r_i)
             assert oracles.apply_round(expected, wmap, r_i, order="subsets") == reference
@@ -74,7 +73,7 @@ def test_rounds_match_oracle(data):
             store, compatible, good = apply_round(store, wmap, r_i)
             expected = reference[0]
             assert (compatible, good) == reference[1:]
-            assert oracles.dict_from_store(store, lineages) == expected
+            assert oracles.store_rows(store) == oracles.by_lineage(expected)
     wend = data.draw(colorings(h, q))
     assert endgame_hit(store, wend) == oracles.endgame_hit(expected, wend)
 

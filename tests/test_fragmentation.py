@@ -68,7 +68,8 @@ def test_schedule_nonstrict_clamps():
     assert not s.feasible
 
 
-# two fragments on 3 vertices under q = 2 colors; lineages are ranks
+# two fragments on 3 vertices under q = 2 colors; lineages are ranks, so
+# a store of both holds each at the row its lineage names
 FRAG_A = (((0, 1), (1, 1)), 1, 0)
 FRAG_B = (((0, 1), (1, 1), (2, 2)), 1, 1)
 
@@ -87,7 +88,7 @@ def _both_rounds(survivors, wmap, r_i):
     """The oracle's round and the store's, which must agree."""
     expected = oracles.apply_round(survivors, wmap, r_i)
     new, compatible, good = apply_round(oracles.store_from_dict(survivors, 3, 2, 3), wmap, r_i)
-    assert (oracles.dict_from_store(new), compatible, good) == expected
+    assert (oracles.store_rows(new), compatible, good) == (oracles.by_lineage(expected[0]), *expected[1:])
     return expected
 
 
@@ -114,6 +115,21 @@ def test_psi_chi_empty_sample_collapses_subsets():
     picks = _both_picks([FRAG_A, FRAG_B], {})
     assert picks[0] == (FRAG_A[0], FRAG_A[2])
     assert picks[1] == (FRAG_A[0], FRAG_A[2])
+
+
+def test_row_order_breaks_ties():
+    # X's remainder holds two different remainders of size 1, A and B;
+    # whichever comes first in the store is X's pick, and the same holds
+    # for the oracle, whose lineages the row order stands for
+    a, b, x = ((0, 1),), ((1, 1),), ((0, 1), (1, 1))
+    for first, second in ((a, b), (b, a)):
+        survivors = {first: (1, 0), second: (1, 1), x: (1, 2)}
+        store = oracles.store_from_dict(survivors, 3, 2, 3)
+        assert [elems for elems, _ in oracles.store_rows(store)] == [first, second, x]
+        picks = oracles.store_picks(store, {})
+        assert picks == [(first, 0), (second, 1), (first, 0)]
+        frags = [(elems, mult, lin) for elems, (mult, lin) in survivors.items()]
+        assert oracles.psi_round(frags, {}) == picks
 
 
 def test_apply_round_counts_and_merge():
@@ -199,11 +215,9 @@ def test_initial_survivors_multiset():
     init = initial_survivors(h, q, {})
     assert int(init.mult.sum()) == lift_size(h, q)
     # distinct base edges never share (vertex, color) element tuples here,
-    # so every multiplicity is 1, and the lineage ranks are the lift order
+    # so every multiplicity is 1, and the rows are the lift in its order
     assert (init.mult == 1).all()
-    assert init.lineage.tolist() == list(range(lift_size(h, q)))
-    lineages = [(le.base, le.colors) for le in oracles.lift_rainbow(h, q)]
-    assert oracles.dict_from_store(init, lineages) == oracles.initial_survivors(h, q, {})
+    assert oracles.store_rows(init) == oracles.by_lineage(oracles.initial_survivors(h, q, {}))
 
 
 def _random_hypergraph(rnd):
@@ -216,20 +230,20 @@ def _random_hypergraph(rnd):
 @pytest.mark.parametrize("seed", range(30))
 def test_round_one_from_restricted_lift(seed):
     # psi never indexes a clashing fragment, so round 1 over the lift
-    # restricted to its sample gives what it gives over the full lift
+    # restricted to its sample gives what it gives over the full lift,
+    # row for row
     rnd = random.Random(seed)
     h = _random_hypergraph(rnd)
     q = h.r_bound + rnd.randint(0, 2)
     full = initial_survivors(h, q, {})
-    full_lineages = [(le.base, le.colors) for le in oracles.lift_rainbow(h, q)]
     for _ in range(6):
         w1 = {v: rnd.randint(1, q) for v in range(h.num_vertices) if rnd.random() < 0.4}
         r_i = rnd.choice([0.5, 1.0, 2.0, 3.0])
-        lineages = [(le.base, le.colors) for le in oracles.lift_rainbow(h, q, w1)]
         new, compatible, good = apply_round(initial_survivors(h, q, w1), w1, r_i)
         new_full, compatible_full, good_full = apply_round(full, w1, r_i)
         assert (compatible, good) == (compatible_full, good_full)
-        assert oracles.dict_from_store(new, lineages) == oracles.dict_from_store(new_full, full_lineages)
+        assert np.array_equal(new.codes, new_full.codes)
+        assert np.array_equal(new.mult, new_full.mult)
         assert compatible == lift_size(h, q, w1)
 
 

@@ -1,6 +1,7 @@
 """Threshold estimation: coupling, bisection, and the sweep table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -270,3 +271,24 @@ def test_pool_times_are_read_only():
     times = TrialPool(gen_hamilton(5), 5, RngStream(48, 0)).colored_times(10)
     with pytest.raises(ValueError):
         times[0] = 0
+
+
+@pytest.mark.parametrize("grown", [False, True])
+def test_trial_pool_holds_at_most_32_bytes_a_trial(grown, monkeypatch):
+    # beyond the per-block arrays, the peak grows by at most the 32 B a
+    # trial that `_check_trials` budgets, whether the pool starts empty or
+    # grows from half the trials; blocks of 10 trials, so that nothing
+    # kept per block hides in the count
+    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 600)
+    h = gen_hamilton(5)
+    peaks = []
+    for trials in (2_000, 10_000):
+        tracemalloc.start()
+        pool = TrialPool(h, 5, RngStream(3))
+        if grown:
+            pool.colored_times(trials // 2)
+        pool.colored_times(trials)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 32 * 8_000
+
