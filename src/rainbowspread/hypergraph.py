@@ -58,9 +58,10 @@ class Hypergraph:
 
     @cached_property
     def candidates(self):
-        """`spread._candidate_sets(self)`: every distinct nonempty edge subset
-        with its containment count, built on first use, so that the spread
-        certificate and every spread check of one run share one pass."""
+        """`spread._candidate_sets(self)`: what the spread oracle and Delta
+        read of the containment counts of the distinct nonempty edge
+        subsets, built on first use, so that the spread certificate, every
+        spread check and Delta of one run share one pass."""
         from . import spread
 
         return spread._candidate_sets(self)

@@ -5,13 +5,12 @@ Delta sums E(zeta_H* zeta_J*) over ordered pairs of lifted edges whose
 by a combinatorial aggregation that groups pairs by (base sizes, shared
 vertices, shared colors) and never materializes the lift.  The pairs per
 (base sizes, shared vertices) come from the containment counts of the
-spread oracle's candidate table, so no pair of edges is enumerated;
+spread oracle's candidate summary, so no pair of edges is enumerated;
 tests/oracles.py holds the brute-force pair enumeration it must match.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from .hypergraph import Hypergraph, HypergraphError
 # perfbench's tracer wraps it in every module that names it
 from .lifting import check_chromatic, falling_factorial, lift_rainbow, lift_size  # noqa: F401
 from .limits import LimitExceeded, block_rows
-from .spread import check_candidate_bytes, is_kappa_spread
+from .spread import is_kappa_spread
 
 
 @dataclass
@@ -91,26 +90,16 @@ def _delta_aggregate(h: Hypergraph, q: int, x: float, pad_to: int = 0) -> float:
     pairs of a size-a and a size-b edge give
     N_j = sum_{|S| = j} c_a(S) c_b(S) = sum_{(E, F)} C(|E cap F|, j), so
     P_w = sum_{j >= w} (-1)^(j - w) C(j, w) N_j pairs share exactly w vertices.
-    pad_to = r counts the pairs of h padded to r-uniform (`pad_to_uniform`)
-    without building it.
+    The N_j of each pair of edge sizes are the `pairs` of h's candidate
+    summary.  pad_to = r counts the pairs of h padded to r-uniform
+    (`pad_to_uniform`) without building it: every edge is then of size r.
     """
-    sizes = {len(e) for e in h.edges}
-    if len(sizes) > 1 and not pad_to:
-        check_candidate_bytes(h)  # the class tables, alive together, hold the keys of h's one table
-        # one candidate table per size class, each on h's n, so a set has the same key in all
-        classes = {a: Hypergraph(h.num_vertices, tuple(e for e in h.edges if len(e) == a), a) for a in sizes}
-    else:
-        classes = {pad_to or max(sizes, default=0): h}
     pairs = Counter()
-    for (a, ga), (b, gb) in itertools.product(classes.items(), repeat=2):
-        overlaps = []  # N_j for j = 1, 2, ...
-        for (_, ka, ca), (_, kb, cb) in zip(ga.candidates.sizes(), gb.candidates.sizes()):
-            at = np.minimum(np.searchsorted(kb, ka), len(kb) - 1)
-            # N_j <= m_b * sum(ca), each factor at most the keys enumerated for one
-            # table, so the int64 dot reaches 2^63 only past tables of 2^31.5 keys (76 GB)
-            overlaps.append(int(np.dot(ca, np.where(kb[at] == ka, cb[at], 0))))
-        for w in range(1, len(overlaps) + 1):
-            pairs[a, b, w] += sum((-1) ** (j - w) * math.comb(j, w) * nj for j, nj in enumerate(overlaps[w - 1 :], w))
+    for size in h.candidates.sizes:
+        k = size.k
+        for (a, b), nk in size.pairs.items():
+            for w in range(1, k + 1):  # N_k's share of each P_w with w <= k
+                pairs[(pad_to, pad_to, w) if pad_to else (a, b, w)] += (-1) ** (k - w) * math.comb(k, w) * nk
     if pad_to:  # the padding is fresh for each edge copy: only a self-pair moves, from |E| to r shared
         pairs.subtract((pad_to, pad_to, len(e)) for e in h.edges)
         pairs[pad_to, pad_to, pad_to] += len(h)

@@ -100,8 +100,8 @@ class RngStream:
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("randrange needs n >= 1")
+        if not 1 <= n <= _MASK + 1:  # above 2**64 every 64-bit draw is rejected
+            raise ValueError(f"randrange needs 1 <= n <= 2**64, got n={n}")
         threshold = ((_MASK + 1) // n) * n
         while True:
             v = self.next_u64()

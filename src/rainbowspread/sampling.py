@@ -90,18 +90,24 @@ def sample_binomial_subset(n: int, p: float, rng: RngStream) -> list[int]:
     return [v for v in range(n) if rng.bernoulli(p)]
 
 
-def sample_colored_m(n: int, m: int, q: int, rng: RngStream) -> ColoredSet:
-    """Uniform m-subset, each chosen vertex colored uniformly from [1, q]."""
+def _check_colors(q: int) -> None:
+    """A color is one `randrange(q)` draw, so q must be in [1, 2**64]; checked before the first draw."""
     if q < 1:
         raise ValueError(f"need q >= 1 colors, got q={q}")
+    if q > 2**64:
+        raise ValueError(f"need q <= 2**64 colors, got q={q}")
+
+
+def sample_colored_m(n: int, m: int, q: int, rng: RngStream) -> ColoredSet:
+    """Uniform m-subset, each chosen vertex colored uniformly from [1, q]."""
+    _check_colors(q)
     verts = sample_uniform_subset(n, m, rng)
     return ColoredSet(tuple((v, rng.randint(1, q)) for v in verts))
 
 
 def sample_colored_p(n: int, p: float, q: int, rng: RngStream) -> ColoredSet:
     """Binomial vertex set, independent uniform colors."""
-    if q < 1:
-        raise ValueError(f"need q >= 1 colors, got q={q}")
+    _check_colors(q)
     verts = sample_binomial_subset(n, p, rng)
     return ColoredSet(tuple((v, rng.randint(1, q)) for v in verts))
 

@@ -9,14 +9,18 @@ Each candidate S of n elements is one int64 key, size first and then
 lexicographic: off[|S| + 1] - 1 - colex(S'), where off[k] = sum_{j<k}
 C(n, j) and colex(S') = C(t_1, 1) + ... + C(t_k, k) over S' = {n - 1 - s}
 ascending; reflection reverses the lexicographic order.  `rank_tables`,
-`subset_keys` and `row_keys` are the one encoding, for fragmentation's
-remainders too.  Only a witness or a violator is decoded.
+`subset_keys`, `size_keys` and `row_keys` are the one encoding, for
+fragmentation's remainders too.  Only a witness or a violator is decoded.
+The keys are built, sorted and summarized one set size at a time, so
+only the largest size's keys are ever held at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -26,9 +30,13 @@ from .limits import LimitExceeded, block_rows, check_bytes
 if TYPE_CHECKING:
     import numpy as np
 
-# peak bytes per enumerated key: the key, its run-start flag, and when no
-# two keys coincide, the distinct key and its run start
-BYTES_PER_KEY = 8 + 1 + 8 + 8
+# peak bytes per key of the largest set size, measured with tracemalloc
+# when no two keys coincide: the key (8), its run start and count (16),
+# the run-start flag and the rise test (2), and the per-size edge rows cut
+# from `Hypergraph.packed`, at most one row element per size-1 key (8).
+# Several edge sizes sort through a permutation instead of the run
+# arrays (8 + 8 + 8 + 1 + 1).  Blocks of key work add a few BLOCK_ELEMENTS.
+BYTES_PER_KEY = 34
 
 
 @dataclass(frozen=True)
@@ -50,8 +58,15 @@ def rank_tables(n: int, r: int, what: str = "keys", hint: str = "instance too la
             f"{what} need {offsets[-1]} values (all subsets of at most {r} of {n} elements), above int64; {hint}"
         )
     check_bytes(8 * (r + 1) * n, f"the rank tables of {what}", hint)
+    return _rank_arrays(n, offsets)
+
+
+@lru_cache(maxsize=8)
+def _rank_arrays(n: int, offsets: tuple[int, ...]):
+    """`rank_tables`' arrays, built once per (n, r) and shared by every caller."""
     import numpy as np
 
+    r = len(offsets) - 2
     binom = np.zeros((r + 1, n), dtype=np.int64)
     binom[0] = 1
     for i in range(1, r + 1):
@@ -86,36 +101,64 @@ def row_keys(rows, offsets, binom):
     return offsets[k + 1] - 1 - sum(terms)
 
 
-@dataclass(frozen=True)
-class CandidateTable:
-    """The distinct nonempty edge subsets as sorted int64 keys, with their
-    containment counts and the `rank_tables` that encode them.  Keys of
-    size k sit at [starts[k], starts[k + 1])."""
+def size_keys(rows, k, offsets, binom):
+    """The keys of the k-subsets of each row of rows, a (B, a) block of
+    ascending elements, as a (C(a, k), B) array."""
+    import numpy as np
 
-    keys: np.ndarray
-    counts: np.ndarray
-    starts: tuple[int, ...]
+    t = (binom.shape[1] - 1) - rows.T[::-1]  # the rows reflected, ascending
+    a = len(t)
+    empty = np.empty((0, len(rows)), dtype=np.int64)
+    # part[s] holds colex(S') of each s-subset S' of t_0, ..., t_j, for the
+    # s from which the a - 1 - j elements left can still reach k; t_j joins
+    # an (s - 1)-subset as its s-th smallest, adding C(t_j, s)
+    part = {0: np.zeros((1, len(rows)), dtype=np.int64)}
+    for j in range(a):
+        part = {
+            s: np.concatenate([part.get(s, empty), part[s - 1] + binom[s, t[j]] if s - 1 in part else empty])
+            for s in range(max(0, k - (a - 1 - j)), min(j + 1, k) + 1)
+        }
+    return np.subtract(offsets[k + 1] - 1, part[k], out=part[k])
+
+
+@dataclass(frozen=True)
+class SizeSummary:
+    """What the readers need of the distinct size-k edge subsets.
+
+    Read in ascending key order, `values` holds each count above every
+    count before it, and `least` the key where it first appears: the
+    least key whose count is at least that value.  `pairs[a, b]` is
+    N_{a,b,k} = sum_S c_a(S) c_b(S), with c_a(S) the number of size-a
+    edges that contain S, for each ordered pair of edge sizes a, b >= k.
+    """
+
+    k: int
+    distinct: int
+    values: np.ndarray
+    least: np.ndarray
+    pairs: dict[tuple[int, int], int]
+
+
+@dataclass(frozen=True)
+class CandidateSummary:
+    """One `SizeSummary` per set size 1, ..., r, and the `rank_tables`
+    that encode their keys.  Its length is the number of distinct
+    nonempty edge subsets."""
+
+    sizes: tuple[SizeSummary, ...]
     offsets: np.ndarray
     binom: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return sum(size.distinct for size in self.sizes)
 
-    def sizes(self):
-        """(k, keys, counts) for each set size k, as views."""
-        for k in range(1, len(self.starts) - 1):
-            lo, hi = self.starts[k], self.starts[k + 1]
-            yield k, self.keys[lo:hi], self.counts[lo:hi]
-
-    def smallest(self, k: int, keys) -> tuple[int, ...]:
-        """The lexicographically smallest of the size-k sets with these keys."""
-        import numpy as np
-
-        rank = int(self.offsets[k + 1]) - 1 - int(keys.min())  # colex(S') of the least key
+    def decode(self, k: int, key) -> tuple[int, ...]:
+        """The size-k set with this key, ascending."""
+        rank = int(self.offsets[k + 1]) - 1 - int(key)  # colex(S')
         out = []
         for i in range(k, 0, -1):
             # the i-th smallest element of S' is the largest t with C(t, i) <= rank
-            t = int(np.searchsorted(self.binom[i], rank, side="right")) - 1
+            t = int(self.binom[i].searchsorted(rank, side="right")) - 1
             out.append(self.binom.shape[1] - 1 - t)
             rank -= int(self.binom[i, t])
         return tuple(out)
@@ -136,42 +179,79 @@ CANDIDATE_HINT = "instance too large to count its edge subsets exactly"
 
 
 def check_candidate_bytes(h: Hypergraph) -> int:
-    """The number of keys enumerated for h's candidate table, after
-    refusing the table, before it exists, when it exceeds the byte budget."""
+    """The bytes charged for h's candidate summary, after refusing it,
+    before any key exists, when they exceed the byte budget: the keys of
+    the largest set size, which is all that is held at once, and the
+    rank tables."""
     r = max((len(e) for e in h.edges), default=0)
-    total = sum((1 << len(e)) - 1 for e in h.edges)
-    check_bytes(BYTES_PER_KEY * total + 8 * (r + 1) * h.num_vertices, f"{total} candidate keys", CANDIDATE_HINT)
-    return total
+    classes = Counter(len(e) for e in h.edges)
+    keys = max((sum(m * math.comb(a, k) for a, m in classes.items()) for k in range(1, r + 1)), default=0)
+    need = BYTES_PER_KEY * keys + 8 * (r + 1) * h.num_vertices
+    check_bytes(need, f"{keys} candidate keys of one set size", CANDIDATE_HINT)
+    return need
 
 
-def _candidate_sets(h: Hypergraph) -> CandidateTable:
-    """Every distinct nonempty edge subset with its containment count."""
+def _candidate_sets(h: Hypergraph) -> CandidateSummary:
+    """The summary of every distinct nonempty edge subset, built one set size at a time."""
     r = max((len(e) for e in h.edges), default=0)
     offsets, binom = rank_tables(h.num_vertices, r, "candidate keys", CANDIDATE_HINT)
-    total = check_candidate_bytes(h)
+    check_candidate_bytes(h)
+    matrix, sizes = h.packed
+    # only an edge's own columns: the padding repeats a vertex
+    classes = {a: matrix[sizes == a, :a] for a in sorted({len(e) for e in h.edges})}
+    summaries = tuple(_size_summary(classes, k, offsets, binom) for k in range(1, r + 1))
+    return CandidateSummary(summaries, offsets, binom)
+
+
+def _size_summary(classes, k: int, offsets, binom) -> SizeSummary:
+    """The size-k keys of every edge, sorted and counted by run."""
     import numpy as np
 
-    matrix, sizes = h.packed
-    keys = np.empty(total, dtype=np.int64)
+    present = [(a, edges) for a, edges in classes.items() if a >= k]
+    lengths = [len(edges) * math.comb(a, k) for a, edges in present]
+    keys = np.empty(sum(lengths), dtype=np.int64)
     at = 0
-    for k in range(1, r + 1):
-        # only the edge's own k columns: the padding repeats a vertex
-        edges = matrix[sizes == k, :k]
-        for lo in range(0, len(edges), block_rows(1 << k)):
-            out = subset_keys(edges[lo : lo + block_rows(1 << k)], offsets, binom)[1:]  # less the empty set
+    for a, edges in present:
+        # size_keys holds a row's a elements and up to three of its partial layers
+        rows = block_rows(a + 3 * math.comb(a, k))
+        for lo in range(0, len(edges), rows):
+            out = size_keys(edges[lo : lo + rows], k, offsets, binom)
             keys[at : at + out.size] = out.ravel()
             at += out.size
-    edges = out = None  # the last block goes before the sort
-    keys.sort()
-    first = np.empty(total, dtype=bool)
+    out = None  # the last block goes before the sort
+    if len(present) > 1:  # each key tagged with the index of its edge size, to count each size apart
+        tags = np.repeat(np.arange(len(present), dtype=np.uint8), lengths)
+        order = keys.argsort()
+        keys, tags = keys[order], tags[order]
+        del order
+    else:
+        keys.sort()
+    first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    distinct, runs = keys[first], np.flatnonzero(first)
-    del keys, first
-    counts = np.diff(runs, append=total)
-    starts = (0, *np.searchsorted(distinct, offsets[1:]).tolist())
-    distinct.flags.writeable = counts.flags.writeable = False
-    return CandidateTable(distinct, counts, starts, offsets, binom)
+    starts = np.flatnonzero(first)
+    del first
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = len(keys) - starts[-1]
+    # N_{a,b,k} <= m_b * sum(c_a) <= len(keys)^2, so int64 reaches 2^63
+    # only past 2^31.5 keys of one size (24 GB of keys alone)
+    if len(present) > 1:
+        pairs = np.zeros((len(present), len(present)), dtype=np.int64)
+        step = block_rows(len(present))
+        for lo in range(0, len(starts), step):  # c_a(S) for every edge size a, for a block of runs
+            at = starts[lo : lo + step]
+            tagged = tags[at[0] : starts[lo + step] if lo + step < len(starts) else len(keys)]
+            per = np.stack([np.add.reduceat(tagged == i, at - at[0], dtype=np.int64) for i in range(len(present))])
+            pairs += per @ per.T
+    else:
+        pairs = np.array([[np.dot(counts, counts)]])
+    pairs = {(a, b): int(pairs[i, j]) for i, (a, _) in enumerate(present) for j, (b, _) in enumerate(present)}
+    top = np.maximum.accumulate(counts, out=counts)
+    rise = np.flatnonzero(np.concatenate(([True], top[1:] != top[:-1])))
+    values, least = top[rise], keys[starts[rise]]
+    values.flags.writeable = least.flags.writeable = False  # cached on the hypergraph and shared
+    return SizeSummary(k, len(starts), values, least, pairs)
 
 
 def _count_limit(m: int, kappa: float, k: int) -> int:
@@ -202,14 +282,14 @@ def max_spread(h: Hypergraph) -> SpreadCertificate:
     # those r (k, count) pairs are compared:
     # (m/c)^(1/k) < (m/c')^(1/k')  <=>  m^k' * c'^k < m^k * c^k'
     table = h.candidates
-    tops = [(k, int(counts.max())) for k, _, counts in table.sizes()]
+    tops = [(size.k, int(size.values[-1])) for size in table.sizes]
     low_k, low_cnt = tops[0]
     for k, cnt in tops[1:]:
         if m**low_k * low_cnt**k < m**k * cnt**low_k:
             low_k, low_cnt = k, cnt
     best, best_cnt = min(
-        (table.smallest(k, keys[counts == cnt]), cnt)
-        for (k, keys, counts), (_, cnt) in zip(table.sizes(), tops)
+        (table.decode(k, size.least[-1]), cnt)
+        for size, (k, cnt) in zip(table.sizes, tops)
         if m**low_k * low_cnt**k == m**k * cnt**low_k
     )
     kappa = (m / best_cnt) ** (1.0 / len(best))
@@ -228,11 +308,11 @@ def is_kappa_spread(h: Hypergraph, kappa: float):
     m = len(h.edges)
     table = h.candidates
     violators = []
-    for k, keys, counts in table.sizes():
-        # no count exceeds m, so the clamped limit fits int64
-        over = counts > min(_count_limit(m, kappa, k), m)
-        if over.any():
-            violators.append(table.smallest(k, keys[over]))
+    for size in table.sizes:
+        # the first value above the limit, clamped to m so that it fits int64
+        i = int(size.values.searchsorted(min(_count_limit(m, kappa, size.k), m), side="right"))
+        if i < len(size.values):
+            violators.append(table.decode(size.k, size.least[i]))
     return min(violators, default=None)
 
 

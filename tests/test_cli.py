@@ -105,10 +105,12 @@ def test_one_candidate_pass_per_invocation(hc5_path, tmp_path, monkeypatch, argv
     assert len(calls) == 1
 
 
-def test_spread_budget_before_allocation(tmp_path, capsys):
-    # one 26-vertex edge has 2^26 - 1 subsets: 537 MB of keys alone
+def test_spread_budget_before_allocation(tmp_path, monkeypatch, capsys):
+    # one 26-vertex edge: its largest set size holds C(26, 13) keys, at 34
+    # bytes a key, and the 27 x 26 binomials; one byte less is refused
     path = tmp_path / "big.json"
     write_hypergraph(Hypergraph.from_edges(26, [range(26)]), str(path))
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 353626015)
     tracemalloc.start()
     try:
         rc = main(["spread", str(path)])
@@ -116,13 +118,14 @@ def test_spread_budget_before_allocation(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert rc == 1
-    _single_error(capsys, f"67108863 candidate keys need 1677727191 bytes, above the budget of {2**30}")
+    _single_error(capsys, "10400600 candidate keys of one set size need 353626016 bytes, above the budget of 353626015")
     assert peak < 2**20
 
 
 def test_moments_refuses_what_spread_refuses(tmp_path, monkeypatch, capsys):
-    # --chebyshev counts the padded pairs from G's own table, so a 30-vertex
-    # edge is refused as `spread` refuses it: its 2^30 + 9 keys exceed the byte budget
+    # --chebyshev counts the padded pairs from G's own summary, so a 30-vertex
+    # edge is refused as `spread` refuses it: the C(30, 15) keys of its largest
+    # set size exceed the byte budget
     path = tmp_path / "wide.json"
     write_hypergraph(Hypergraph.from_edges(40, [range(30), *([v] for v in range(30, 40))]), str(path))
 
@@ -130,8 +133,9 @@ def test_moments_refuses_what_spread_refuses(tmp_path, monkeypatch, capsys):
         raise AssertionError("a key array before the byte budget was checked")
 
     monkeypatch.setattr(spread, "subset_keys", no_keys)
+    monkeypatch.setattr(spread, "size_keys", no_keys)
     message = (
-        f"1073741833 candidate keys need 26843555745 bytes, above the budget of {2**30}; "
+        f"155117520 candidate keys of one set size need 5274005600 bytes, above the budget of {2**30}; "
         "instance too large to count its edge subsets exactly"
     )
     assert main(["moments", str(path), "--chebyshev", "--q", "30", "--out", str(tmp_path / "o.txt")]) == 1
@@ -147,6 +151,9 @@ def test_moments_refuses_what_spread_refuses(tmp_path, monkeypatch, capsys):
     (["--model", "lifted-p", "--n", "-3", "--q", "2", "--p", "0.5"], "need q >= 1 and 0 <= p <= q and n >= 0"),
     (["--model", "colored-m", "--n", "10", "--m", "4", "--q", "0"], "need q >= 1 colors"),
     (["--model", "colored-p", "--n", "10", "--p", "0.5", "--q", "0"], "need q >= 1 colors"),
+    # above 2^64 colors randrange would reject every draw
+    (["--model", "colored-m", "--n", "10", "--m", "3", "--q", str(2**64 + 1)], "need q <= 2**64 colors"),
+    (["--model", "colored-p", "--n", "10", "--p", "0.5", "--q", str(2**64 + 1)], "need q <= 2**64 colors"),
 ])
 def test_sample_sizes_checked_before_the_first_draw(monkeypatch, capsys, argv, message):
     def no_draw(self):
@@ -533,6 +540,15 @@ def test_fragment_does_not_import_numpy_ma(hc5_path, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("model", [["colored-m", "--m", "3"], ["colored-p", "--p", "0.5"]], ids=["colored-m", "colored-p"])
+def test_sample_takes_2_64_colors(tmp_path, model):
+    # the largest q that randrange accepts: every 64-bit draw is a color
+    out = tmp_path / "s.txt"
+    assert main(["sample", "--model", *model, "--n", "10", "--q", str(2**64), "--out", str(out)]) == 0
+    colors = [int(line.split()[1]) for line in out.read_text().splitlines()[1:]]
+    assert colors and all(1 <= c <= 2**64 for c in colors)
 
 
 def test_sample_models(tmp_path):

@@ -1,6 +1,7 @@
 """Second-moment machinery: dual-path agreement, bound chains, endgame."""
 
 import math
+import tracemalloc
 
 import oracles
 import pytest
@@ -86,16 +87,33 @@ def test_delta_outputs_pinned():
     }
 
 
-def test_delta_size_classes_share_one_budget(monkeypatch):
-    # MIXED's whole table needs 742 bytes, its largest class table 542
-    monkeypatch.setattr(limits, "MEMORY_BYTES", 700)
+def test_delta_budget_is_per_set_size(monkeypatch):
+    # MIXED's largest set size is its 12 one-vertex keys (2 + 2 * 2 + 2 * 3),
+    # at 34 bytes a key, with the 4 x 6 binomials: 600 bytes
+    def no_keys(*args):
+        raise AssertionError("a key array before the byte budget was checked")
 
-    def no_table(h):
-        raise AssertionError("a class table before the summed budget was checked")
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 599)
+    with monkeypatch.context() as patch:
+        patch.setattr(spread, "size_keys", no_keys)
+        with pytest.raises(LimitExceeded, match="12 candidate keys of one set size need 600 bytes"):
+            janson_delta_exact(Hypergraph(MIXED.num_vertices, MIXED.edges, MIXED.r_bound), 4, 0.15)
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 600)
+    assert janson_delta_exact(Hypergraph(MIXED.num_vertices, MIXED.edges, MIXED.r_bound), 4, 0.15) == 1022.7289249999999
 
-    monkeypatch.setattr(spread, "_candidate_sets", no_table)
-    with pytest.raises(LimitExceeded, match="22 candidate keys need 742 bytes"):
-        janson_delta_exact(Hypergraph(MIXED.num_vertices, MIXED.edges, MIXED.r_bound), 4, 0.15)
+
+def test_candidate_peak_within_its_charge():
+    # the keys of one set size at a time: hc8's largest holds 176,400 keys
+    h = gen_hamilton(8)
+    tracemalloc.start()
+    try:
+        max_spread(h)
+        chebyshev_report(h, 8, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spread.check_candidate_bytes(h)
+    assert peak < 4 * 2**20
 
 
 def test_delta_single_edge_closed_form():

@@ -100,6 +100,10 @@ def test_randrange_bounds_and_determinism():
     assert set(vals) == set(range(6))
     t = RngStream(42, 1)
     assert [v + 1 for v in vals[:8]] == [t.randint(1, 6) for _ in range(8)]
+    assert RngStream(42, 1).randrange(2**64) == RngStream(42, 1).next_u64()  # every draw accepted
+    for n in (0, 2**64 + 1):  # no draw is ever accepted
+        with pytest.raises(ValueError, match="randrange needs 1 <= n <= 2\\*\\*64"):
+            s.randrange(n)
 
 
 def test_permutation_and_sample():

@@ -15,6 +15,7 @@ from rainbowspread.spread import (
     is_kappa_spread,
     max_spread,
     pad_to_uniform,
+    rank_tables,
 )
 
 
@@ -67,13 +68,25 @@ def test_max_spread_empty_errors():
 
 
 def test_enumeration_cap(monkeypatch):
-    # hc7: 360 edges of 127 subsets each, 25 bytes per key, and the 8 x 21 binomials
-    monkeypatch.setattr(limits, "MEMORY_BYTES", 1144343)
-    message = "45720 candidate keys need 1144344 bytes, above the budget of 1144343"
+    # hc7: its largest set size, 360 edges of 35 three-subsets each, at 34
+    # bytes a key, and the 8 x 21 binomials
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 429743)
+    message = "12600 candidate keys of one set size need 429744 bytes, above the budget of 429743"
     with pytest.raises(LimitExceeded, match=message):
         max_spread(gen_hamilton(7))
-    monkeypatch.setattr(limits, "MEMORY_BYTES", 1144344)
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 429744)
     assert max_spread(gen_hamilton(7)).witness == (0, 1, 7, 12, 16, 19, 20)
+
+
+def test_rank_tables_built_once_and_checked_every_call(monkeypatch):
+    # one pair of read-only arrays per (n, r), but the byte budget is read on every call
+    offsets, binom = rank_tables(50, 4)
+    again = rank_tables(50, 4)
+    assert again[0] is offsets and again[1] is binom
+    assert not (offsets.flags.writeable or binom.flags.writeable)
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 8 * 5 * 50 - 1)
+    with pytest.raises(LimitExceeded, match="the rank tables of keys need 2000 bytes"):
+        rank_tables(50, 4)
 
 
 def test_is_kappa_spread_examples():
