@@ -164,7 +164,13 @@ def cmd_fragment(args) -> int:
         raise ValueError(f"--seeds {args.seeds}: expected a stream id a or a range a:b") from None
     if not stream_ids:
         raise ValueError(f"--seeds {args.seeds}: range end is below its start")
-    check_fragment_inputs(h, args.q, args.gamma, args.C)  # before the spread oracle runs
+    # before the spread oracle runs; ell does not depend on kappa
+    ell = check_fragment_inputs(h, args.q, args.gamma, args.C).ell
+    for sid in (stream_ids[0], stream_ids[-1]):  # RngStream refuses an id outside [0, 2**64)
+        RngStream(seed, sid)
+    # held until written: 512 B a line of header, ell rounds and endgame (tracemalloc: 250-387)
+    traces = stream_ids.stop - stream_ids.start  # len() stops at 2**63
+    check_bytes(512 * (ell + 2) * traces, f"{traces} traces", "use a shorter --seeds range")
     kappa = max_spread(h).kappa
     lines = [_header(args, seed)]
     for sid in stream_ids:

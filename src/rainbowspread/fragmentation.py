@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .lifting import check_chromatic, lift_codes, lift_rainbow, lift_size  # noq
 from .limits import block_rows
 from .rng import RngStream, round_half_up
 from .sampling import ColoredSet, contains_rainbow_edge, sample_colored_m, sample_colored_p
-from .spread import max_spread, rank_tables, row_keys, subset_keys
+from .spread import max_spread, rank_tables, size_keys
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,10 @@ class Schedule:
     p_clamped: bool
 
 
-def check_fragment_inputs(h: Hypergraph, q: int, gamma: float, C: float) -> None:
-    """Refuse q < r, and r, gamma or C as `make_schedule` would whatever kappa is."""
+def check_fragment_inputs(h: Hypergraph, q: int, gamma: float, C: float) -> Schedule:
+    """Refuse q < r, and what `make_schedule` refuses at any kappa; return its schedule at kappa = 1."""
     check_chromatic(h, q)
-    make_schedule(h.r_bound, 1.0, gamma, C)
+    return make_schedule(h.r_bound, 1.0, gamma, C)
 
 
 def make_schedule(r: int, kappa: float, gamma: float, C: float) -> Schedule:
@@ -137,9 +137,10 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     remainder inside row i's own, ties broken by row order.
 
     Every remainder is indexed by its key.  Per remainder length k, in
-    blocks of rows, the keys of all subsets whose size some remainder has
-    are looked up at once; a row takes the hit of least size, and there
-    of least row.  Its own remainder is indexed, so every row hits.
+    blocks of rows, the keys of a row's subsets of each size up to k
+    that some remainder has are looked up at once; a row takes the hit
+    of least size, and there of least row.  Its own remainder is
+    indexed, so every row hits.
     """
     q, pad = store.q, store.pad
     offsets, binom = rank_tables(pad, store.codes.shape[1])
@@ -157,22 +158,31 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     # only subsets of these sizes can hit; bincount, because np.unique
     # without index or count outputs imports numpy.ma
     sizes = np.flatnonzero(np.bincount(lengths)).tolist()
+    if 0 in sizes:  # the empty remainder is inside every row's
+        return compat, rem, np.full(len(rem), np.argmax(lengths == 0)), lengths
+    index_keys = np.empty(len(rem), dtype=np.int64)
+    for k in sizes:
+        rows_k = np.flatnonzero(lengths == k)
+        block = block_rows(2 * k + 2)  # per row: its k codes, given and reflected, and two steps of one key
+        for lo in range(0, len(rows_k), block):
+            todo = rows_k[lo : lo + block]
+            index_keys[todo] = size_keys(rem[todo, :k], (k,), offsets, binom)[0]
+    rows_k = todo = None  # the last length group goes before the sort
     # np.unique's index is a key's first row, the least in row order
-    index_keys, index_rows = np.unique(row_keys(rem, offsets, binom), return_index=True)
-    if 0 in sizes:  # the empty remainder, key 0, is inside every row's
-        return compat, rem, np.full(len(rem), index_rows[0]), lengths
+    index_keys, index_rows = np.unique(index_keys, return_index=True)
     src = np.empty(len(rem), dtype=np.int64)
     # a hit on row j of size s ranks s * span + j: size first, then row
     span = len(rem) + 1
     rank = index_rows + span * lengths[index_rows]
     for k in sizes:
         rows_k = np.flatnonzero(lengths == k)
-        masks = np.array([p for p in range(1 << k) if p.bit_count() in sizes])
-        # per row: 2^k subset keys, and five arrays over the looked-up ones
-        block = block_rows((1 << k) + 5 * len(masks))
+        ks = [s for s in sizes if s <= k]
+        # per row: its k codes, given and reflected, and at most six arrays over
+        # the looked-up keys, the last block's keys and positions among them
+        block = block_rows(2 * k + 6 * sum(math.comb(k, s) for s in ks))
         for lo in range(0, len(rows_k), block):
             todo = rows_k[lo : lo + block]
-            found = subset_keys(rem[todo, :k], offsets, binom)[masks]
+            found = size_keys(rem[todo, :k], ks, offsets, binom)
             pos = np.minimum(np.searchsorted(index_keys, found), len(index_keys) - 1)
             best = np.where(index_keys[pos] == found, rank[pos], span * (k + 1)).min(axis=0)
             src[todo] = best % span
@@ -217,15 +227,9 @@ class RoundRecord:
     successful: bool
 
     def as_dict(self) -> dict:
-        return {
-            "round": self.index,
-            "w_size": self.w_size,
-            "survivors_before": self.survivors_before,
-            "compatible": self.compatible,
-            "survivors_after": self.survivors_after,
-            "good_fraction": self.good_fraction,
-            "successful": self.successful,
-        }
+        out = asdict(self)
+        out["round"] = out.pop("index")
+        return out
 
 
 @dataclass

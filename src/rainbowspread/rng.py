@@ -81,9 +81,11 @@ class RngStream:
     __slots__ = ("master_seed", "stream_id", "key", "counter")
 
     def __init__(self, master_seed: int, stream_id: int = 0):
-        self.master_seed = master_seed & _MASK
-        self.stream_id = stream_id & _MASK
-        self.key = mix64(self.master_seed) ^ mix64((self.stream_id + _STREAM_SALT) & _MASK)
+        for what, value in (("seed", master_seed), ("stream id", stream_id)):
+            if not 0 <= value <= _MASK:
+                raise ValueError(f"{what} {value} is outside [0, 2**64)")
+        self.master_seed, self.stream_id = master_seed, stream_id
+        self.key = mix64(master_seed) ^ mix64((stream_id + _STREAM_SALT) & _MASK)
         self.counter = 0
 
     def child(self, stream_id: int) -> "RngStream":

@@ -8,11 +8,11 @@ containment count 0 and its constraint is vacuous.
 Each candidate S of n elements is one int64 key, size first and then
 lexicographic: off[|S| + 1] - 1 - colex(S'), where off[k] = sum_{j<k}
 C(n, j) and colex(S') = C(t_1, 1) + ... + C(t_k, k) over S' = {n - 1 - s}
-ascending; reflection reverses the lexicographic order.  `rank_tables`,
-`subset_keys`, `size_keys` and `row_keys` are the one encoding, for
-fragmentation's remainders too.  Only a witness or a violator is decoded.
-The keys are built, sorted and summarized one set size at a time, so
-only the largest size's keys are ever held at once.
+ascending; reflection reverses the lexicographic order.  `rank_tables`
+and `size_keys`, the keys of a row's subsets of the sizes asked for, are
+the one encoding, for fragmentation's remainders too.  Only a witness or
+a violator is decoded.  The keys are built, sorted and summarized one
+set size at a time, so only the largest size's keys are ever held at once.
 """
 
 from __future__ import annotations
@@ -76,49 +76,35 @@ def _rank_arrays(n: int, offsets: tuple[int, ...]):
     return offsets, binom
 
 
-def subset_keys(rows, offsets, binom):
-    """The keys of all subsets of each row of rows, a (B, k) block of
-    ascending elements, as a (2^k, B) array: row p holds the subsets of
-    the (j + 1)-th largest elements for the bits j set in p."""
-    import numpy as np
-
-    t = (binom.shape[1] - 1) - rows.T[::-1]  # the rows reflected, ascending
-    out = np.zeros((1 << len(t), len(rows)), dtype=np.int64)
-    pop = np.zeros(1, dtype=np.intp)  # pop[p] = |S(p)| for each p below 2^j
-    # S'(2^j + p) = S'(p) + {t_j}, where t_j is the (|S(p)| + 1)-th smallest
-    for j in range(len(t)):
-        np.add(out[: 1 << j], binom[1 : j + 2, t[j]][pop], out=out[1 << j : 2 << j])
-        pop = np.concatenate([pop, pop + 1])
-    return np.subtract((offsets[pop + 1] - 1)[:, None], out, out=out)
-
-
-def row_keys(rows, offsets, binom):
-    """The key of each row of rows: ascending elements, padded on the right with n."""
-    n = binom.shape[1]
-    k = (rows < n).sum(axis=1)
-    # a pad's indices wrap around to some entry, which (i < k) zeroes
-    terms = (binom[k - i, n - 1 - rows[:, i]] * (i < k) for i in range(rows.shape[1]))
-    return offsets[k + 1] - 1 - sum(terms)
-
-
-def size_keys(rows, k, offsets, binom):
+def size_keys(rows, ks, offsets, binom):
     """The keys of the k-subsets of each row of rows, a (B, a) block of
-    ascending elements, as a (C(a, k), B) array."""
+    ascending elements, for each k of the ascending set sizes ks: a
+    (sum_k C(a, k), B) array holding the C(a, k) keys of each k in turn."""
     import numpy as np
 
     t = (binom.shape[1] - 1) - rows.T[::-1]  # the rows reflected, ascending
     a = len(t)
-    empty = np.empty((0, len(rows)), dtype=np.int64)
-    # part[s] holds colex(S') of each s-subset S' of t_0, ..., t_j, for the
-    # s from which the a - 1 - j elements left can still reach k; t_j joins
-    # an (s - 1)-subset as its s-th smallest, adding C(t_j, s)
-    part = {0: np.zeros((1, len(rows)), dtype=np.int64)}
+    gap = [next((k - s for k in ks if k >= s), a) for s in range(a + 1)]  # from s up to the next k
+    # after t_0, ..., t_j, layer s holds colex(S') of each s-subset S' of
+    # them, for the s from which the a - 1 - j elements left can still
+    # reach some k in ks; t_j joins an (s - 1)-subset as its s-th
+    # smallest, adding C(t_j, s).  The layers of a step share one array.
+    out = np.zeros((1, len(rows)), dtype=np.int64)
+    layers = {0: out}
     for j in range(a):
-        part = {
-            s: np.concatenate([part.get(s, empty), part[s - 1] + binom[s, t[j]] if s - 1 in part else empty])
-            for s in range(max(0, k - (a - 1 - j)), min(j + 1, k) + 1)
-        }
-    return np.subtract(offsets[k + 1] - 1, part[k], out=part[k])
+        keep = [s for s in range(j + 2) if gap[s] < a - j]
+        ends = list(accumulate(math.comb(j + 1, s) for s in keep))
+        out = np.empty((ends[-1], len(rows)), dtype=np.int64)
+        grown = {s: out[end - math.comb(j + 1, s) : end] for s, end in zip(keep, ends)}
+        for s, layer in grown.items():  # the s-subsets without t_j, then those with it
+            if s <= j:
+                layer[: math.comb(j, s)] = layers[s]
+            if s > 0:
+                np.add(layers[s - 1], binom[s, t[j]], out=layer[math.comb(j, s) :])
+        layers = grown
+    for k in ks:
+        np.subtract(offsets[k + 1] - 1, layers[k], out=layers[k])
+    return out
 
 
 @dataclass(frozen=True)
@@ -215,7 +201,7 @@ def _size_summary(classes, k: int, offsets, binom) -> SizeSummary:
         # size_keys holds a row's a elements and up to three of its partial layers
         rows = block_rows(a + 3 * math.comb(a, k))
         for lo in range(0, len(edges), rows):
-            out = size_keys(edges[lo : lo + rows], k, offsets, binom)
+            out = size_keys(edges[lo : lo + rows], (k,), offsets, binom)
             keys[at : at + out.size] = out.ravel()
             at += out.size
     out = None  # the last block goes before the sort

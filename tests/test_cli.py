@@ -132,7 +132,6 @@ def test_moments_refuses_what_spread_refuses(tmp_path, monkeypatch, capsys):
     def no_keys(*args):
         raise AssertionError("a key array before the byte budget was checked")
 
-    monkeypatch.setattr(spread, "subset_keys", no_keys)
     monkeypatch.setattr(spread, "size_keys", no_keys)
     message = (
         f"155117520 candidate keys of one set size need 5274005600 bytes, above the budget of {2**30}; "
@@ -398,6 +397,54 @@ def test_fragment_arguments_checked_before_spread(hc5_path, tmp_path, monkeypatc
     out = tmp_path / "f.txt"
     assert main(["fragment", "--hypergraph", hc5_path, "--q", "5", *extra, "--out", str(out)]) == 1
     _single_error(capsys, message)
+    assert not out.exists()
+
+
+def test_fragment_seed_range_ceiling(hc5_path, tmp_path, monkeypatch, capsys):
+    # hc5 at the default gamma 0.1 has ell 14, so a trace is charged 16
+    # lines of 512 bytes: at a budget of three traces 0:2 runs, and 0:3 is
+    # refused before the spread oracle runs
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 3 * 16 * 512)
+    argv = ["fragment", "--hypergraph", hc5_path, "--q", "5"]
+    assert main([*argv, "--seeds", "0:2", "--out", str(tmp_path / "f.txt")]) == 0
+
+    def no_spread(h):
+        raise AssertionError("spread oracle ran before the seed range was checked")
+
+    monkeypatch.setattr(cli, "max_spread", no_spread)
+    out = tmp_path / "g.txt"
+    assert main([*argv, "--seeds", "0:3", "--out", str(out)]) == 1
+    _single_error(capsys, "4 traces need 32768 bytes, above the budget of 24576; use a shorter --seeds range")
+    monkeypatch.setattr(limits, "MEMORY_BYTES", 1 << 30)
+    assert main([*argv, "--seeds", "0:100000000", "--out", str(out)]) == 1
+    _single_error(capsys, "100000001 traces need 819200008192 bytes")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    (["fragment", "--hypergraph", "{h}", "--q", "5", "--seed", "-1"], None, "seed -1"),
+    (["fragment", "--hypergraph", "{h}", "--q", "5", "--seeds", "-1"], None, "stream id -1"),
+    (["fragment", "--hypergraph", "{h}", "--q", "5", "--seeds", "3:18446744073709551616"], None,
+     "stream id 18446744073709551616"),
+    (["fragment", "--hypergraph", "{h}", "--q", "5"], "-1", "seed -1"),
+    (["threshold", "--hypergraph", "{h}", "--q", "5", "--seed", "18446744073709551616"], None,
+     "seed 18446744073709551616"),
+    (["sample", "--model", "uniform-m", "--n", "5", "--m", "2", "--stream", "-1"], None, "stream id -1"),
+    (["sample", "--model", "colored-m", "--n", "5", "--m", "2", "--q", "3", "--stream", "18446744073709551616"], None,
+     "stream id 18446744073709551616"),
+    (["sample", "--model", "uniform-m", "--n", "5", "--m", "2"], "18446744073709551616", "seed 18446744073709551616"),
+])
+def test_seeds_outside_64_bits_refused(hc5_path, tmp_path, monkeypatch, capsys, argv, env, message):
+    # RngStream used to keep the low 64 bits, so --seeds -1 ran as stream 2**64 - 1
+    def no_spread(h):
+        raise AssertionError("spread oracle ran before the seed was checked")
+
+    monkeypatch.setattr(cli, "max_spread", no_spread)
+    if env is not None:
+        monkeypatch.setenv("RAINBOWSPREAD_SEED", env)
+    out = tmp_path / "o.txt"
+    assert main([arg.format(h=hc5_path) for arg in argv] + ["--out", str(out)]) == 1
+    _single_error(capsys, f"{message} is outside [0, 2**64)")
     assert not out.exists()
 
 

@@ -22,7 +22,7 @@ from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import ChromaticityError, lift_size
 from rainbowspread.limits import LimitExceeded
 from rainbowspread.rng import RngStream
-from rainbowspread.spread import max_spread, rank_tables, row_keys
+from rainbowspread.spread import max_spread, rank_tables, size_keys
 
 
 def test_schedule_reference_point():
@@ -252,7 +252,7 @@ def test_key_width_boundary():
     # which first passes 2^63 at n = 1733
     offsets, binom = rank_tables(1732, 7)
     ends = np.array([range(7), range(1725, 1732)])
-    assert row_keys(ends, offsets, binom).tolist() == [int(offsets[7]), 9202297430591509407]
+    assert size_keys(ends, (7,), offsets, binom)[0].tolist() == [int(offsets[7]), 9202297430591509407]
     with pytest.raises(LimitExceeded, match="keys need 9239596690719816320 values"):
         rank_tables(1733, 7)
     assert issubclass(LimitExceeded, RainbowSpreadError)

@@ -136,3 +136,15 @@ def test_round_half_up():
     assert round_half_up(2.4999) == 2
     assert round_half_up(-0.5) == 0
     assert round_half_up(3.0) == 3
+
+
+@pytest.mark.parametrize("seed,stream_id,message", [
+    (-1, 0, "seed -1 is outside"),
+    (2**64, 0, "seed 18446744073709551616 is outside"),
+    (0, -1, "stream id -1 is outside"),
+    (0, 2**64, "stream id 18446744073709551616 is outside"),
+])
+def test_seed_and_stream_id_outside_64_bits(seed, stream_id, message):
+    with pytest.raises(ValueError, match=message):
+        RngStream(seed, stream_id)
+    assert RngStream(2**64 - 1, 2**64 - 1).stream_id == 2**64 - 1

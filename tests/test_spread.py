@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from rainbowspread.spread import (
     max_spread,
     pad_to_uniform,
     rank_tables,
+    size_keys,
 )
 
 
@@ -87,6 +90,39 @@ def test_rank_tables_built_once_and_checked_every_call(monkeypatch):
     monkeypatch.setattr(limits, "MEMORY_BYTES", 8 * 5 * 50 - 1)
     with pytest.raises(LimitExceeded, match="the rank tables of keys need 2000 bytes"):
         rank_tables(50, 4)
+
+
+def _check_size_keys(n, r, rows, ks):
+    """size_keys gives each k-subset of a row, for each k in ks in turn,
+    its index among the subsets of at most r of range(n) ordered by
+    (size, tuple)."""
+    order = sorted((s for k in range(r + 1) for s in combinations(range(n), k)), key=lambda s: (len(s), s))
+    index = {s: i for i, s in enumerate(order)}
+    a = len(rows[0])
+    out = size_keys(np.array(rows, dtype=np.int64).reshape(len(rows), a), ks, *rank_tables(n, r))
+    assert out.shape == (sum(math.comb(a, k) for k in ks), len(rows))
+    at = 0
+    for k in ks:
+        block = out[at : at + math.comb(a, k)]
+        at += math.comb(a, k)
+        for b, row in enumerate(rows):
+            assert sorted(block[:, b].tolist()) == sorted(index[s] for s in combinations(row, k))
+
+
+def test_size_keys_non_contiguous_sizes():
+    _check_size_keys(6, 4, [(0, 1, 2, 3), (1, 3, 4, 5), (2, 3, 4, 5)], (1, 3))
+    _check_size_keys(7, 5, [(0, 2, 3, 5, 6)], (0, 2, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_size_keys_match_the_order_by_size_then_tuple(data):
+    n = data.draw(st.integers(1, 8))
+    r = data.draw(st.integers(1, n))
+    a = data.draw(st.integers(0, n))
+    rows = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=a, max_size=a).map(sorted), min_size=1, max_size=4))
+    ks = sorted(data.draw(st.sets(st.integers(0, min(a, r)), min_size=1)))
+    _check_size_keys(n, r, rows, tuple(ks))
 
 
 def test_is_kappa_spread_examples():
