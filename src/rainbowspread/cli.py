@@ -48,10 +48,14 @@ def _header(args, seed: int) -> str:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RAINBOWSPREAD_SEED")
-    return int(env) if env else 0
+    """--seed, else RAINBOWSPREAD_SEED, else 0; refused outside [0, 2**64)."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("RAINBOWSPREAD_SEED")
+        seed = int(env) if env else 0
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return seed
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -95,10 +99,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    seed = _resolve_seed(args)
     if args.kappa is not None:
         check_kappa(args.kappa)
     h = read_hypergraph(args.hypergraph)
-    seed = _resolve_seed(args)
     if args.janson:
         check_janson_inputs(h, args.q, args.p)  # before the spread oracle runs
         kappa = args.kappa if args.kappa is not None else max_spread(h).kappa
@@ -121,8 +125,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    h = read_hypergraph(args.hypergraph)
     seed = _resolve_seed(args)
+    h = read_hypergraph(args.hypergraph)
     lines = [_header(args, seed)]
     m_list = [int(tok) for tok in args.m_list.split(",")] if args.m_list else []
     if m_list != sorted(m_list):
@@ -155,8 +159,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_fragment(args) -> int:
-    h = read_hypergraph(args.hypergraph)
     seed = _resolve_seed(args)
+    h = read_hypergraph(args.hypergraph)
     first, colon, last = args.seeds.partition(":")
     try:
         stream_ids = range(int(first), int(last if colon else first) + 1)

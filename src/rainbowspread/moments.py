@@ -2,11 +2,13 @@
 
 Delta sums E(zeta_H* zeta_J*) over ordered pairs of lifted edges whose
 *colored* intersection is nonempty, self-pairs included.  It is computed
-by a combinatorial aggregation that groups pairs by (base sizes, shared
-vertices, shared colors) and never materializes the lift.  The pairs per
-(base sizes, shared vertices) come from the containment counts of the
-spread oracle's candidate summary, so no pair of edges is enumerated;
-tests/oracles.py holds the brute-force pair enumeration it must match.
+by a combinatorial aggregation that groups pairs by (shared vertices,
+shared colors) and never materializes the lift.  The pairs per shared
+vertex count come from one sum of squared containment counts per set
+size in the spread oracle's candidate summary, so no pair of edges is
+enumerated; tests/oracles.py holds the brute-force pair enumeration it
+must match.  Delta needs an r-uniform H; the endgame sum counts its G as
+padded to r-uniform.
 """
 
 from __future__ import annotations
@@ -70,46 +72,45 @@ def _tau_extension_count(j: int, w: int, q: int, b: int) -> int:
     return total
 
 
-def _pair_group_term(a: int, b: int, w: int, q: int, x: float) -> float:
-    """Sum over ordered coloring pairs of one base pair with |E|=a, |F|=b,
-    w shared vertices: count pairs agreeing on exactly j >= 1 shared
-    vertices, weighted x^(a+b-j)."""
+def _pair_group_term(r: int, w: int, q: int, x: float) -> float:
+    """Sum over ordered coloring pairs of one base pair of r-sets with w
+    shared vertices: count pairs agreeing on exactly j >= 1 shared
+    vertices, weighted x^(2r-j)."""
     total = 0.0
-    ffa = falling_factorial(q, a)
+    ffr = falling_factorial(q, r)
     for j in range(1, w + 1):
-        count = ffa * math.comb(w, j) * _tau_extension_count(j, w, q, b)
+        count = ffr * math.comb(w, j) * _tau_extension_count(j, w, q, r)
         if count:
-            total += count * x ** (a + b - j)
+            total += count * x ** (2 * r - j)
     return total
 
 
-def _delta_aggregate(h: Hypergraph, q: int, x: float, pad_to: int = 0) -> float:
-    """Aggregation path: count ordered base pairs by the key (|E|, |F|, shared).
+def _delta_aggregate(h: Hypergraph, q: int, x: float) -> float:
+    """Aggregation path: count ordered base pairs by their shared vertices,
+    with h counted as padded to r-uniform (`pad_to_uniform`), unbuilt.
 
-    With c_a(S) the number of size-a edges that contain S, the ordered
-    pairs of a size-a and a size-b edge give
-    N_j = sum_{|S| = j} c_a(S) c_b(S) = sum_{(E, F)} C(|E cap F|, j), so
-    P_w = sum_{j >= w} (-1)^(j - w) C(j, w) N_j pairs share exactly w vertices.
-    The N_j of each pair of edge sizes are the `pairs` of h's candidate
-    summary.  pad_to = r counts the pairs of h padded to r-uniform
-    (`pad_to_uniform`) without building it: every edge is then of size r.
+    With c(S) the number of edges that contain S, the ordered pairs give
+    N_k = sum_{|S| = k} c(S)^2 = sum_{(E, F)} C(|E cap F|, k), so
+    P_w = sum_{k >= w} (-1)^(k - w) C(k, w) N_k pairs share exactly w
+    vertices.  The N_k are the `squares` of h's candidate summary.  The
+    padding is fresh for each edge copy, so padding moves only each
+    self-pair, from |E| to r shared; on an r-uniform h nothing moves.
     """
+    r = h.r_bound
     pairs = Counter()
     for size in h.candidates.sizes:
         k = size.k
-        for (a, b), nk in size.pairs.items():
-            for w in range(1, k + 1):  # N_k's share of each P_w with w <= k
-                pairs[(pad_to, pad_to, w) if pad_to else (a, b, w)] += (-1) ** (k - w) * math.comb(k, w) * nk
-    if pad_to:  # the padding is fresh for each edge copy: only a self-pair moves, from |E| to r shared
-        pairs.subtract((pad_to, pad_to, len(e)) for e in h.edges)
-        pairs[pad_to, pad_to, pad_to] += len(h)
-    return math.fsum(cnt * _pair_group_term(a, b, w, q, x) for (a, b, w), cnt in pairs.items() if cnt)
+        for w in range(1, k + 1):  # N_k's share of each P_w with w <= k
+            pairs[w] += (-1) ** (k - w) * math.comb(k, w) * size.squares
+    pairs.subtract(len(e) for e in h.edges)
+    pairs[r] += len(h)
+    return math.fsum(cnt * _pair_group_term(r, w, q, x) for w, cnt in pairs.items() if cnt)
 
 
 def janson_delta_exact(h: Hypergraph, q: int, p: float) -> float:
     """Delta: sum over colored-intersecting ordered pairs of lifted edges
-    of (1-p)^(|H*|+|J*|-|H* cap J*|)."""
-    check_chromatic(h, q)
+    of (1-p)^(|H*|+|J*|-|H* cap J*|), for an r-uniform H."""
+    check_janson_inputs(h, q, p)
     return _delta_aggregate(h, q, 1.0 - p)
 
 
@@ -169,8 +170,9 @@ def chebyshev_report(g: Hypergraph, q: int, alpha: float) -> MomentReport:
     check_chromatic(g, q)
     r = g.r_bound
     mu = alpha**r * falling_factorial(q, r) / q**r * len(g.edges)
-    delta = _delta_aggregate(g, q, alpha / q, pad_to=r)
-    cheb = min(1.0, delta / (mu * mu)) if mu > 0 else 1.0
+    delta = _delta_aggregate(g, q, alpha / q)
+    # Delta >= mu (its self-pairs), so where mu^2 underflows to 0 the bound is 1
+    cheb = min(1.0, delta / (mu * mu)) if mu * mu > 0 else 1.0
     report = MomentReport(
         mu=mu,
         delta=delta,

@@ -34,8 +34,7 @@ if TYPE_CHECKING:
 # when no two keys coincide: the key (8), its run start and count (16),
 # the run-start flag and the rise test (2), and the per-size edge rows cut
 # from `Hypergraph.packed`, at most one row element per size-1 key (8).
-# Several edge sizes sort through a permutation instead of the run
-# arrays (8 + 8 + 8 + 1 + 1).  Blocks of key work add a few BLOCK_ELEMENTS.
+# Blocks of key work add a few BLOCK_ELEMENTS.
 BYTES_PER_KEY = 34
 
 
@@ -113,16 +112,16 @@ class SizeSummary:
 
     Read in ascending key order, `values` holds each count above every
     count before it, and `least` the key where it first appears: the
-    least key whose count is at least that value.  `pairs[a, b]` is
-    N_{a,b,k} = sum_S c_a(S) c_b(S), with c_a(S) the number of size-a
-    edges that contain S, for each ordered pair of edge sizes a, b >= k.
+    least key whose count is at least that value.  `squares` is
+    N_k = sum_S c(S)^2, with c(S) the number of edges, of every size,
+    that contain S: the ordered pairs of edges that both contain S.
     """
 
     k: int
     distinct: int
     values: np.ndarray
     least: np.ndarray
-    pairs: dict[tuple[int, int], int]
+    squares: int
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,7 @@ def _size_summary(classes, k: int, offsets, binom) -> SizeSummary:
     import numpy as np
 
     present = [(a, edges) for a, edges in classes.items() if a >= k]
-    lengths = [len(edges) * math.comb(a, k) for a, edges in present]
-    keys = np.empty(sum(lengths), dtype=np.int64)
+    keys = np.empty(sum(len(edges) * math.comb(a, k) for a, edges in present), dtype=np.int64)
     at = 0
     for a, edges in present:
         # size_keys holds a row's a elements and up to three of its partial layers
@@ -205,13 +203,7 @@ def _size_summary(classes, k: int, offsets, binom) -> SizeSummary:
             keys[at : at + out.size] = out.ravel()
             at += out.size
     out = None  # the last block goes before the sort
-    if len(present) > 1:  # each key tagged with the index of its edge size, to count each size apart
-        tags = np.repeat(np.arange(len(present), dtype=np.uint8), lengths)
-        order = keys.argsort()
-        keys, tags = keys[order], tags[order]
-        del order
-    else:
-        keys.sort()
+    keys.sort()
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -220,24 +212,14 @@ def _size_summary(classes, k: int, offsets, binom) -> SizeSummary:
     counts = np.empty_like(starts)
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1] = len(keys) - starts[-1]
-    # N_{a,b,k} <= m_b * sum(c_a) <= len(keys)^2, so int64 reaches 2^63
-    # only past 2^31.5 keys of one size (24 GB of keys alone)
-    if len(present) > 1:
-        pairs = np.zeros((len(present), len(present)), dtype=np.int64)
-        step = block_rows(len(present))
-        for lo in range(0, len(starts), step):  # c_a(S) for every edge size a, for a block of runs
-            at = starts[lo : lo + step]
-            tagged = tags[at[0] : starts[lo + step] if lo + step < len(starts) else len(keys)]
-            per = np.stack([np.add.reduceat(tagged == i, at - at[0], dtype=np.int64) for i in range(len(present))])
-            pairs += per @ per.T
-    else:
-        pairs = np.array([[np.dot(counts, counts)]])
-    pairs = {(a, b): int(pairs[i, j]) for i, (a, _) in enumerate(present) for j, (b, _) in enumerate(present)}
+    # N_k <= len(keys)^2, so int64 reaches 2^63 only past 2^31.5 keys of
+    # one size (24 GB of keys alone)
+    squares = int(np.dot(counts, counts))
     top = np.maximum.accumulate(counts, out=counts)
     rise = np.flatnonzero(np.concatenate(([True], top[1:] != top[:-1])))
     values, least = top[rise], keys[starts[rise]]
     values.flags.writeable = least.flags.writeable = False  # cached on the hypergraph and shared
-    return SizeSummary(k, len(starts), values, least, pairs)
+    return SizeSummary(k, len(starts), values, least, squares)
 
 
 def _count_limit(m: int, kappa: float, k: int) -> int:

@@ -433,6 +433,10 @@ def test_fragment_seed_range_ceiling(hc5_path, tmp_path, monkeypatch, capsys):
     (["sample", "--model", "colored-m", "--n", "5", "--m", "2", "--q", "3", "--stream", "18446744073709551616"], None,
      "stream id 18446744073709551616"),
     (["sample", "--model", "uniform-m", "--n", "5", "--m", "2"], "18446744073709551616", "seed 18446744073709551616"),
+    (["moments", "{h}", "--chebyshev", "--q", "5", "--seed", "-1"], None, "seed -1"),
+    (["moments", "{h}", "--chebyshev", "--q", "5", "--seed", "18446744073709551616"], None,
+     "seed 18446744073709551616"),
+    (["moments", "{h}", "--chebyshev", "--q", "5"], "-1", "seed -1"),
 ])
 def test_seeds_outside_64_bits_refused(hc5_path, tmp_path, monkeypatch, capsys, argv, env, message):
     # RngStream used to keep the low 64 bits, so --seeds -1 ran as stream 2**64 - 1

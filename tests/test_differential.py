@@ -13,9 +13,9 @@ from rainbowspread import fragmentation, limits
 from rainbowspread.fragmentation import apply_round, endgame_hit, initial_survivors, run_fragmentation
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import lift_rainbow, lift_size
-from rainbowspread.moments import exact_uncover_probability, janson_delta_exact
+from rainbowspread.moments import chebyshev_report, exact_uncover_probability, janson_delta_exact
 from rainbowspread.rng import RngStream
-from rainbowspread.spread import is_kappa_spread, max_spread
+from rainbowspread.spread import is_kappa_spread, max_spread, pad_to_uniform
 from rainbowspread.threshold import TrialPool
 
 
@@ -102,10 +102,16 @@ def test_traces_match_oracle(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_delta_matches_oracle(data):
+    # Delta of h padded to r-uniform, and the endgame sum of h itself, which
+    # counts h as padded without building the padding
     h, q = data.draw(instances())
-    assume(lift_size(h, q) <= oracles.PAIRS_LIFT_CAP)
+    g = pad_to_uniform(h)
+    assume(lift_size(g, q) <= oracles.PAIRS_LIFT_CAP)
     p = data.draw(st.floats(0.0, 1.0))
-    assert math.isclose(janson_delta_exact(h, q, p), oracles.delta_pairs(h, q, 1.0 - p), rel_tol=1e-10)
+    assert math.isclose(janson_delta_exact(g, q, p), oracles.delta_pairs(g, q, 1.0 - p), rel_tol=1e-10)
+    alpha = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    delta = chebyshev_report(h, q, alpha).delta
+    assert math.isclose(delta, oracles.delta_pairs(g, q, alpha / q), rel_tol=1e-10)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 
 from rainbowspread import _kernels, limits, spread
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
-from rainbowspread.hypergraph import Hypergraph
+from rainbowspread.hypergraph import Hypergraph, HypergraphError
 from rainbowspread.lifting import falling_factorial, lift_rainbow, lift_size
 from rainbowspread.limits import LimitExceeded
 from rainbowspread.moments import (
@@ -23,7 +23,7 @@ from rainbowspread.moments import (
 )
 from rainbowspread.rng import RngStream
 from rainbowspread.sampling import contains_rainbow_edge, sample_colored_p
-from rainbowspread.spread import max_spread
+from rainbowspread.spread import max_spread, pad_to_uniform
 
 SINGLE = Hypergraph.from_edges(2, [(0, 1)])
 
@@ -37,22 +37,32 @@ DUAL_PATH_CASES = [
 ]
 
 
+def both_paths(h, q, p):
+    """Delta of h padded to r-uniform, then the endgame sum of h itself at
+    alpha = 1 - p, each beside its brute-force pair enumeration."""
+    g = pad_to_uniform(h)
+    return [
+        (janson_delta_exact(g, q, p), oracles.delta_pairs(g, q, 1 - p)),
+        (chebyshev_report(h, q, 1 - p).delta, oracles.delta_pairs(g, q, (1 - p) / q)),
+    ]
+
+
 @pytest.mark.parametrize("h,q,p", DUAL_PATH_CASES)
 def test_delta_dual_paths_agree(h, q, p):
-    agg = janson_delta_exact(h, q, p)
-    brute = oracles.delta_pairs(h, q, 1 - p)
-    assert math.isclose(agg, brute, rel_tol=1e-10)
+    for agg, brute in both_paths(h, q, p):
+        assert math.isclose(agg, brute, rel_tol=1e-10)
 
 
 @pytest.mark.parametrize("h,q,p", DUAL_PATH_CASES)
 def test_delta_aggregate_row_blocks(h, q, p, monkeypatch):
-    one_block = janson_delta_exact(Hypergraph(h.num_vertices, h.edges, h.r_bound), q, p)
+    one_block = both_paths(Hypergraph(h.num_vertices, h.edges, h.r_bound), q, p)
     # a budget below one row puts every edge in its own key block; a fresh
     # hypergraph, so that its candidate table is built under the patch
     monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 1)
-    blocked = janson_delta_exact(Hypergraph(h.num_vertices, h.edges, h.r_bound), q, p)
+    blocked = both_paths(Hypergraph(h.num_vertices, h.edges, h.r_bound), q, p)
     assert blocked == one_block
-    assert math.isclose(blocked, oracles.delta_pairs(h, q, 1 - p), rel_tol=1e-10)
+    for agg, brute in blocked:
+        assert math.isclose(agg, brute, rel_tol=1e-10)
 
 
 # sizes 1 to 3, and (1, 2) twice
@@ -61,7 +71,7 @@ MIXED = Hypergraph.from_edges(6, [(0,), (1, 2), (0, 1, 2), (2, 4, 5), (1, 2), (3
 
 def test_delta_outputs_pinned():
     # bit for bit: how Delta counts its pairs may change, these values may not
-    assert janson_delta_exact(MIXED, 4, 0.15) == 1022.7289249999999
+    assert janson_delta_exact(pad_to_uniform(MIXED), 4, 0.15) == 2061.617625
     assert chebyshev_report(MIXED, 4, 0.6).as_dict() == {
         "mu": 0.48599999999999993,
         "delta": 1.123875,
@@ -97,14 +107,30 @@ def test_delta_budget_is_per_set_size(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(spread, "size_keys", no_keys)
         with pytest.raises(LimitExceeded, match="12 candidate keys of one set size need 600 bytes"):
-            janson_delta_exact(Hypergraph(MIXED.num_vertices, MIXED.edges, MIXED.r_bound), 4, 0.15)
+            chebyshev_report(Hypergraph(MIXED.num_vertices, MIXED.edges, MIXED.r_bound), 4, 0.6)
     monkeypatch.setattr(limits, "MEMORY_BYTES", 600)
-    assert janson_delta_exact(Hypergraph(MIXED.num_vertices, MIXED.edges, MIXED.r_bound), 4, 0.15) == 1022.7289249999999
+    assert chebyshev_report(Hypergraph(MIXED.num_vertices, MIXED.edges, MIXED.r_bound), 4, 0.6).delta == 1.123875
 
 
-def test_candidate_peak_within_its_charge():
-    # the keys of one set size at a time: hc8's largest holds 176,400 keys
+def test_janson_delta_refuses_mixed_sizes():
+    with pytest.raises(HypergraphError, match="r-uniform"):
+        janson_delta_exact(MIXED, 4, 0.15)
+
+
+def test_chebyshev_bound_when_mu_squared_underflows():
+    # mu is positive but mu^2 is 0.0; Delta >= mu, so the bound is 1
+    report = chebyshev_report(Hypergraph.from_edges(4, [(0,)]), 1, 5e-324)
+    assert report.mu == report.delta == 5e-324
+    assert dict(report.chain_bounds)["chebyshev_zero_bound"] == 1.0
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["hc8", "hc8-mixed"])
+def test_candidate_peak_within_its_charge(mixed):
+    # the keys of one set size at a time: hc8's largest holds 176,400 keys;
+    # the mixed instance adds the first 4 vertices of every 8th edge
     h = gen_hamilton(8)
+    if mixed:
+        h = Hypergraph.from_edges(h.num_vertices, [*h.edges, *(e[:4] for e in h.edges[::8])])
     tracemalloc.start()
     try:
         max_spread(h)
