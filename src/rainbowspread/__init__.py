@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .hypergraph import Hypergraph, read_hypergraph, write_hypergraph
 from .spread import SpreadCertificate, containment_count, is_kappa_spread, max_spread, pad_to_uniform
-from .lifting import LiftedEdge, expected_edge_count, lift_rainbow, lifted_containment_count
+from .lifting import LiftedEdge, lift_rainbow
 from .rng import RngStream
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "max_spread",
     "pad_to_uniform",
     "LiftedEdge",
-    "expected_edge_count",
     "lift_rainbow",
-    "lifted_containment_count",
     "RngStream",
 ]

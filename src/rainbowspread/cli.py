@@ -106,9 +106,10 @@ def cmd_moments(args) -> int:
     if args.janson:
         check_janson_inputs(h, args.q, args.p)  # before the spread oracle runs
         kappa = args.kappa if args.kappa is not None else max_spread(h).kappa
-        report = janson_chain_check(h, args.q, args.p, kappa)
-    else:
-        report = chebyshev_report(h, args.q, args.alpha)
+    try:  # exact counts times float weights
+        report = janson_chain_check(h, args.q, args.p, kappa) if args.janson else chebyshev_report(h, args.q, args.alpha)
+    except OverflowError:
+        raise ValueError(f"q={args.q}: the lifted counts exceed the float range") from None
     payload = _header(args, seed) + "\n" + json.dumps(report.as_dict(), sort_keys=True) + "\n"
     _emit(args.out, payload)
     if args.human:
@@ -169,7 +170,7 @@ def cmd_fragment(args) -> int:
     if not stream_ids:
         raise ValueError(f"--seeds {args.seeds}: range end is below its start")
     # before the spread oracle runs; ell does not depend on kappa
-    ell = check_fragment_inputs(h, args.q, args.gamma, args.C).ell
+    ell = check_fragment_inputs(h, args.q, args.gamma, args.C)
     for sid in (stream_ids[0], stream_ids[-1]):  # RngStream refuses an id outside [0, 2**64)
         RngStream(seed, sid)
     # held until written: 512 B a line of header, ell rounds and endgame (tracemalloc: 250-387)

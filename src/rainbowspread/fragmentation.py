@@ -43,39 +43,44 @@ class Schedule:
     rho: float
     delta: float
     r_bounds: tuple[float, ...]  # r_0 .. r_ell, r_i = (1-gamma)^i r
-    r_ell_endgame: float  # sqrt(log r), the endgame fragment bound
     feasible: bool  # ell*p + rho <= 1
-    ell_log_bound_ok: bool  # ell <= log(r)/gamma
-    p_clamped: bool
 
 
-def check_fragment_inputs(h: Hypergraph, q: int, gamma: float, C: float) -> Schedule:
-    """Refuse q < r, and what `make_schedule` refuses at any kappa; return its schedule at kappa = 1."""
+def check_fragment_inputs(h: Hypergraph, q: int, gamma: float, C: float) -> int:
+    """Refuse q < r, and what `make_schedule` refuses at any kappa; return its ell."""
     check_chromatic(h, q)
-    return make_schedule(h.r_bound, 1.0, gamma, C)
+    return _round_count(h.r_bound, 1.0, gamma, C)
+
+
+def _round_count(r: int, kappa: float, gamma: float, C: float) -> int:
+    """Refuse what `make_schedule` refuses; return ell, the least ell >= 1 with (1-gamma)^ell <= sqrt(log r)/r."""
+    if r < 3:
+        raise ValueError("need r >= 3")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must be in (0, 1)")
+    if 1.0 - gamma == 1.0:
+        raise ValueError(f"gamma={gamma} is too small: 1 - gamma rounds to 1")
+    if not (kappa > 0 and math.isfinite(C) and C >= 1):
+        raise ValueError("need kappa > 0 and a finite C >= 1")
+    target = math.sqrt(math.log(r)) / r
+    ell = math.ceil(math.log(target) / math.log(1.0 - gamma))  # >= 1, as target < 1
+    # the float test decides, so ell is what stepping up from 1 would give
+    while ell > 1 and (1.0 - gamma) ** (ell - 1) <= target:
+        ell -= 1
+    while (1.0 - gamma) ** ell > target:
+        ell += 1
+    return ell
 
 
 def make_schedule(r: int, kappa: float, gamma: float, C: float) -> Schedule:
     """Round schedule: ell rounds at rate p = C/kappa, endgame rate rho.
 
-    ell is the smallest positive integer with (1-gamma)^ell <= sqrt(log r)/r.
-    A p above 1 is clamped to 1 (p_clamped), and a total rate ell*p + rho
-    above 1 is recorded (feasible), not rejected.
+    A p above 1 is clamped to 1, and a total rate ell*p + rho above 1 is
+    recorded (feasible), not rejected.
     """
-    if r < 3:
-        raise ValueError("need r >= 3")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
-    if not (kappa > 0 and math.isfinite(C) and C >= 1):
-        raise ValueError("need kappa > 0 and a finite C >= 1")
-    target = math.sqrt(math.log(r)) / r
-    ell = 1
-    while (1.0 - gamma) ** ell > target:
-        ell += 1
-    p_clamped = C / kappa > 1.0
+    ell = _round_count(r, kappa, gamma, C)
     p = min(C / kappa, 1.0)
     rho = math.log(r) / kappa
-    feasible = ell * p + rho <= 1.0
     return Schedule(
         r=r,
         kappa=kappa,
@@ -86,10 +91,7 @@ def make_schedule(r: int, kappa: float, gamma: float, C: float) -> Schedule:
         rho=rho,
         delta=1.0 / (2 * ell),
         r_bounds=tuple((1.0 - gamma) ** i * r for i in range(ell + 1)),
-        r_ell_endgame=math.sqrt(math.log(r)),
-        feasible=feasible,
-        ell_log_bound_ok=ell <= math.log(r) / gamma,
-        p_clamped=p_clamped,
+        feasible=ell * p + rho <= 1.0,
     )
 
 
@@ -311,15 +313,13 @@ def run_fragmentation(
     C: float,
     rng: RngStream,
     kappa: float | None = None,
-    fixed_size_rounds: bool = False,
 ) -> FragmentationTrace:
     """Run the full process once and record per-round statistics.
 
     Round samples use the binomial colored model on the residual ground
-    set (fixed_size_rounds=True switches to the m-subset model).  At desk
-    scale the schedule's total rate often exceeds 1, which only
-    invalidates the size claim of the final union, not the execution;
-    feasibility is recorded in the trace.
+    set.  At desk scale the schedule's total rate often exceeds 1, which
+    only invalidates the size claim of the final union, not the
+    execution; feasibility is recorded in the trace.
     """
     check_fragment_inputs(h, q, gamma, C)  # before the spread oracle runs
     if kappa is None:
@@ -340,11 +340,7 @@ def run_fragmentation(
     before = trace.lift_size
 
     for i in range(1, sched.ell + 1):
-        if fixed_size_rounds:
-            m_i = round_half_up(sched.p * len(residual))
-            sample = sample_colored_m(len(residual), m_i, q, rng)
-        else:
-            sample = sample_colored_p(len(residual), sched.p, q, rng)
+        sample = sample_colored_p(len(residual), sched.p, q, rng)
         wmap = {residual[j]: c for j, c in sample.assignment}
         if i == 1:
             survivors = initial_survivors(h, q, wmap)

@@ -19,6 +19,7 @@ from .hypergraph import Hypergraph
 HAMILTON_N_LIMIT = 9
 PERMUTATION_N_LIMIT = 8
 LOOSE_N_LIMIT = 11  # the largest n with n! <= 50,000,000 permutations to walk
+PM_N_LIMIT = 512  # the block walk recurses once per block, so up to n deep
 EDGE_COUNT_LIMIT = 1_000_000
 
 
@@ -86,6 +87,8 @@ def _perfect_matchings_above(n: int, k: int, limit: int) -> bool:
     binomial is built by its increasing partial products C(m - 1 - b + i, i),
     so the walk stops at the first partial product above the limit.
     """
+    if k == 1:  # one matching, of singletons
+        return 1 > limit
     count = 1
     for m in range(n, 0, -k):
         b = min(k - 1, m - k)  # C(m - 1, k - 1) = C(m - 1, b)
@@ -101,6 +104,8 @@ def gen_perfect_matching(n: int, k: int) -> Hypergraph:
     _check_perfect_matching(n, k)
     if _perfect_matchings_above(n, k, EDGE_COUNT_LIMIT):
         raise GeneratorError("instance exceeds edge-count limit")
+    if n > PM_N_LIMIT:  # one matching, k = 1 or k = n, of n vertices
+        raise GeneratorError(f"perfect matching limited to n <= {PM_N_LIMIT}")
     idx = k_subset_index(n, k)
     edges = []
     for blocks in _partitions_into_blocks(list(range(n)), k):
@@ -272,6 +277,7 @@ def parse_spec(text: str) -> StructureSpec:
         raise GeneratorError(f"{kind} spec needs k=")
     structure = None
     if entry.named is not None:
+        _check_permutation_limit(n)  # before a named structure on [n] is built
         if named in entry.named:
             structure = tuple(entry.named[named](n, k))
         elif "file" in params:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import RainbowSpreadError
-from .hypergraph import Hypergraph, HypergraphError
+from .hypergraph import Hypergraph
 from .limits import check_bytes
 
 
@@ -152,35 +152,3 @@ def lift_rainbow(h: Hypergraph, q: int, w: dict[int, int] | None = None) -> list
         LiftedEdge(base=b, colors=tuple(row[: len(h.edges[b])]))
         for b, row in zip(base.tolist(), colors)
     ]
-
-
-def lifted_containment_count(h: Hypergraph, q: int, colored_set) -> int:
-    """|H* intersect up-set(S*)| for a rainbow colored set S*, closed form.
-
-    colored_set maps vertex -> color.  Sum over edges E containing dom(S)
-    of (q-s)_{|E|-s} with s = |S|: colors on dom(S) are pinned, the rest
-    of E is colored injectively avoiding them.  Returns 0 when S repeats
-    a color (no rainbow superset exists).
-    """
-    check_chromatic(h, q)
-    assign = dict(colored_set)
-    s = len(assign)
-    if s == 0:
-        return lift_size(h, q)
-    if len(set(assign.values())) != s:
-        return 0
-    dom = set(assign)
-    total = 0
-    for e in h.edges:
-        if dom.issubset(e):
-            total += falling_factorial(q - s, len(e) - s)
-    return total
-
-
-def expected_edge_count(h: Hypergraph, p: float) -> float:
-    """Expected number of edges inside X_p for an r-uniform H: |H| p^r."""
-    if not h.is_uniform:
-        raise HypergraphError("expected_edge_count requires an r-uniform hypergraph")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a probability")
-    return len(h.edges) * p ** h.r_bound

@@ -184,11 +184,6 @@ def chebyshev_report(g: Hypergraph, q: int, alpha: float) -> MomentReport:
     return report
 
 
-def chebyshev_miss_bound(r: int, alpha: float, kappa: float) -> float:
-    """The closed-form miss bound 2 e r / (alpha kappa)."""
-    return 2.0 * math.e * r / (alpha * kappa)
-
-
 def exact_uncover_probability(g: Hypergraph, q: int, alpha: float) -> float:
     """Pr(colored alpha-sample contains no rainbow edge of G), by full
     enumeration over all (q+1)^N vertex states.  Feasible for N*q <= ~24.
@@ -215,19 +210,3 @@ def exact_uncover_probability(g: Hypergraph, q: int, alpha: float) -> float:
         miss = wcolor[:, _kernels.first_rainbow_edge(matrix, sizes, wcolor.T) < 0]
         uncovered += np.bincount(np.count_nonzero(miss, axis=0), minlength=n + 1)
     return math.fsum(int(c) * p_color**k * p_absent ** (n - k) for k, c in enumerate(uncovered))
-
-
-def binomial_median_check(n: int, p: float) -> bool:
-    """Pr(Bin(n,p) <= np) >= 1/2, exact CDF; requires np integral."""
-    np_val = n * p
-    k = round(np_val)
-    if abs(np_val - k) > 1e-9:
-        raise ValueError(f"n*p = {np_val} is not an integer")
-    cdf = math.fsum(math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(k + 1))
-    return cdf >= 0.5
-
-
-def untouched_lift_count(h: Hypergraph, q: int, touched_vertices) -> int:
-    """|{H* : base edge disjoint from the touched vertex set}|, exact."""
-    touched = set(touched_vertices)
-    return sum(falling_factorial(q, len(e)) for e in h.edges if touched.isdisjoint(e))

@@ -8,7 +8,6 @@ vertex two colors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,35 +27,11 @@ class ColoredSet:
     def from_dict(d: dict[int, int]) -> "ColoredSet":
         return ColoredSet(tuple(sorted(d.items())))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.assignment)
-
-    def domain(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.assignment)
-
     def __len__(self) -> int:
         return len(self.assignment)
 
-    def union(self, other: "ColoredSet") -> "ColoredSet":
-        """Merge; raises on a color clash (the union would leave Ẽ)."""
-        merged = self.as_dict()
-        for v, c in other.assignment:
-            if merged.setdefault(v, c) != c:
-                raise ValueError(f"vertex {v} would receive two colors")
-        return ColoredSet.from_dict(merged)
-
     def serialize(self) -> str:
         return "".join(f"{v} {c}\n" for v, c in self.assignment)
-
-    @staticmethod
-    def deserialize(text: str) -> "ColoredSet":
-        d = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                v, c = line.split()
-                d[int(v)] = int(c)
-        return ColoredSet.from_dict(d)
 
 
 @dataclass(frozen=True)
@@ -64,13 +39,6 @@ class LiftedSample:
     """A subset of X x [q]; one vertex may carry several colors."""
 
     elements: frozenset[tuple[int, int]]
-
-    def collision_pairs(self) -> int:
-        """Number of pairs {(x,c1),(x,c2)} sharing a vertex."""
-        per_vertex: dict[int, int] = {}
-        for v, _ in self.elements:
-            per_vertex[v] = per_vertex.get(v, 0) + 1
-        return sum(k * (k - 1) // 2 for k in per_vertex.values())
 
     def serialize(self) -> str:
         return "".join(f"{v} {c}\n" for v, c in sorted(self.elements))
@@ -123,24 +91,6 @@ def sample_lifted_binomial(n: int, q: int, p: float, rng: RngStream) -> LiftedSa
             if rng.bernoulli(pq):
                 elems.add((v, c))
     return LiftedSample(frozenset(elems))
-
-
-def expected_color_collisions(n: int, q: int, m: int) -> tuple[float, float]:
-    """(exact, quadratic approximation) expected collision pairs in a
-    uniform m-subset of X x [q].
-
-    Exact: each of the N*C(q,2) vertex-sharing pairs survives with
-    probability m(m-1)/((Nq)(Nq-1)).  The approximation
-    (Nq^2/2)(m/(qN))^2 is loose at desk scale.
-    """
-    if m > n * q:
-        raise ValueError("m exceeds |X x [q]|")
-    if m <= 1:
-        exact = 0.0
-    else:
-        exact = n * math.comb(q, 2) * m * (m - 1) / (n * q * (n * q - 1))
-    approx = (n * q * q / 2.0) * (m / (q * n)) ** 2
-    return exact, approx
 
 
 def contains_rainbow_edge(h: Hypergraph, w: ColoredSet):

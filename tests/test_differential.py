@@ -84,12 +84,11 @@ def test_traces_match_oracle(data):
     # whole runs, once on the store and once with the dict-form round
     h, q = data.draw(instances(min_r=3))
     gamma = data.draw(st.sampled_from([0.1, 0.3, 0.5]))
-    fixed = data.draw(st.booleans())
     seed, stream = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 50))
     kappa = max_spread(h).kappa
 
     def run():
-        return run_fragmentation(h, q, gamma, 1.0, RngStream(seed, stream), kappa=kappa, fixed_size_rounds=fixed)
+        return run_fragmentation(h, q, gamma, 1.0, RngStream(seed, stream), kappa=kappa)
 
     trace = run().serialize()
     with pytest.MonkeyPatch.context() as mp:

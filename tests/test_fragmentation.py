@@ -31,7 +31,6 @@ def test_schedule_reference_point():
     assert s.ell == 37
     assert (1 - 0.1) ** s.ell <= math.sqrt(math.log(100)) / 100 < (1 - 0.1) ** (s.ell - 1)
     assert s.ell <= math.log(100) / 0.1
-    assert s.ell_log_bound_ok
     assert s.delta == 1.0 / (2 * s.ell)
     assert s.p == 1.0 / 1000.0
     assert s.rho == math.log(100) / 1000.0
@@ -39,7 +38,6 @@ def test_schedule_reference_point():
     assert len(s.r_bounds) == s.ell + 1
     assert s.r_bounds[0] == 100
     assert math.isclose(s.r_bounds[-1], 0.9**37 * 100, rel_tol=1e-12)
-    assert s.r_ell_endgame == math.sqrt(math.log(100))
 
 
 def test_schedule_ell_shrinks_as_gamma_grows():
@@ -51,20 +49,33 @@ def test_schedule_ell_shrinks_as_gamma_grows():
 def test_schedule_strict_rejections():
     # an infeasible rate is recorded, not rejected
     s = make_schedule(100, 5.0, 0.1, 1.0)  # 37 * 0.2 + rho > 1
-    assert (s.p, s.p_clamped, s.feasible) == (0.2, False, False)
+    assert (s.p, s.C / s.kappa, s.feasible) == (0.2, 0.2, False)  # not clamped
     with pytest.raises(ValueError):
         make_schedule(2, 10.0, 0.3, 1.0)
     with pytest.raises(ValueError):
         make_schedule(10, 10.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="1 - gamma rounds to 1"):
+        make_schedule(10, 10.0, 1e-17, 1.0)
     for C in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite C >= 1"):
             make_schedule(10, 10.0, 0.3, C)
 
 
+def test_schedule_ell_matches_the_stepping_search():
+    # ell from the closed form, corrected by the float test, is the least
+    # ell >= 1 that stepping up from 1 finds
+    for r in (3, 4, 7, 10, 100, 10**6):
+        target = math.sqrt(math.log(r)) / r
+        for gamma in (1e-3, 0.01, 0.1, 0.25, 0.5, 0.9, 0.999, 1 - 1e-12):
+            ell = 1
+            while (1 - gamma) ** ell > target:
+                ell += 1
+            assert make_schedule(r, 10.0, gamma, 1.0).ell == ell
+
+
 def test_schedule_nonstrict_clamps():
     s = make_schedule(10, 2.0, 0.3, 3.0)  # p = 1.5 > 1
-    assert s.p == 1.0
-    assert s.p_clamped
+    assert s.p == 1.0 < s.C / s.kappa
     assert not s.feasible
 
 
@@ -275,13 +286,3 @@ def test_run_rejects_small_q():
     h = gen_hamilton(5)
     with pytest.raises(ChromaticityError, match="q=3 < r=5"):
         run_fragmentation(h, 3, 0.3, 1.0, RngStream(0, 0))
-
-
-def test_fixed_size_rounds_mode():
-    h = gen_perfect_matching(6, 2)
-    tr = run_fragmentation(
-        h, 4, 0.3, 1.0, RngStream(11, 0), fixed_size_rounds=True
-    )
-    assert len(tr.rounds) == tr.schedule.ell
-    if tr.endgame_hit:
-        assert tr.outcome_rainbow

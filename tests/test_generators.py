@@ -102,6 +102,21 @@ def test_pm_ceiling_stops_at_the_limit(monkeypatch, n, k):
         gen_perfect_matching(n, k)
 
 
+def test_pm_single_matching_ceiling():
+    # k = 1 and k = n give one matching, so only the n ceiling stops them
+    assert len(gen_perfect_matching(512, 1).edges) == len(gen_perfect_matching(512, 512).edges) == 1
+    for n, k in [(513, 1), (513, 513), (2**63, 1), (2**63, 2**63)]:
+        with pytest.raises(GeneratorError, match="perfect matching limited to n <= 512"):
+            gen_perfect_matching(n, k)
+
+
+@pytest.mark.parametrize("spec", ["tree:path,n={}", "tree:star,n={}", "cactus:loosepath,n={},k=2",
+                                  "cactus:loosepath,n={},k={}"])
+def test_named_structure_ceiling_before_it_is_built(spec):
+    with pytest.raises(GeneratorError, match="limited to n <= 8"):
+        parse_spec(spec.format(2**63, 2**63))
+
+
 @pytest.mark.parametrize("limit", [0, 1, 14, 15, 104, 105, 944, 945, 10_394, 10_395])
 def test_pm_ceiling_agrees_with_the_count(monkeypatch, limit):
     monkeypatch.setattr(generators, "EDGE_COUNT_LIMIT", limit)

@@ -11,16 +11,14 @@ import pytest
 import rainbowspread
 from rainbowspread import limits
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
-from rainbowspread.hypergraph import Hypergraph, HypergraphError
+from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import (
     ChromaticityError,
     _permutation_table,
-    expected_edge_count,
     falling_factorial,
     lift_codes,
     lift_rainbow,
     lift_size,
-    lifted_containment_count,
 )
 from rainbowspread.limits import LimitExceeded
 from rainbowspread.rng import RngStream
@@ -154,9 +152,9 @@ def test_lift_rainbow_budget_covers_its_list(monkeypatch):
 
 
 def test_lifted_containment_examples():
-    assert lifted_containment_count(EDGE, 3, {0: 1}) == 2
-    assert lifted_containment_count(EDGE, 3, {0: 1, 1: 1}) == 0  # repeated color
-    assert lifted_containment_count(EDGE, 3, {}) == lift_size(EDGE, 3)
+    assert brute_force_containment(EDGE, 3, {0: 1}) == 2
+    assert brute_force_containment(EDGE, 3, {0: 1, 1: 1}) == 0  # repeated color
+    assert brute_force_containment(EDGE, 3, {}) == lift_size(EDGE, 3)
 
 
 def brute_force_containment(h, q, assign):
@@ -166,10 +164,14 @@ def brute_force_containment(h, q, assign):
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_lifted_containment_matches_brute_force(q):
+    # |H* cap up(S*)| for a rainbow S* of size s: its colors are pinned and the
+    # rest of each edge E containing dom(S) is colored injectively, (q-s)_{|E|-s}
     h = Hypergraph.from_edges(4, [(0, 1), (1, 2), (0, 1, 2), (2, 3)])
     for s in [{}, {0: 1}, {1: 2}, {0: 1, 1: 2}, {0: 2, 2: 2}, {0: 1, 1: 1}]:
         if max(s.values(), default=0) <= q:
-            assert lifted_containment_count(h, q, s) == brute_force_containment(h, q, s)
+            rainbow = len(set(s.values())) == len(s)
+            closed = sum(falling_factorial(q - len(s), len(e) - len(s)) for e in h.edges if set(s) <= set(e))
+            assert brute_force_containment(h, q, s) == (closed if rainbow else 0)
 
 
 def enumerate_rainbow_subsets(h, q):
@@ -198,19 +200,6 @@ def test_lifted_spread_theorem(h, qs):
         total = lift_size(h, q)
         for sub in enumerate_rainbow_subsets(h, q):
             s = len(sub)
-            count = lifted_containment_count(h, q, dict(sub))
+            count = brute_force_containment(h, q, dict(sub))
             bound = math.e**s * total / (q * kappa) ** s
             assert count <= bound * (1 + 1e-12)
-
-
-def test_expected_edge_count():
-    hc = gen_hamilton(4)
-    assert expected_edge_count(hc, 1.0) == 3
-    h12 = Hypergraph.from_edges(6, [tuple(range(i, i + 5)) for i in range(2)] * 6)
-    assert expected_edge_count(h12, 0.5) == pytest.approx(12 * 0.5**5)
-    # |H| = kappa^r at p = 1/kappa gives expectation exactly 1
-    kappa = 9 ** (1 / 2.0)
-    h = Hypergraph.from_edges(6, [(i % 6, (i + 1 + i // 5) % 6) for i in range(9)])
-    assert expected_edge_count(h, 1 / kappa) == pytest.approx(1.0)
-    with pytest.raises(HypergraphError):
-        expected_edge_count(Hypergraph(3, ((0,), (0, 1)), 2), 0.5)

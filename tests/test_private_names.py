@@ -3,8 +3,9 @@
 A function, class or variable whose name starts with one underscore is
 module-private; when nothing in `src/` refers to it outside its own
 definition, it is dead code.  A public function or class is dead when
-nothing under `src/`, `tests/` or `perfbench/` names it outside its own
-definition.
+nothing under `src/` or `perfbench/` names it outside its own
+definition: a test is not a caller, and neither is a re-export from
+`__init__.py`.
 """
 
 import ast
@@ -82,8 +83,9 @@ def _named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 def dead_public_names(library: dict[str, str], others: dict[str, str]) -> list[str]:
     """`module: name` for each public top-level function or class of the
     library that no source, library or other, names outside its own
-    definition."""
+    definition; the library's `__init__.py` re-exports are not callers."""
     trees = {module: ast.parse(text) for module, text in library.items()}
+    callers = [tree for module, tree in trees.items() if module != "__init__.py"]
     other_names = set().union(*(_named(ast.parse(text)) for text in others.values()))
     dead = []
     for module, tree in trees.items():
@@ -91,7 +93,7 @@ def dead_public_names(library: dict[str, str], others: dict[str, str]) -> list[s
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             used = node.name in other_names or any(
-                node.name in _named(other, skip=node if other is tree else None) for other in trees.values()
+                node.name in _named(other, skip=node if other is tree else None) for other in callers
             )
             if not used:
                 dead.append(f"{module}: {node.name}")
@@ -119,10 +121,9 @@ def test_scan_finds_a_helper_left_behind():
     assert dead_private_names(sources) == ["a.py: _Orphan", "a.py: _helper", "a.py: _unused_table"]
 
 
-
 def test_no_dead_public_names():
     library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    others = {str(path): path.read_text() for folder in ("tests", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))}
+    others = {str(path): path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py"))}
     assert dead_public_names(library, others) == []
 
 
@@ -136,7 +137,9 @@ def test_public_scan_finds_a_function_left_behind():
             "def run():\n    return 1\n"
         ),
         "b.py": "from .a import run\n",
+        "__init__.py": "from .a import tested\n",
     }
-    others = {"test_a.py": "from a import tested\n", "hooks.py": 'SPANS = [("a", "traced")]\n'}
-    # helper calls only itself; the others are imported or named by a hook string
-    assert dead_public_names(library, others) == ["a.py: Orphan", "a.py: helper"]
+    others = {"hooks.py": 'SPANS = [("a", "traced")]\n'}
+    # helper calls only itself and tested is only re-exported; run is
+    # imported by a module and traced is named by a hook string
+    assert dead_public_names(library, others) == ["a.py: Orphan", "a.py: helper", "a.py: tested"]

@@ -5,6 +5,7 @@ over at least 1e5 draws, with frozen seeds so reruns are stable.
 """
 
 import math
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -20,7 +21,6 @@ from rainbowspread.rng import RngStream
 from rainbowspread.sampling import (
     ColoredSet,
     contains_rainbow_edge,
-    expected_color_collisions,
     sample_binomial_subset,
     sample_colored_m,
     sample_colored_p,
@@ -40,12 +40,7 @@ def chi_square_ok(observed, expected):
 def test_colored_set_basics():
     c = ColoredSet.from_dict({3: 1, 1: 2})
     assert c.assignment == ((1, 2), (3, 1))
-    assert c.domain() == frozenset({1, 3})
-    assert c.as_dict() == {1: 2, 3: 1}
-    d = ColoredSet.deserialize(c.serialize())
-    assert d == c
-    u = c.union(ColoredSet.from_dict({5: 4}))
-    assert u.as_dict() == {1: 2, 3: 1, 5: 4}
+    assert c.serialize() == "1 2\n3 1\n"
 
 
 def test_uniform_subset_law():
@@ -118,8 +113,8 @@ def test_lifted_binomial_collisions():
     rng = RngStream(106, 0)
     total_pairs = 0
     for _ in range(trials):
-        s = sample_lifted_binomial(n, q, p, rng)
-        total_pairs += s.collision_pairs()
+        per_vertex = Counter(v for v, _ in sample_lifted_binomial(n, q, p, rng).elements)
+        total_pairs += sum(math.comb(k, 2) for k in per_vertex.values())
     mean = total_pairs / trials
     pq2 = (p / q) ** 2
     expect = n * math.comb(q, 2) * pq2
@@ -127,28 +122,11 @@ def test_lifted_binomial_collisions():
     assert abs(mean - expect) <= 4 * sd + 0.01
 
 
-def test_expected_collisions_small_enumeration():
-    # exact formula vs full enumeration of ordered m-subsets of the
-    # (vertex, color) grid, N=2, q=2, m=2
-    n, q, m = 2, 2, 2
-    pairs = [(v, c) for v in range(n) for c in range(1, q + 1)]
-    total = 0
-    count = 0
-    for sub in combinations(pairs, m):
-        count += 1
-        by_v = {}
-        for v, c in sub:
-            by_v.setdefault(v, set()).add(c)
-        total += sum(math.comb(len(s), 2) for s in by_v.values())
-    exact, approx = expected_color_collisions(n, q, m)
-    assert math.isclose(exact, total / count, rel_tol=1e-12)
-    # N q^2 / 2 * (m / (qN))^2
-    assert math.isclose(approx, n * q * q / 2 * (m / (q * n)) ** 2, rel_tol=1e-12)
-
-
 def test_expected_collisions_monte_carlo():
+    # each of the N C(q, 2) vertex-sharing pairs of X x [q] lies in a uniform
+    # m-subset with probability m(m-1) / (Nq(Nq-1))
     n, q, m, trials = 4, 3, 5, 100_000
-    exact, _ = expected_color_collisions(n, q, m)
+    exact = n * math.comb(q, 2) * m * (m - 1) / (n * q * (n * q - 1))
     rng = RngStream(107, 0)
     pairs = [(v, c) for v in range(n) for c in range(1, q + 1)]
     total = 0
@@ -203,8 +181,8 @@ def test_contains_rainbow_edge_monotone():
         if hit is not None:
             # adding more colored vertices never destroys the hit
             extra = sample_colored_p(6, 0.5, 3, rng)
-            merged = dict(extra.as_dict())
-            merged.update(cs.as_dict())  # cs wins clashes
+            merged = dict(extra.assignment)
+            merged.update(cs.assignment)  # cs wins clashes
             assert contains_rainbow_edge(h, ColoredSet.from_dict(merged)) is not None
 
 
@@ -214,7 +192,7 @@ def test_restricted_lift_matches_brute_force():
     lifted = lift_rainbow(h, q)
     rng = RngStream(109, 0)
     for _ in range(20):
-        wmap = sample_colored_p(5, 0.4, q, rng).as_dict()
+        wmap = dict(sample_colored_p(5, 0.4, q, rng).assignment)
         # an edge survives when its colors agree with w on every shared vertex
         brute = [
             le
