@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .errors import RainbowSpreadError
-from .fragmentation import check_fragment_inputs, run_fragmentation
+from .fragmentation import check_fragment_inputs, make_schedule, run_fragmentation
 from .generators import parse_spec
 from .hypergraph import read_hypergraph, write_hypergraph
 from .limits import check_bytes
@@ -109,7 +109,8 @@ def cmd_moments(args) -> int:
     try:  # exact counts times float weights
         report = janson_chain_check(h, args.q, args.p, kappa) if args.janson else chebyshev_report(h, args.q, args.alpha)
     except OverflowError:
-        raise ValueError(f"q={args.q}: the lifted counts exceed the float range") from None
+        names = f"q={args.q}, kappa={kappa}" if args.janson else f"q={args.q}"
+        raise ValueError(f"{names}: the moments exceed the float range") from None
     payload = _header(args, seed) + "\n" + json.dumps(report.as_dict(), sort_keys=True) + "\n"
     _emit(args.out, payload)
     if args.human:
@@ -129,7 +130,10 @@ def cmd_threshold(args) -> int:
     seed = _resolve_seed(args)
     h = read_hypergraph(args.hypergraph)
     lines = [_header(args, seed)]
-    m_list = [int(tok) for tok in args.m_list.split(",")] if args.m_list else []
+    try:
+        m_list = [int(tok) for tok in args.m_list.split(",")] if args.m_list else []
+    except ValueError:
+        raise ValueError(f"--m-list {args.m_list}: expected comma-separated integers") from None
     if m_list != sorted(m_list):
         raise ValueError("--m-list must be sorted")
     # one pool, so the sweep reads the trials the estimate drew; the
@@ -176,13 +180,10 @@ def cmd_fragment(args) -> int:
     # held until written: 512 B a line of header, ell rounds and endgame (tracemalloc: 250-387)
     traces = stream_ids.stop - stream_ids.start  # len() stops at 2**63
     check_bytes(512 * (ell + 2) * traces, f"{traces} traces", "use a shorter --seeds range")
-    kappa = max_spread(h).kappa
+    sched = make_schedule(h, args.q, max_spread(h).kappa, args.gamma, args.C)
     lines = [_header(args, seed)]
     for sid in stream_ids:
-        trace = run_fragmentation(
-            h, args.q, args.gamma, args.C, RngStream(seed, sid), kappa=kappa
-        )
-        lines.append(trace.serialize().rstrip("\n"))
+        lines.append(run_fragmentation(h, sched, RngStream(seed, sid)).serialize().rstrip("\n"))
     _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -208,8 +209,16 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an argument as every other refusal: one `error:` line and
+    EXIT_USAGE, no usage block.  Subparsers are of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="rainbowspread", description=__doc__)
+    ap = _Parser(prog="rainbowspread", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spread", help="exact spread certificate for a hypergraph file")

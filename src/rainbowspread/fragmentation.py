@@ -18,22 +18,26 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .hypergraph import Hypergraph
-# lift_rainbow is not called here; it stays bound by name because
-# perfbench's tracer wraps it in every module that names it
+# lift_rainbow and max_spread are not called here; they stay bound by
+# name because perfbench's tracer wraps them in every module that names them
 from .lifting import check_chromatic, lift_codes, lift_rainbow, lift_size  # noqa: F401
 from .limits import block_rows
 from .rng import RngStream, round_half_up
 from .sampling import ColoredSet, contains_rainbow_edge, sample_colored_m, sample_colored_p
-from .spread import max_spread, rank_tables, size_keys
+from .spread import max_spread, rank_tables, size_keys  # noqa: F401
 
 
 @dataclass(frozen=True)
 class Schedule:
+    """What every seed of one run shares: the rates, ell and |H*|."""
+
+    q: int
+    lift_size: int  # |H*|
     r: int
     kappa: float
     gamma: float
@@ -42,25 +46,21 @@ class Schedule:
     p: float
     rho: float
     delta: float
-    r_bounds: tuple[float, ...]  # r_0 .. r_ell, r_i = (1-gamma)^i r
     feasible: bool  # ell*p + rho <= 1
 
 
 def check_fragment_inputs(h: Hypergraph, q: int, gamma: float, C: float) -> int:
-    """Refuse q < r, and what `make_schedule` refuses at any kappa; return its ell."""
+    """Refuse q < r and what `make_schedule` refuses at any kappa; return
+    ell, the least ell >= 1 with (1-gamma)^ell <= sqrt(log r)/r."""
     check_chromatic(h, q)
-    return _round_count(h.r_bound, 1.0, gamma, C)
-
-
-def _round_count(r: int, kappa: float, gamma: float, C: float) -> int:
-    """Refuse what `make_schedule` refuses; return ell, the least ell >= 1 with (1-gamma)^ell <= sqrt(log r)/r."""
+    r = h.r_bound
     if r < 3:
         raise ValueError("need r >= 3")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
     if 1.0 - gamma == 1.0:
         raise ValueError(f"gamma={gamma} is too small: 1 - gamma rounds to 1")
-    if not (kappa > 0 and math.isfinite(C) and C >= 1):
+    if not (math.isfinite(C) and C >= 1):
         raise ValueError("need kappa > 0 and a finite C >= 1")
     target = math.sqrt(math.log(r)) / r
     ell = math.ceil(math.log(target) / math.log(1.0 - gamma))  # >= 1, as target < 1
@@ -72,16 +72,21 @@ def _round_count(r: int, kappa: float, gamma: float, C: float) -> int:
     return ell
 
 
-def make_schedule(r: int, kappa: float, gamma: float, C: float) -> Schedule:
+def make_schedule(h: Hypergraph, q: int, kappa: float, gamma: float, C: float) -> Schedule:
     """Round schedule: ell rounds at rate p = C/kappa, endgame rate rho.
 
     A p above 1 is clamped to 1, and a total rate ell*p + rho above 1 is
     recorded (feasible), not rejected.
     """
-    ell = _round_count(r, kappa, gamma, C)
+    ell = check_fragment_inputs(h, q, gamma, C)
+    if not kappa > 0:
+        raise ValueError("need kappa > 0 and a finite C >= 1")
+    r = h.r_bound
     p = min(C / kappa, 1.0)
     rho = math.log(r) / kappa
     return Schedule(
+        q=q,
+        lift_size=lift_size(h, q),
         r=r,
         kappa=kappa,
         gamma=gamma,
@@ -90,7 +95,6 @@ def make_schedule(r: int, kappa: float, gamma: float, C: float) -> Schedule:
         p=p,
         rho=rho,
         delta=1.0 / (2 * ell),
-        r_bounds=tuple((1.0 - gamma) ** i * r for i in range(ell + 1)),
         feasible=ell * p + rho <= 1.0,
     )
 
@@ -220,7 +224,7 @@ def endgame_hit(survivors: FragmentStore, wmap: dict[int, int]) -> bool:
 
 @dataclass
 class RoundRecord:
-    index: int
+    round: int
     w_size: int
     survivors_before: int
     compatible: int
@@ -228,25 +232,18 @@ class RoundRecord:
     good_fraction: float
     successful: bool
 
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["round"] = out.pop("index")
-        return out
-
 
 @dataclass
 class FragmentationTrace:
     seed: int
     stream_id: int
-    q: int
     schedule: Schedule
-    lift_size: int
-    rounds: list[RoundRecord] = field(default_factory=list)
-    endgame_w_size: int = 0
-    endgame_hit: bool = False
-    outcome_rainbow: bool = False
-    all_rounds_successful: bool = False
-    final_survivors: int = 0
+    rounds: list[RoundRecord]
+    endgame_w_size: int
+    endgame_hit: bool
+    outcome_rainbow: bool
+    all_rounds_successful: bool
+    final_survivors: int
 
     def serialize(self) -> str:
         """Canonical line-delimited form (no timing, byte-deterministic)."""
@@ -257,7 +254,7 @@ class FragmentationTrace:
                 {
                     "seed": self.seed,
                     "stream_id": self.stream_id,
-                    "q": self.q,
+                    "q": self.schedule.q,
                     "r": self.schedule.r,
                     "kappa": round(self.schedule.kappa, 12),
                     "gamma": self.schedule.gamma,
@@ -266,13 +263,13 @@ class FragmentationTrace:
                     "p": round(self.schedule.p, 12),
                     "rho": round(self.schedule.rho, 12),
                     "feasible": self.schedule.feasible,
-                    "lift_size": self.lift_size,
+                    "lift_size": self.schedule.lift_size,
                 },
                 sort_keys=True,
             )
         ]
         for rec in self.rounds:
-            lines.append(json.dumps(rec.as_dict(), sort_keys=True))
+            lines.append(json.dumps(vars(rec), sort_keys=True))
         lines.append(
             json.dumps(
                 {
@@ -306,38 +303,20 @@ def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]) -> FragmentSt
     return FragmentStore(codes=codes, mult=mult, q=q, pad=pad)
 
 
-def run_fragmentation(
-    h: Hypergraph,
-    q: int,
-    gamma: float,
-    C: float,
-    rng: RngStream,
-    kappa: float | None = None,
-) -> FragmentationTrace:
-    """Run the full process once and record per-round statistics.
+def run_fragmentation(h: Hypergraph, sched: Schedule, rng: RngStream) -> FragmentationTrace:
+    """Run the full process once on `sched`, made for h by `make_schedule`,
+    and record per-round statistics.
 
     Round samples use the binomial colored model on the residual ground
     set.  At desk scale the schedule's total rate often exceeds 1, which
     only invalidates the size claim of the final union, not the
     execution; feasibility is recorded in the trace.
     """
-    check_fragment_inputs(h, q, gamma, C)  # before the spread oracle runs
-    if kappa is None:
-        kappa = max_spread(h).kappa
-    sched = make_schedule(h.r_bound, kappa, gamma, C)
-
-    trace = FragmentationTrace(
-        seed=rng.master_seed,
-        stream_id=rng.stream_id,
-        q=q,
-        schedule=sched,
-        lift_size=lift_size(h, q),
-    )
-
+    q = sched.q
     residual = list(range(h.num_vertices))
     w_union: dict[int, int] = {}
-    all_successful = True
-    before = trace.lift_size
+    rounds = []
+    before = sched.lift_size
 
     for i in range(1, sched.ell + 1):
         sample = sample_colored_p(len(residual), sched.p, q, rng)
@@ -345,38 +324,35 @@ def run_fragmentation(
         if i == 1:
             survivors = initial_survivors(h, q, wmap)
 
-        survivors, compatible, after = apply_round(survivors, wmap, sched.r_bounds[i])
-        successful = after >= (1.0 - sched.delta) * before
-        all_successful = all_successful and successful
-        trace.rounds.append(
+        survivors, compatible, after = apply_round(survivors, wmap, (1.0 - sched.gamma) ** i * sched.r)
+        rounds.append(
             RoundRecord(
-                index=i,
+                round=i,
                 w_size=len(wmap),
                 survivors_before=before,
                 compatible=compatible,
                 survivors_after=after,
                 good_fraction=after / before if before else 0.0,
-                successful=successful,
+                successful=after >= (1.0 - sched.delta) * before,
             )
         )
         before = after
-        for v, c in wmap.items():
-            w_union[v] = c
+        w_union.update(wmap)
         residual = [v for v in residual if v not in wmap]
 
     # endgame: a uniform Nrho-subset of the residual, randomly colored
     m_end = min(round_half_up(h.num_vertices * sched.rho), len(residual))
     sample = sample_colored_m(len(residual), m_end, q, rng)
     wend = {residual[j]: c for j, c in sample.assignment}
-    hit = endgame_hit(survivors, wend)
-    for v, c in wend.items():
-        w_union[v] = c
-
-    trace.endgame_w_size = len(wend)
-    trace.endgame_hit = hit
-    trace.final_survivors = before
-    trace.all_rounds_successful = all_successful
-    trace.outcome_rainbow = (
-        contains_rainbow_edge(h, ColoredSet.from_dict(w_union)) is not None
+    w_union.update(wend)
+    return FragmentationTrace(
+        seed=rng.master_seed,
+        stream_id=rng.stream_id,
+        schedule=sched,
+        rounds=rounds,
+        endgame_w_size=len(wend),
+        endgame_hit=endgame_hit(survivors, wend),
+        outcome_rainbow=contains_rainbow_edge(h, ColoredSet.from_dict(w_union)) is not None,
+        all_rounds_successful=all(rec.successful for rec in rounds),
+        final_survivors=before,
     )
-    return trace

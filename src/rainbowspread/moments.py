@@ -135,7 +135,8 @@ def janson_chain_check(h: Hypergraph, q: int, p: float, kappa: float) -> MomentR
     mu = janson_mu(h, q, p)
     delta = janson_delta_exact(h, q, p)
     if p < 1.0:
-        intermediate = mu * mu * ((1.0 + math.e / (q * kappa * (1.0 - p))) ** r - 1.0)
+        # (1 + x)^r - 1 without the cancellation that zeroes it once 1 + x rounds to 1
+        intermediate = mu * mu * math.expm1(r * math.log1p(math.e / (q * kappa * (1.0 - p))))
     else:
         intermediate = 0.0
     final = 4.0 * mu * mu / kappa

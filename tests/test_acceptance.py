@@ -175,8 +175,9 @@ def test_acceptance_07_fragmentation_consistency():
     cases = [(gen_perfect_matching(8, 2), 4), (gen_hamilton(6), 6)]
     for h, q in cases:
         star = lift_size(h, q)
+        sched = make_schedule(h, q, max_spread(h).kappa, 0.3, 1.0)
         for sid in range(200):
-            tr = run_fragmentation(h, q, 0.3, 1.0, RngStream(700, sid))
+            tr = run_fragmentation(h, sched, RngStream(700, sid))
             if tr.endgame_hit:
                 assert tr.outcome_rainbow  # (a)
             for i, rec in enumerate(tr.rounds, start=1):  # (b) via good counting
@@ -185,7 +186,7 @@ def test_acceptance_07_fragmentation_consistency():
             if tr.all_rounds_successful:  # (d)
                 assert 2 * tr.final_survivors > star
             if sid < 25:  # (c)
-                again = run_fragmentation(h, q, 0.3, 1.0, RngStream(700, sid))
+                again = run_fragmentation(h, sched, RngStream(700, sid))
                 assert tr.serialize().encode() == again.serialize().encode()
     report("fragmentation: 200 seeded runs per instance consistent, traces byte-identical")
 
@@ -226,7 +227,7 @@ def test_acceptance_08_threshold_behavior():
 
 
 def test_acceptance_09_schedule_arithmetic():
-    s = make_schedule(100, 1000.0, 0.1, 1.0)
+    s = make_schedule(Hypergraph(0, (), 100), 100, 1000.0, 0.1, 1.0)  # r = 100, no edges
     assert s.ell == 37
     assert s.ell <= math.log(100) / 0.1
     assert (1 - 0.1) ** 37 <= math.sqrt(math.log(100)) / 100 < (1 - 0.1) ** 36

@@ -34,6 +34,17 @@ def _single_error(capsys, message):
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("argv", [[], ["spread"], ["threshold", "--hypergraph", "h.json", "--q", "x"],
+                                  ["sample", "--model", "none", "--n", "3"]])
+def test_argument_refusals_are_one_error_line(capsys, argv):
+    # exit 2 means a requested check failed, so argparse refusals exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_spread_ok_and_check(hc5_path, capsys):
     assert main(["spread", hc5_path]) == 0
     out = capsys.readouterr().out
@@ -223,10 +234,28 @@ def test_moments_janson(hc5_path, tmp_path, capsys):
 @pytest.mark.parametrize("q", [10**30, 10**50])
 def test_moments_counts_beyond_the_float_range(tmp_path, capsys, mode, q):
     # at r = 7 the pair sums hold q^13 colorings, above a float at q = 10^30
+    h = Hypergraph.from_edges(9, [tuple(range(i, i + 7)) for i in range(3)])
     path = tmp_path / "u7.json"
-    write_hypergraph(Hypergraph.from_edges(9, [tuple(range(i, i + 7)) for i in range(3)]), str(path))
+    write_hypergraph(h, str(path))
     assert main(["moments", str(path), mode, "--q", str(q), "--p", "0.05"]) == 1
-    _single_error(capsys, f"q={q}: the lifted counts exceed the float range")
+    names = f"q={q}, kappa={spread.max_spread(h).kappa}" if mode == "--janson" else f"q={q}"
+    _single_error(capsys, f"{names}: the moments exceed the float range")
+
+
+def test_moments_overflow_names_kappa(hc5_path, capsys):
+    # x = e / (q kappa (1-p)) is about 5.7e299, so (1 + x)^5 has no float
+    assert main(["moments", hc5_path, "--janson", "--q", "5", "--p", "0.05", "--kappa", "1e-300"]) == 1
+    _single_error(capsys, "q=5, kappa=1e-300: the moments exceed the float range")
+
+
+def test_moments_janson_at_huge_q(hc5_path, tmp_path):
+    # x = e / (q kappa (1-p)) is below float epsilon at q = 10^17, where
+    # (1 + x)^r - 1 once read 0 and the chain check failed
+    out = tmp_path / "m.json"
+    assert main(["moments", hc5_path, "--janson", "--q", str(10**17), "--p", "0.05", "--out", str(out)]) == 0
+    report = json.loads(out.read_text().split("\n")[1])
+    assert report["chain_bounds"]["intermediate_bound"] > report["delta"] > 0
+    assert report["checks"] == {"delta_le_intermediate": True}
 
 
 def test_moments_janson_accepts_own_kappa(tmp_path):
@@ -331,6 +360,7 @@ def test_threshold_rejects_bad_trials_and_target(hc5_path, tmp_path, monkeypatch
 @pytest.mark.parametrize("edges,m_list,message", [
     ((), "2,3", "hypergraph has no edges"),
     (((0, 1),), "3,2", "--m-list must be sorted"),
+    (((0, 1),), ",3", "--m-list ,3: expected comma-separated integers"),
 ])
 def test_threshold_validates_before_trials(tmp_path, monkeypatch, capsys, edges, m_list, message):
     path = tmp_path / "h.json"

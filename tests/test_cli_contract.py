@@ -1,7 +1,8 @@
 """The CLI's error contract over drawn arguments.
 
 Every run of `cli.main` exits 0, 1 or 2; a failed run prints exactly one
-`error:` line; no exception escapes.  Each subcommand runs in-process on
+`error:` line; an argument that argparse refuses exits 1, as every other
+usage error; no exception escapes.  Each subcommand runs in-process on
 tiny written instances, with its numbers drawn from boundary values,
 under a small byte budget and an alarm, so no run starts a process or
 runs for long.
@@ -107,7 +108,8 @@ def test_cli_contract(paths, argv):
             try:
                 code = cli.main(argv)
                 refused = code == cli.EXIT_USAGE
-            except SystemExit as exc:  # argparse refuses an argument
+            except SystemExit as exc:  # argparse refuses an argument, as a usage error
+                assert exc.code == cli.EXIT_USAGE
                 code, refused = exc.code, True
     finally:
         signal.alarm(0)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rainbowspread import fragmentation, limits
-from rainbowspread.fragmentation import apply_round, endgame_hit, initial_survivors, run_fragmentation
+from rainbowspread.fragmentation import apply_round, endgame_hit, initial_survivors, make_schedule, run_fragmentation
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import lift_rainbow, lift_size
 from rainbowspread.moments import chebyshev_report, exact_uncover_probability, janson_delta_exact
@@ -85,10 +85,10 @@ def test_traces_match_oracle(data):
     h, q = data.draw(instances(min_r=3))
     gamma = data.draw(st.sampled_from([0.1, 0.3, 0.5]))
     seed, stream = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 50))
-    kappa = max_spread(h).kappa
+    sched = make_schedule(h, q, max_spread(h).kappa, gamma, 1.0)
 
     def run():
-        return run_fragmentation(h, q, gamma, 1.0, RngStream(seed, stream), kappa=kappa)
+        return run_fragmentation(h, sched, RngStream(seed, stream))
 
     trace = run().serialize()
     with pytest.MonkeyPatch.context() as mp:

@@ -25,9 +25,14 @@ from rainbowspread.rng import RngStream
 from rainbowspread.spread import max_spread, rank_tables, size_keys
 
 
+def schedule(r, kappa, gamma, C):
+    """The schedule of an edgeless hypergraph of rank r at q = r colors."""
+    return make_schedule(Hypergraph(0, (), r), r, kappa, gamma, C)
+
+
 def test_schedule_reference_point():
     # r=100, gamma=0.1: smallest ell with 0.9^ell <= sqrt(log 100)/100
-    s = make_schedule(100, 1000.0, 0.1, 1.0)
+    s = schedule(100, 1000.0, 0.1, 1.0)
     assert s.ell == 37
     assert (1 - 0.1) ** s.ell <= math.sqrt(math.log(100)) / 100 < (1 - 0.1) ** (s.ell - 1)
     assert s.ell <= math.log(100) / 0.1
@@ -35,30 +40,31 @@ def test_schedule_reference_point():
     assert s.p == 1.0 / 1000.0
     assert s.rho == math.log(100) / 1000.0
     assert s.feasible
-    assert len(s.r_bounds) == s.ell + 1
-    assert s.r_bounds[0] == 100
-    assert math.isclose(s.r_bounds[-1], 0.9**37 * 100, rel_tol=1e-12)
+    assert (s.q, s.lift_size) == (100, 0)
 
 
 def test_schedule_ell_shrinks_as_gamma_grows():
-    ells = [make_schedule(50, 500.0, g, 1.0).ell for g in (0.05, 0.2, 0.5, 0.9)]
+    ells = [schedule(50, 500.0, g, 1.0).ell for g in (0.05, 0.2, 0.5, 0.9)]
     assert ells == sorted(ells, reverse=True)
     assert ells[-1] >= 1
 
 
 def test_schedule_strict_rejections():
     # an infeasible rate is recorded, not rejected
-    s = make_schedule(100, 5.0, 0.1, 1.0)  # 37 * 0.2 + rho > 1
+    s = schedule(100, 5.0, 0.1, 1.0)  # 37 * 0.2 + rho > 1
     assert (s.p, s.C / s.kappa, s.feasible) == (0.2, 0.2, False)  # not clamped
     with pytest.raises(ValueError):
-        make_schedule(2, 10.0, 0.3, 1.0)
+        schedule(2, 10.0, 0.3, 1.0)
     with pytest.raises(ValueError):
-        make_schedule(10, 10.0, 1.0, 1.0)
+        schedule(10, 10.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="1 - gamma rounds to 1"):
-        make_schedule(10, 10.0, 1e-17, 1.0)
+        schedule(10, 10.0, 1e-17, 1.0)
     for C in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite C >= 1"):
-            make_schedule(10, 10.0, 0.3, C)
+            schedule(10, 10.0, 0.3, C)
+    for kappa in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="need kappa > 0"):
+            schedule(10, kappa, 0.3, 1.0)
 
 
 def test_schedule_ell_matches_the_stepping_search():
@@ -70,11 +76,11 @@ def test_schedule_ell_matches_the_stepping_search():
             ell = 1
             while (1 - gamma) ** ell > target:
                 ell += 1
-            assert make_schedule(r, 10.0, gamma, 1.0).ell == ell
+            assert schedule(r, 10.0, gamma, 1.0).ell == ell
 
 
 def test_schedule_nonstrict_clamps():
-    s = make_schedule(10, 2.0, 0.3, 3.0)  # p = 1.5 > 1
+    s = schedule(10, 2.0, 0.3, 3.0)  # p = 1.5 > 1
     assert s.p == 1.0 < s.C / s.kappa
     assert not s.feasible
 
@@ -172,8 +178,9 @@ def test_apply_round_full_coloring():
     assert compatible == 0 and new == {}
 
 
-def run_once(h, q, seed, stream=0):
-    return run_fragmentation(h, q, 0.3, 1.0, RngStream(seed, stream))
+def run_once(h, q, seed, stream=0, gamma=0.3):
+    sched = make_schedule(h, q, max_spread(h).kappa, gamma, 1.0)
+    return run_fragmentation(h, sched, RngStream(seed, stream))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -184,10 +191,10 @@ def test_trace_invariants(seed):
     assert isinstance(tr, FragmentationTrace)
     assert len(tr.rounds) == tr.schedule.ell
     for i, rec in enumerate(tr.rounds, start=1):
-        assert rec.index == i
+        assert rec.round == i
         assert 0 <= rec.survivors_after <= rec.compatible <= rec.survivors_before
         assert 0.0 <= rec.good_fraction <= 1.0
-    assert tr.rounds[0].survivors_before == tr.lift_size
+    assert tr.rounds[0].survivors_before == tr.schedule.lift_size == lift_size(h, q)
     for prev, rec in zip(tr.rounds, tr.rounds[1:]):
         assert rec.survivors_before == prev.survivors_after
     assert tr.final_survivors == tr.rounds[-1].survivors_after
@@ -216,7 +223,7 @@ def test_traces_frozen():
     for h, q in [(gen_perfect_matching(6, 2), 4), (gen_hamilton(5), 6)]:
         for sid in range(10):
             for gamma in (0.1, 0.3):
-                digest.update(run_fragmentation(h, q, gamma, 1.0, RngStream(11, sid)).serialize().encode())
+                digest.update(run_once(h, q, 11, sid, gamma).serialize().encode())
     assert digest.hexdigest() == "0963f455239428733e2d5b51720000119f468dd92a8fe6724c22d1fdba7fe55f"
 
 
@@ -285,4 +292,33 @@ def test_key_width_checked_before_the_lift(monkeypatch):
 def test_run_rejects_small_q():
     h = gen_hamilton(5)
     with pytest.raises(ChromaticityError, match="q=3 < r=5"):
-        run_fragmentation(h, 3, 0.3, 1.0, RngStream(0, 0))
+        make_schedule(h, 3, max_spread(h).kappa, 0.3, 1.0)
+
+
+def test_rounds_get_their_size_bounds(monkeypatch):
+    # round i keeps the remainders of size at most r_i = (1-gamma)^i r
+    h, q, gamma = gen_hamilton(5), 6, 0.3
+    bounds = []
+
+    def record(survivors, wmap, r_i):
+        bounds.append(r_i)
+        return apply_round(survivors, wmap, r_i)
+
+    monkeypatch.setattr(fragmentation, "apply_round", record)
+    tr = run_once(h, q, 3, gamma=gamma)
+    assert bounds == [(1 - gamma) ** i * h.r_bound for i in range(1, tr.schedule.ell + 1)]
+
+
+def test_seeds_share_the_schedule(monkeypatch):
+    # every seed-independent step happens in make_schedule: a run reads
+    # |H*|, kappa and ell from the schedule and validates nothing again
+    h, q = gen_perfect_matching(6, 2), 4
+    sched = make_schedule(h, q, max_spread(h).kappa, 0.3, 1.0)
+    expected = [run_fragmentation(h, sched, RngStream(5, sid)).serialize() for sid in range(6)]
+
+    def per_run(*args, **kwargs):
+        raise AssertionError("seed-independent work done again for a seed")
+
+    for name in ("lift_size", "max_spread", "check_fragment_inputs"):
+        monkeypatch.setattr(fragmentation, name, per_run)
+    assert [run_fragmentation(h, sched, RngStream(5, sid)).serialize() for sid in range(6)] == expected

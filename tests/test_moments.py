@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import oracles
 import pytest
@@ -218,6 +219,23 @@ def test_chain_check_gated_instance():
     assert checks["delta_le_final"]
     assert rep.delta <= bounds["four_mu_sq_over_kappa"]
     assert bounds["four_mu_sq_over_kappa"] <= bounds["intermediate_bound"] * 100
+
+
+@pytest.mark.parametrize("q", [3, 7, 10**6, 10**17])
+def test_intermediate_bound_is_exact_to_rounding(q):
+    # mu^2 ((1 + x)^r - 1) with x = e / (q kappa (1-p)); once x is below
+    # float epsilon, 1 + x rounds to 1 and the bound must not read 0
+    p = 0.05
+    for h in (gen_perfect_matching(6, 3), gen_hamilton(5)):
+        if q < h.r_bound:
+            continue
+        kappa = max_spread(h).kappa
+        rep = janson_chain_check(h, q, p, kappa)
+        x = Fraction(math.e / (q * kappa * (1.0 - p)))
+        exact = Fraction(rep.mu) ** 2 * ((1 + x) ** h.r_bound - 1)
+        got = Fraction(dict(rep.chain_bounds)["intermediate_bound"])
+        assert abs(got - exact) <= exact * Fraction(1, 10**12)
+        assert dict(rep.checks)["delta_le_intermediate"]
 
 
 def test_chain_check_rejects_bad_kappa():
