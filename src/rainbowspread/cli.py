@@ -177,14 +177,14 @@ def cmd_fragment(args) -> int:
     ell = check_fragment_inputs(h, args.q, args.gamma, args.C)
     for sid in (stream_ids[0], stream_ids[-1]):  # RngStream refuses an id outside [0, 2**64)
         RngStream(seed, sid)
-    # held until written: 512 B a line of header, ell rounds and endgame (tracemalloc: 250-387)
+    # held until written: 512 B a line of every trace's header, ell rounds and endgame,
+    # and 256 B more a line of the one trace being recorded (tracemalloc, a line: 409 B
+    # over ten traces, 576 B over one)
     traces = stream_ids.stop - stream_ids.start  # len() stops at 2**63
-    check_bytes(512 * (ell + 2) * traces, f"{traces} traces", "use a shorter --seeds range")
+    check_bytes((512 * traces + 256) * (ell + 2), f"{traces} traces", "use a shorter --seeds range or a larger --gamma")
     sched = make_schedule(h, args.q, max_spread(h).kappa, args.gamma, args.C)
-    lines = [_header(args, seed)]
-    for sid in stream_ids:
-        lines.append(run_fragmentation(h, sched, RngStream(seed, sid)).serialize().rstrip("\n"))
-    _emit(args.out, "\n".join(lines) + "\n")
+    body = [run_fragmentation(h, sched, RngStream(seed, sid)).serialize() for sid in stream_ids]
+    _emit(args.out, "".join([_header(args, seed) + "\n", *body]))
     return EXIT_OK
 
 

@@ -169,7 +169,9 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     index_keys = np.empty(len(rem), dtype=np.int64)
     for k in sizes:
         rows_k = np.flatnonzero(lengths == k)
-        block = block_rows(2 * k + 2)  # per row: its k codes, given and reflected, and two steps of one key
+        # per row: its k codes, given and reflected, its key, two partial sizes
+        # of one subset each and one binomial gathered
+        block = block_rows(2 * k + 4)
         for lo in range(0, len(rows_k), block):
             todo = rows_k[lo : lo + block]
             index_keys[todo] = size_keys(rem[todo, :k], (k,), offsets, binom)[0]
@@ -212,6 +214,20 @@ def apply_round(survivors: FragmentStore, wmap: dict[int, int], r_i: float):
     chosen = np.flatnonzero(merged)
     new = FragmentStore(codes=rem[chosen], mult=merged[chosen], q=survivors.q, pad=survivors.pad)
     return new, int(mult.sum()), int(merged.sum())
+
+
+def empty_round(survivors: FragmentStore, r_i: float):
+    """`apply_round` with an empty sample on a store that psi made.
+
+    psi's output is an antichain: a kept row Y inside a kept row X would
+    be a smaller remainder inside the row that picked X.  With no sample
+    every row is compatible and is its own remainder, the only indexed
+    set inside it, so it picks itself: the round keeps the rows of
+    length <= r_i.
+    """
+    keep = (survivors.codes != survivors.pad).sum(axis=1) <= r_i
+    new = replace(survivors, codes=survivors.codes[keep], mult=survivors.mult[keep])
+    return new, int(survivors.mult.sum()), int(new.mult.sum())
 
 
 def endgame_hit(survivors: FragmentStore, wmap: dict[int, int]) -> bool:
@@ -282,7 +298,7 @@ class FragmentationTrace:
                 sort_keys=True,
             )
         )
-        return "\n".join(lines) + "\n"
+        return "\n".join([*lines, ""])
 
 
 def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]) -> FragmentStore:
@@ -321,10 +337,13 @@ def run_fragmentation(h: Hypergraph, sched: Schedule, rng: RngStream) -> Fragmen
     for i in range(1, sched.ell + 1):
         sample = sample_colored_p(len(residual), sched.p, q, rng)
         wmap = {residual[j]: c for j, c in sample.assignment}
+        r_i = (1.0 - sched.gamma) ** i * sched.r
         if i == 1:
             survivors = initial_survivors(h, q, wmap)
-
-        survivors, compatible, after = apply_round(survivors, wmap, (1.0 - sched.gamma) ** i * sched.r)
+        if wmap or i == 1:  # round 1's restricted lift need not be an antichain
+            survivors, compatible, after = apply_round(survivors, wmap, r_i)
+        else:
+            survivors, compatible, after = empty_round(survivors, r_i)
         rounds.append(
             RoundRecord(
                 round=i,

@@ -78,31 +78,30 @@ def _rank_arrays(n: int, offsets: tuple[int, ...]):
 def size_keys(rows, ks, offsets, binom):
     """The keys of the k-subsets of each row of rows, a (B, a) block of
     ascending elements, for each k of the ascending set sizes ks: a
-    (sum_k C(a, k), B) array holding the C(a, k) keys of each k in turn."""
+    (sum_k C(a, k), B) array holding the C(a, k) keys of each k in turn,
+    each in colex order of the reflected row."""
     import numpy as np
 
     t = (binom.shape[1] - 1) - rows.T[::-1]  # the rows reflected, ascending
     a = len(t)
-    gap = [next((k - s for k in ks if k >= s), a) for s in range(a + 1)]  # from s up to the next k
-    # after t_0, ..., t_j, layer s holds colex(S') of each s-subset S' of
-    # them, for the s from which the a - 1 - j elements left can still
-    # reach some k in ks; t_j joins an (s - 1)-subset as its s-th
-    # smallest, adding C(t_j, s).  The layers of a step share one array.
-    out = np.zeros((1, len(rows)), dtype=np.int64)
-    layers = {0: out}
-    for j in range(a):
-        keep = [s for s in range(j + 2) if gap[s] < a - j]
-        ends = list(accumulate(math.comb(j + 1, s) for s in keep))
-        out = np.empty((ends[-1], len(rows)), dtype=np.int64)
-        grown = {s: out[end - math.comb(j + 1, s) : end] for s, end in zip(keep, ends)}
-        for s, layer in grown.items():  # the s-subsets without t_j, then those with it
-            if s <= j:
-                layer[: math.comb(j, s)] = layers[s]
-            if s > 0:
-                np.add(layers[s - 1], binom[s, t[j]], out=layer[math.comb(j, s) :])
-        layers = grown
-    for k in ks:
-        np.subtract(offsets[k + 1] - 1, layers[k], out=layers[k])
+    ends = accumulate(math.comb(a, k) for k in ks)
+    blocks = {k: slice(end - math.comb(a, k), end) for k, end in zip(ks, ends)}
+    out = np.zeros((blocks[ks[-1]].stop, len(rows)), dtype=np.int64)
+    # one Pascal pass per size s, in colex order: the s-subsets whose
+    # largest element is t_j follow every s-subset of t_0, ..., t_{j-1},
+    # and are the (s - 1)-subsets of those with t_j added, adding C(t_j, s).
+    # A size s that only leads to the next k in ks needs the s-subsets of
+    # the first m = a - (k - s) elements, the first C(m, s); a size in ks
+    # is written in its block of out.
+    below = out[:1] if 0 in blocks else np.zeros((1, len(rows)), dtype=np.int64)  # the empty set
+    for s in range(1, ks[-1] + 1):
+        m = a - next(k - s for k in ks if k >= s)
+        layer = out[blocks[s]] if s in blocks else np.empty((math.comb(m, s), len(rows)), dtype=np.int64)
+        for j in range(s - 1, m):
+            np.add(below[: math.comb(j, s - 1)], binom[s, t[j]], out=layer[math.comb(j, s) : math.comb(j + 1, s)])
+        below = layer
+    for k, block in blocks.items():
+        np.subtract(offsets[k + 1] - 1, out[block], out=out[block])
     return out
 
 
@@ -196,8 +195,8 @@ def _size_summary(classes, k: int, offsets, binom) -> SizeSummary:
     keys = np.empty(sum(len(edges) * math.comb(a, k) for a, edges in present), dtype=np.int64)
     at = 0
     for a, edges in present:
-        # size_keys holds a row's a elements and up to three of its partial layers
-        rows = block_rows(a + 3 * math.comb(a, k))
+        # size_keys holds a row's a elements, its keys, two smaller partial sizes and one binomial
+        rows = block_rows(a + 3 * math.comb(a, k) + 1)
         for lo in range(0, len(edges), rows):
             out = size_keys(edges[lo : lo + rows], (k,), offsets, binom)
             keys[at : at + out.size] = out.ravel()

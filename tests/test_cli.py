@@ -429,7 +429,7 @@ def test_fragment_rejects_non_finite_C(hc5_path, tmp_path, capsys, C):
     (["--seeds", "a"], "--seeds a: expected a stream id a or a range a:b"),
     (["--seeds", "5:3"], "--seeds 5:3: range end is below its start"),
     (["--gamma", "1e-17"], "gamma=1e-17 is too small: 1 - gamma rounds to 1"),
-    (["--gamma", "1e-9"], "1 traces need 702205672960 bytes"),  # ell = 1,371,495,453
+    (["--gamma", "1e-9"], "1 traces need 1053308509440 bytes"),  # ell = 1,371,495,453
 ])
 def test_fragment_arguments_checked_before_spread(hc5_path, tmp_path, monkeypatch, capsys, extra, message):
     def no_spread(h):
@@ -443,10 +443,11 @@ def test_fragment_arguments_checked_before_spread(hc5_path, tmp_path, monkeypatc
 
 
 def test_fragment_seed_range_ceiling(hc5_path, tmp_path, monkeypatch, capsys):
-    # hc5 at the default gamma 0.1 has ell 14, so a trace is charged 16
-    # lines of 512 bytes: at a budget of three traces 0:2 runs, and 0:3 is
-    # refused before the spread oracle runs
-    monkeypatch.setattr(limits, "MEMORY_BYTES", 3 * 16 * 512)
+    # hc5 at the default gamma 0.1 has ell 14, so a trace has 16 lines,
+    # charged 512 bytes each plus 256 bytes each of the one trace being
+    # recorded: at a budget of (3 * 512 + 256) * 16 bytes 0:2 runs, and
+    # 0:3 is refused before the spread oracle runs
+    monkeypatch.setattr(limits, "MEMORY_BYTES", (3 * 512 + 256) * 16)
     argv = ["fragment", "--hypergraph", hc5_path, "--q", "5"]
     assert main([*argv, "--seeds", "0:2", "--out", str(tmp_path / "f.txt")]) == 0
 
@@ -456,10 +457,28 @@ def test_fragment_seed_range_ceiling(hc5_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "max_spread", no_spread)
     out = tmp_path / "g.txt"
     assert main([*argv, "--seeds", "0:3", "--out", str(out)]) == 1
-    _single_error(capsys, "4 traces need 32768 bytes, above the budget of 24576; use a shorter --seeds range")
+    _single_error(capsys, "4 traces need 36864 bytes, above the budget of 28672; "
+                  "use a shorter --seeds range or a larger --gamma")
     monkeypatch.setattr(limits, "MEMORY_BYTES", 1 << 30)
     assert main([*argv, "--seeds", "0:100000000", "--out", str(out)]) == 1
-    _single_error(capsys, "100000001 traces need 819200008192 bytes")
+    _single_error(capsys, "100000001 traces need 819200012288 bytes")
+    assert not out.exists()
+
+
+def test_fragment_one_long_trace_refused(tmp_path, monkeypatch, capsys):
+    # hc6 at gamma 1e-6 has ell 1,500,160: one trace of 1,500,162 lines is
+    # charged 768 bytes a line, above the default budget, before any round
+    path = tmp_path / "hc6.json"
+    write_hypergraph(gen_hamilton(6), str(path))
+
+    def no_spread(h):
+        raise AssertionError("spread oracle ran before the trace was charged")
+
+    monkeypatch.setattr(cli, "max_spread", no_spread)
+    out = tmp_path / "f.txt"
+    assert main(["fragment", "--hypergraph", str(path), "--q", "6", "--gamma", "1e-6", "--seeds", "0:0",
+                 "--out", str(out)]) == 1
+    _single_error(capsys, "1 traces need 1152124416 bytes, above the budget of 1073741824")
     assert not out.exists()
 
 

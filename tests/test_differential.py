@@ -87,15 +87,31 @@ def test_traces_match_oracle(data):
     seed, stream = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 50))
     sched = make_schedule(h, q, max_spread(h).kappa, gamma, 1.0)
 
-    def run():
-        return run_fragmentation(h, sched, RngStream(seed, stream))
+    trace = run_fragmentation(h, sched, RngStream(seed, stream)).serialize()
+    assert oracle_trace(h, sched, RngStream(seed, stream)) == trace
 
-    trace = run().serialize()
+
+def oracle_trace(h, sched, rng) -> str:
+    """The serialized run with the dict-form round, full psi on every
+    round, an empty sample's too."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fragmentation, "initial_survivors", oracles.initial_survivors)
         mp.setattr(fragmentation, "apply_round", oracles.apply_round)
+        mp.setattr(fragmentation, "empty_round", lambda s, r_i: oracles.apply_round(s, {}, r_i))
         mp.setattr(fragmentation, "endgame_hit", oracles.endgame_hit)
-        assert run().serialize() == trace
+        return run_fragmentation(h, sched, rng).serialize()
+
+
+def test_round_one_runs_psi_on_an_empty_sample():
+    # round 1 samples no vertex here, and its restricted lift holds the
+    # triangle's colorings above the colorings of its sides: psi must
+    # still shrink them to the sides, which fit r_1 = 2.1
+    h = Hypergraph.from_edges(3, [(0, 1, 2), (0, 1), (1, 2), (0, 2), (0, 1, 2)])
+    sched = make_schedule(h, 3, max_spread(h).kappa, 0.3, 1.0)
+    trace = run_fragmentation(h, sched, RngStream(0, 37))
+    first = trace.rounds[0]
+    assert (first.w_size, first.compatible, first.survivors_after) == (0, 30, 30)
+    assert trace.serialize() == oracle_trace(h, sched, RngStream(0, 37))
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,6 +13,7 @@ from rainbowspread.errors import RainbowSpreadError
 from rainbowspread.fragmentation import (
     FragmentationTrace,
     apply_round,
+    empty_round,
     initial_survivors,
     make_schedule,
     run_fragmentation,
@@ -304,7 +305,12 @@ def test_rounds_get_their_size_bounds(monkeypatch):
         bounds.append(r_i)
         return apply_round(survivors, wmap, r_i)
 
+    def record_empty(survivors, r_i):
+        bounds.append(r_i)
+        return empty_round(survivors, r_i)
+
     monkeypatch.setattr(fragmentation, "apply_round", record)
+    monkeypatch.setattr(fragmentation, "empty_round", record_empty)
     tr = run_once(h, q, 3, gamma=gamma)
     assert bounds == [(1 - gamma) ** i * h.r_bound for i in range(1, tr.schedule.ell + 1)]
 

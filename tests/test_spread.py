@@ -95,7 +95,8 @@ def test_rank_tables_built_once_and_checked_every_call(monkeypatch):
 def _check_size_keys(n, r, rows, ks):
     """size_keys gives each k-subset of a row, for each k in ks in turn,
     its index among the subsets of at most r of range(n) ordered by
-    (size, tuple)."""
+    (size, tuple), listing a row's k-subsets in colex order of the row
+    reflected, {n - 1 - x}."""
     order = sorted((s for k in range(r + 1) for s in combinations(range(n), k)), key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(order)}
     a = len(rows[0])
@@ -106,7 +107,8 @@ def _check_size_keys(n, r, rows, ks):
         block = out[at : at + math.comb(a, k)]
         at += math.comb(a, k)
         for b, row in enumerate(rows):
-            assert sorted(block[:, b].tolist()) == sorted(index[s] for s in combinations(row, k))
+            colex = sorted(combinations(sorted(n - 1 - x for x in row), k), key=lambda t: t[::-1])
+            assert block[:, b].tolist() == [index[tuple(sorted(n - 1 - y for y in t))] for t in colex]
 
 
 def test_size_keys_non_contiguous_sizes():
