@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,10 @@ def _header(args, seed: int) -> str:
     # the output path is not part of the run semantics, so the same run
     # written to two places produces identical bytes
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
+    for name, value in config.items():
+        # even an option this mode does not read is echoed, and JSON has no NaN or infinity
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name} {value}: expected a finite number")
     return json.dumps(
         {"tool": "rainbowspread", "version": __version__, "seed": seed, "config": config},
         sort_keys=True,
@@ -150,10 +155,11 @@ def cmd_threshold(args) -> int:
             {
                 "m_star": est.m_star,
                 "target": est.target,
-                "trials": est.trials_per_point,
+                "trials": est.trials,
                 "ci_halfwidth": round(est.ci_halfwidth, 9),
                 "kappa": round(est.kappa, 12),
-                "implied_C": round(est.implied_C, 9),
+                # no implied C at r = 1, where log r = 0; NaN is not JSON
+                "implied_C": None if math.isnan(est.implied_C) else round(est.implied_C, 9),
             },
             sort_keys=True,
         )

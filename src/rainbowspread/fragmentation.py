@@ -166,16 +166,12 @@ def _psi_round(store: FragmentStore, wmap: dict[int, int]):
     sizes = np.flatnonzero(np.bincount(lengths)).tolist()
     if 0 in sizes:  # the empty remainder is inside every row's
         return compat, rem, np.full(len(rem), np.argmax(lengths == 0)), lengths
-    index_keys = np.empty(len(rem), dtype=np.int64)
-    for k in sizes:
-        rows_k = np.flatnonzero(lengths == k)
-        # per row: its k codes, given and reflected, its key, two partial sizes
-        # of one subset each and one binomial gathered
-        block = block_rows(2 * k + 4)
-        for lo in range(0, len(rows_k), block):
-            todo = rows_k[lo : lo + block]
-            index_keys[todo] = size_keys(rem[todo, :k], (k,), offsets, binom)[0]
-    rows_k = todo = None  # the last length group goes before the sort
+    # a remainder's own key in closed form: code j of a length-k row is the
+    # (k - j)-th smallest reflected element, adding C(pad - 1 - code, k - j)
+    index_keys = offsets[lengths + 1] - 1
+    for j in range(rem.shape[1]):
+        live = np.flatnonzero(lengths > j)
+        index_keys[live] -= binom[lengths[live] - j, pad - 1 - rem[live, j]]
     # np.unique's index is a key's first row, the least in row order
     index_keys, index_rows = np.unique(index_keys, return_index=True)
     src = np.empty(len(rem), dtype=np.int64)

@@ -92,7 +92,7 @@ def lift_codes(h: Hypergraph, q: int, w: dict[int, int] | None = None):
     # store's and the remainders' int64 copies and a clash byte; per row
     # 40 B of multiplicity, length, key, pick and rank, 33 B of the key
     # index and its np.unique buffers, and a margin (tracemalloc over a
-    # whole seed-0 run: 178 B/row on hamilton n=7 at q=7 and 130 on
+    # whole seed-0 run: 184 B/row on hamilton n=7 at q=7 and 122 on
     # pm(8,2) at q=12)
     need = total * (17 * h.r_bound + 84)
     check_bytes(need, f"{total} lifted edges", "use a smaller --q or a smaller hypergraph")

@@ -3,13 +3,14 @@
 Coupled sampling: each trial draws one uniform permutation of the ground
 set and one color per vertex; X_m is the permutation prefix of length m.
 The per-trial hit indicator is then literally monotone in m, and the
-whole trial reduces to a single hit time computed by the kernel.
+whole trial reduces to a single hit time computed by the kernel.  Every
+curve and the threshold are counts of these hit times.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +45,7 @@ class ThresholdUnreachable(RainbowSpreadError, RuntimeError):
 class ThresholdEstimate:
     m_star: int
     target: float
-    trials_per_point: int
-    curve: list[tuple[int, int, int]] = field(default_factory=list)  # (m, hits, trials)
+    trials: int
     ci_halfwidth: float = 0.0
     kappa: float = 0.0
     implied_C: float = 0.0  # m_star * kappa / (N log r)
@@ -160,34 +160,12 @@ def hit_probability(pool: TrialPool, m: int, trials: int):
     return hits / trials, wilson_interval(hits, trials)
 
 
-# trials added per step of the sequential test at one bisection point
-DECIDE_BLOCK = 200
-
-
-def _decide_point(times, m: int, target: float, max_trials: int):
-    """Sequentially add trials until the Wilson CI excludes the target.
-
-    Returns (at_least_target, hits, trials_used).
-    """
-    used = 0
-    hits = 0
-    while used < max_trials:
-        step = min(DECIDE_BLOCK, max_trials - used)
-        hits += int(np.count_nonzero(times[used : used + step] <= m))
-        used += step
-        lo, hi = wilson_interval(hits, used)
-        if lo > target:
-            return True, hits, used
-        if hi < target:
-            return False, hits, used
-    return hits / used >= target, hits, used
-
-
 def estimate_threshold(pool: TrialPool, target: float, trials: int) -> ThresholdEstimate:
-    """Bisection for the smallest m with hit probability >= target.
+    """The smallest m whose hit rate over all trials is >= target.
 
-    Deterministic given the seed; converges in at most ceil(log2(N-r))
-    bisection levels because each level halves the integer interval.
+    The coupled hit indicator is monotone in m, so hits(m), the trials
+    whose hit time is at most m, is one cumulative count of the hit
+    times, and m* is read off it exactly.
     """
     h, q = pool.h, pool.q
     _check_trials(trials)
@@ -200,37 +178,21 @@ def estimate_threshold(pool: TrialPool, target: float, trials: int) -> Threshold
     min_edge = min(len(e) for e in h.edges)
     if q < min_edge:
         raise ThresholdUnreachable(f"q={q} colors cannot make any edge rainbow")
-    times = pool.colored_times(trials)
-    curve: list[tuple[int, int, int]] = []
+    # hits[m] for m = 0..n; a trial that never hits has time n + 1
+    hits = np.cumsum(np.bincount(pool.colored_times(trials), minlength=n + 2))
     # below the smallest edge size no sample can contain an edge
-    assert int(np.count_nonzero(times <= min_edge - 1)) == 0
-
-    hits_n = int(np.count_nonzero(times <= n))
-    curve.append((n, hits_n, trials))
-    if hits_n / trials < target:
+    assert hits[min_edge - 1] == 0
+    if hits[n] / trials < target:
         raise ThresholdUnreachable(
-            f"hit rate at m=N is {hits_n / trials:.4f} < target {target}"
+            f"hit rate at m=N is {hits[n] / trials:.4f} < target {target}"
         )
-
-    lo, hi = min_edge, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ge, hits, used = _decide_point(times, mid, target, trials)
-        curve.append((mid, hits, used))
-        if ge:
-            hi = mid
-        else:
-            lo = mid + 1
-    m_star = lo
-
-    hits_star = int(np.count_nonzero(times <= m_star))
-    ci_lo, ci_hi = wilson_interval(hits_star, trials)
+    m_star = int(np.argmax(hits / trials >= target))
+    ci_lo, ci_hi = wilson_interval(int(hits[m_star]), trials)
     kappa = max_spread(h).kappa
     return ThresholdEstimate(
         m_star=m_star,
         target=target,
-        trials_per_point=trials,
-        curve=curve,
+        trials=trials,
         ci_halfwidth=(ci_hi - ci_lo) / 2.0,
         kappa=kappa,
         implied_C=m_star * kappa / (n * math.log(r)) if r > 1 else float("nan"),

@@ -574,6 +574,20 @@ def test_probability_out_of_range_rejected(hc5_path, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# an option the mode does not read is still echoed in the header
+@pytest.mark.parametrize("argv,message", [
+    (["moments", "{hc5}", "--janson", "--q", "5", "--alpha", "nan"], "--alpha nan"),
+    (["moments", "{hc5}", "--chebyshev", "--q", "5", "--p", "inf"], "--p inf"),
+    (["sample", "--model", "uniform-m", "--n", "10", "--m", "3", "--p=-inf"], "--p -inf"),
+], ids=["janson-alpha", "chebyshev-p", "uniform-m-p"])
+def test_unread_option_must_be_finite(hc5_path, tmp_path, capsys, argv, message):
+    out = tmp_path / "o.txt"
+    argv = [hc5_path if a == "{hc5}" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    _single_error(capsys, f"{message}: expected a finite number")
+    assert not out.exists()
+
+
 def test_fragment_lift_over_cap(tmp_path, capsys):
     # pm(8,2) at q=40: round 1's restricted lift has 94,394,734 edges, above the budget
     path = tmp_path / "pm82.json"

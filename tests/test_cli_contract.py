@@ -2,13 +2,15 @@
 
 Every run of `cli.main` exits 0, 1 or 2; a failed run prints exactly one
 `error:` line; an argument that argparse refuses exits 1, as every other
-usage error; no exception escapes.  Each subcommand runs in-process on
+usage error; no exception escapes; every JSON line on stdout is valid
+JSON, with no NaN or infinity.  Each subcommand runs in-process on
 tiny written instances, with its numbers drawn from boundary values,
 under a small byte budget and an alarm, so no run starts a process or
 runs for long.
 """
 
 import io
+import json
 import signal
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -30,6 +32,7 @@ INSTANCES = {
     "@hc5": gen_hamilton(5),
     "@mixed": Hypergraph.from_edges(5, [(0, 1), (1, 2, 3), (2, 3, 4), (1, 2, 3)]),
     "@k4": Hypergraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "@r1": Hypergraph.from_edges(3, [(0,), (1,), (2,)]),
 }
 
 value = st.sampled_from(VALUES)
@@ -97,6 +100,7 @@ def paths(tmp_path_factory):
 @example(["fragment", "--hypergraph", "@hc5", "--q=6", "--gamma=1e-9"])
 @example(["moments", "@u7", "--janson", f"--q={Q30}", "--p=0.05"])
 @example(["moments", "@u7", "--chebyshev", f"--q={Q30}"])
+@example(["threshold", "--hypergraph", "@r1", "--q=1", "--trials=50"])
 def test_cli_contract(paths, argv):
     argv = [paths.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -120,3 +124,10 @@ def test_cli_contract(paths, argv):
     assert len(errors) == (1 if refused else 0), err.getvalue()
     if code == cli.EXIT_USAGE:
         assert lines == errors and lines[0].startswith("error: "), err.getvalue()
+    for line in out.getvalue().splitlines():
+        if line.startswith("{"):
+            json.loads(line, parse_constant=_not_json)
+
+
+def _not_json(constant):
+    raise AssertionError(f"{constant} in a JSON line")

@@ -1,5 +1,6 @@
-"""Threshold estimation: coupling, bisection, and the sweep table."""
+"""Threshold estimation: coupling, the hit-time count, and the sweep table."""
 
+import json
 import math
 import tracemalloc
 
@@ -7,9 +8,9 @@ import numpy as np
 import oracles
 import pytest
 
-from rainbowspread import limits, threshold
+from rainbowspread import cli, limits, threshold
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
-from rainbowspread.hypergraph import Hypergraph
+from rainbowspread.hypergraph import Hypergraph, write_hypergraph
 from rainbowspread.rng import _PHI, _STREAM_SALT, RngStream, mix64
 from rainbowspread.threshold import (
     ThresholdUnreachable,
@@ -64,35 +65,67 @@ def test_single_edge_closed_form():
     assert phat_below == 0.0
 
 
-def test_estimate_threshold_single_edge():
-    # distinct colors are certain with q so large that collisions are
-    # negligible? no: with one edge the hit time is n exactly when colors
-    # are distinct, so for a target below the distinct-color probability
-    # the threshold is n
+def test_estimate_threshold_single_edge(tmp_path):
+    # with one edge the hit time is n exactly when its colors are distinct,
+    # so for a target below the distinct-color probability the threshold is n
     n = 3
     h = Hypergraph.from_edges(n, [tuple(range(n))])
     q = 64  # distinct-color probability ~0.953
     est = estimate_threshold(TrialPool(h, q, RngStream(34, 0)), 0.5, 4000)
     assert est.m_star == n
-    assert math.isnan(est.implied_C) is False or h.r_bound > 1
+    assert est.implied_C == est.m_star * est.kappa / (n * math.log(h.r_bound))
+    # at r = 1 there is no implied C: NaN here, null in the CLI's JSON
+    singletons = Hypergraph.from_edges(n, [(0,), (1,), (2,)])
+    assert math.isnan(estimate_threshold(TrialPool(singletons, 1, RngStream(34, 0)), 0.5, 50).implied_C)
+    write_hypergraph(singletons, tmp_path / "r1.json")
+    out = tmp_path / "out.txt"
+    argv = ["threshold", "--hypergraph", str(tmp_path / "r1.json"), "--q", "1", "--trials", "50"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text().splitlines()[-1], parse_constant=_refuse)
+    assert report["m_star"] == 1 and report["implied_C"] is None
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
 
 
 def test_estimate_threshold_matches_curve_scan():
-    h = gen_hamilton(7)
-    q, target, trials = 7, 0.5, 3000
-    est = estimate_threshold(TrialPool(h, q, RngStream(35, 0)), target, trials)
-    # recompute from the raw hit times: smallest m with rate >= target
-    times = TrialPool(h, q, RngStream(35, 0)).colored_times(trials)
-    scan = next(
-        m
-        for m in range(1, h.num_vertices + 1)
-        if np.count_nonzero(times <= m) / trials >= target
-    )
-    assert est.m_star == scan
-    assert est.kappa > 0
-    assert est.implied_C == est.m_star * est.kappa / (
-        h.num_vertices * math.log(h.r_bound)
-    )
+    # hamilton n=7, then two instances on trial counts that are not
+    # multiples of 200: the mixed-size one of the CLI's frozen outputs, and pm(6,3)
+    mixed = Hypergraph.from_edges(9, [(0, 1), (1, 2, 3), (2, 5, 7, 8), (0, 4, 6), (1, 2, 3), (4, 8), (3, 6)])
+    cases = [(gen_hamilton(7), 7, 0.5, 3000), (mixed, 4, 0.5, 1234), (gen_perfect_matching(6, 3), 3, 0.3, 777)]
+    for h, q, target, trials in cases:
+        est = estimate_threshold(TrialPool(h, q, RngStream(35, 0)), target, trials)
+        # recompute from the raw hit times: smallest m with rate >= target
+        times = TrialPool(h, q, RngStream(35, 0)).colored_times(trials)
+        scan = next(
+            m
+            for m in range(1, h.num_vertices + 1)
+            if np.count_nonzero(times <= m) / trials >= target
+        )
+        assert est.m_star == scan
+        assert est.trials == trials
+        assert est.kappa > 0
+        assert est.implied_C == est.m_star * est.kappa / (
+            h.num_vertices * math.log(h.r_bound)
+        )
+
+
+# cases where a sequential test on the leading trials once settled one
+# m too low (pm(8,2): rate 0.1995 at m = 9) or kept m too high
+# (hamilton n=7: rate 0.575 at m = 20 but only 0.482 at 19)
+@pytest.mark.parametrize("h,q,rng,target", [
+    (gen_perfect_matching(8, 2), 7, RngStream(1, 0), 0.2),
+    (gen_hamilton(7), 7, RngStream(16), 0.5),
+], ids=["pm8-2", "hamilton7"])
+def test_estimate_threshold_is_least_m_over_all_trials(h, q, rng, target):
+    pool = TrialPool(h, q, rng)
+    est = estimate_threshold(pool, target, 2000)
+    colored = np.array(oracles.scalar_times(pool, 2000)[0])
+    hits = int(np.count_nonzero(colored <= est.m_star))
+    assert hits / 2000 >= target > np.count_nonzero(colored <= est.m_star - 1) / 2000
+    lo, hi = wilson_interval(hits, 2000)
+    assert est.ci_halfwidth == (hi - lo) / 2
 
 
 def test_estimate_threshold_unreachable():
