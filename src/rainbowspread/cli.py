@@ -9,6 +9,7 @@ echo and the master seed, so runs are reproducible from their outputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -17,7 +18,6 @@ import sys
 from . import __version__
 from .errors import RainbowSpreadError
 from .fragmentation import check_fragment_inputs, make_schedule, run_fragmentation
-from .generators import parse_spec
 from .hypergraph import read_hypergraph, write_hypergraph
 from .limits import check_bytes
 from .moments import chebyshev_report, check_janson_inputs, janson_chain_check
@@ -63,12 +63,12 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _emit(path: str | None, text: str) -> None:
+def _emit(path: str | None, *parts: str) -> None:
     if path:
         with open(path, "w") as f:
-            f.write(text)
+            f.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def cmd_spread(args) -> int:
@@ -89,6 +89,8 @@ def cmd_spread(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .generators import parse_spec  # here, so that no other command compiles or runs the generators
+
     spec = parse_spec(args.spec)
     h = spec.generate()
     expected = spec.count_formula()
@@ -190,7 +192,7 @@ def cmd_fragment(args) -> int:
     check_bytes((512 * traces + 256) * (ell + 2), f"{traces} traces", "use a shorter --seeds range or a larger --gamma")
     sched = make_schedule(h, args.q, max_spread(h).kappa, args.gamma, args.C)
     body = [run_fragmentation(h, sched, RngStream(seed, sid)).serialize() for sid in stream_ids]
-    _emit(args.out, "".join([_header(args, seed) + "\n", *body]))
+    _emit(args.out, _header(args, seed) + "\n", *body)
     return EXIT_OK
 
 
@@ -296,5 +298,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The process entry of `python -m rainbowspread.cli` and of the
+    `rainbowspread` script: exit with `main()`'s code.  What lives until
+    exit is frozen first, so that the shutdown collections do not walk it
+    again; stdio is still flushed and `atexit` still runs.  `main` itself
+    leaves the collector alone, because it also runs in-process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -17,8 +17,7 @@ tests/oracles.py holds the dict-based reference form of the round.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +31,7 @@ from .sampling import ColoredSet, contains_rainbow_edge, sample_colored_m, sampl
 from .spread import max_spread, rank_tables, size_keys  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """What every seed of one run shares: the rates, ell and |H*|."""
 
     q: int
@@ -111,15 +109,15 @@ def make_schedule(h: Hypergraph, q: int, kappa: float, gamma: float, C: float) -
 # searched by its `spread` key as a set of N*q elements.
 
 
-@dataclass(frozen=True)
 class FragmentStore:
     """Surviving fragments, in lineage order: codes (F, r) int64 and
     mult (F,) int64; pad = N*q."""
 
-    codes: np.ndarray
-    mult: np.ndarray
-    q: int
-    pad: int
+    def __init__(self, codes: np.ndarray, mult: np.ndarray, q: int, pad: int):
+        self.codes = codes
+        self.mult = mult
+        self.q = q
+        self.pad = pad
 
     def __len__(self) -> int:
         return len(self.mult)
@@ -222,7 +220,7 @@ def empty_round(survivors: FragmentStore, r_i: float):
     length <= r_i.
     """
     keep = (survivors.codes != survivors.pad).sum(axis=1) <= r_i
-    new = replace(survivors, codes=survivors.codes[keep], mult=survivors.mult[keep])
+    new = FragmentStore(survivors.codes[keep], survivors.mult[keep], survivors.q, survivors.pad)
     return new, int(survivors.mult.sum()), int(new.mult.sum())
 
 
@@ -234,8 +232,7 @@ def endgame_hit(survivors: FragmentStore, wmap: dict[int, int]) -> bool:
     return bool(covered[survivors.codes].all(axis=1).any())
 
 
-@dataclass
-class RoundRecord:
+class RoundRecord(NamedTuple):
     round: int
     w_size: int
     survivors_before: int
@@ -245,8 +242,7 @@ class RoundRecord:
     successful: bool
 
 
-@dataclass
-class FragmentationTrace:
+class FragmentationTrace(NamedTuple):
     seed: int
     stream_id: int
     schedule: Schedule
@@ -281,7 +277,7 @@ class FragmentationTrace:
             )
         ]
         for rec in self.rounds:
-            lines.append(json.dumps(vars(rec), sort_keys=True))
+            lines.append(json.dumps(rec._asdict(), sort_keys=True))
         lines.append(
             json.dumps(
                 {
@@ -304,15 +300,14 @@ def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]) -> FragmentSt
     clashing ones are left out: psi never indexes them, so round 1 picks
     the same remainders as it would over the full lift.  Rows repeat only
     where an edge repeats, so each distinct edge is lifted once, at its
-    first copy, with the copy count as multiplicity.  psi's keys are
-    checked before the lift exists.
+    first copy, with the copy count as multiplicity (`Hypergraph.distinct`).
+    psi's keys are checked before the lift exists.
     """
     pad = h.num_vertices * q
     rank_tables(pad, h.r_bound, "fragment keys", "use a smaller --q or a smaller hypergraph")
-    copies = Counter(h.edges)  # in first-copy order
-    codes, base = lift_codes(replace(h, edges=tuple(copies)), q, wmap)
-    mult = np.fromiter(copies.values(), dtype=np.int64, count=len(copies))[base]
-    return FragmentStore(codes=codes, mult=mult, q=q, pad=pad)
+    distinct, copies = h.distinct
+    codes, base = lift_codes(distinct, q, wmap)
+    return FragmentStore(codes=codes, mult=copies[base], q=q, pad=pad)
 
 
 def run_fragmentation(h: Hypergraph, sched: Schedule, rng: RngStream) -> FragmentationTrace:

@@ -8,7 +8,6 @@ CLI cross-checks on every run.  Ground sets are either the edges of K_n
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -207,8 +206,7 @@ def star_tree(n: int) -> list[tuple[int, int]]:
     return [(0, i) for i in range(1, n)]
 
 
-@dataclass(frozen=True)
-class StructureSpec:
+class StructureSpec(NamedTuple):
     """Parsed CLI spec string, e.g. 'hamilton:n=7' or 'pm:n=6,k=3'."""
 
     kind: str

@@ -8,7 +8,7 @@ integers 0..n-1, edges are strictly sorted tuples of vertex ids.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -22,26 +22,41 @@ class HypergraphError(RainbowSpreadError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Hypergraph:
-    """An r-bounded multiset hypergraph on vertex set {0..num_vertices-1}."""
+    """An r-bounded multiset hypergraph on vertex set {0..num_vertices-1}.
 
-    num_vertices: int
-    edges: tuple[tuple[int, ...], ...]
-    r_bound: int
+    Validated once, when made, and never changed after: the cached
+    properties below are built from it on first use.  Two hypergraphs are
+    equal when their n, edge sequence and r are.
+    """
 
-    def __post_init__(self):
-        if self.num_vertices < 0:
+    def __init__(self, num_vertices: int, edges: tuple[tuple[int, ...], ...], r_bound: int):
+        if num_vertices < 0:
             raise HypergraphError("num_vertices must be nonnegative")
-        if self.r_bound < 1:
+        if r_bound < 1:
             raise HypergraphError("r_bound must be >= 1")
-        for e in self.edges:
-            if not 1 <= len(e) <= self.r_bound:
-                raise HypergraphError(f"edge {e} violates size bounds [1, {self.r_bound}]")
+        for e in edges:
+            if not 1 <= len(e) <= r_bound:
+                raise HypergraphError(f"edge {e} violates size bounds [1, {r_bound}]")
             if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
                 raise HypergraphError(f"edge {e} is not strictly sorted")
-            if e[0] < 0 or e[-1] >= self.num_vertices:
-                raise HypergraphError(f"edge {e} has vertex outside [0, {self.num_vertices})")
+            if e[0] < 0 or e[-1] >= num_vertices:
+                raise HypergraphError(f"edge {e} has vertex outside [0, {num_vertices})")
+        self.num_vertices = num_vertices
+        self.edges = edges
+        self.r_bound = r_bound
+
+    def _key(self):
+        return self.num_vertices, self.edges, self.r_bound
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Hypergraph) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Hypergraph(num_vertices={self.num_vertices}, edges={self.edges}, r_bound={self.r_bound})"
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -65,6 +80,20 @@ class Hypergraph:
         from . import spread
 
         return spread._candidate_sets(self)
+
+    @cached_property
+    def distinct(self):
+        """(d, copies): the distinct edges in first-copy order as a
+        hypergraph d of the same n and r, this one when no edge repeats,
+        and each one's copy count, a read-only int64 array; built on first
+        use, so that every fragmentation seed of a run shares them."""
+        import numpy as np
+
+        counts = Counter(self.edges)
+        d = self if len(counts) == len(self.edges) else Hypergraph(self.num_vertices, tuple(counts), self.r_bound)
+        copies = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+        copies.flags.writeable = False
+        return d, copies
 
     @property
     def is_uniform(self) -> bool:

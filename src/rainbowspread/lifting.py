@@ -7,8 +7,8 @@ integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph
@@ -26,8 +26,7 @@ def check_chromatic(h: Hypergraph, q: int) -> None:
         raise ChromaticityError(f"q={q} < r={h.r_bound}")
 
 
-@dataclass(frozen=True)
-class LiftedEdge:
+class LiftedEdge(NamedTuple):
     """A base edge index plus pairwise-distinct colors, one per vertex."""
 
     base: int

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,13 +27,12 @@ from .limits import LimitExceeded, block_rows
 from .spread import is_kappa_spread
 
 
-@dataclass
-class MomentReport:
+class MomentReport(NamedTuple):
     mu: float
     delta: float
     janson_bound: float
-    chain_bounds: list[tuple[str, float]] = field(default_factory=list)
-    checks: list[tuple[str, bool]] = field(default_factory=list)
+    chain_bounds: list[tuple[str, float]]
+    checks: list[tuple[str, bool]]
 
     def as_dict(self) -> dict:
         return {
@@ -181,6 +180,7 @@ def chebyshev_report(g: Hypergraph, q: int, alpha: float) -> MomentReport:
         chain_bounds=[
             ("chebyshev_zero_bound", cheb),
         ],
+        checks=[],
     )
     return report
 

@@ -8,7 +8,7 @@ vertex two colors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,11 +17,20 @@ from .hypergraph import Hypergraph
 from .rng import RngStream
 
 
-@dataclass(frozen=True)
 class ColoredSet:
     """A partial map vertex -> color in [1, q]; at most one color per vertex."""
 
-    assignment: tuple[tuple[int, int], ...]  # sorted by vertex id
+    def __init__(self, assignment: tuple[tuple[int, int], ...]):
+        self.assignment = assignment  # sorted by vertex id
+
+    def __eq__(self, other):
+        return self.assignment == other.assignment if isinstance(other, ColoredSet) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.assignment)
+
+    def __repr__(self) -> str:
+        return f"ColoredSet(assignment={self.assignment})"
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "ColoredSet":
@@ -34,8 +43,7 @@ class ColoredSet:
         return "".join(f"{v} {c}\n" for v, c in self.assignment)
 
 
-@dataclass(frozen=True)
-class LiftedSample:
+class LiftedSample(NamedTuple):
     """A subset of X x [q]; one vertex may carry several colors."""
 
     elements: frozenset[tuple[int, int]]

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .hypergraph import Hypergraph, HypergraphError
 from .limits import LimitExceeded, block_rows, check_bytes
@@ -38,8 +37,7 @@ if TYPE_CHECKING:
 BYTES_PER_KEY = 34
 
 
-@dataclass(frozen=True)
-class SpreadCertificate:
+class SpreadCertificate(NamedTuple):
     """Maximum kappa with a witness set attaining the minimum."""
 
     kappa: float
@@ -105,8 +103,7 @@ def size_keys(rows, ks, offsets, binom):
     return out
 
 
-@dataclass(frozen=True)
-class SizeSummary:
+class SizeSummary(NamedTuple):
     """What the readers need of the distinct size-k edge subsets.
 
     Read in ascending key order, `values` holds each count above every
@@ -123,15 +120,15 @@ class SizeSummary:
     squares: int
 
 
-@dataclass(frozen=True)
 class CandidateSummary:
     """One `SizeSummary` per set size 1, ..., r, and the `rank_tables`
     that encode their keys.  Its length is the number of distinct
     nonempty edge subsets."""
 
-    sizes: tuple[SizeSummary, ...]
-    offsets: np.ndarray
-    binom: np.ndarray
+    def __init__(self, sizes: tuple[SizeSummary, ...], offsets: np.ndarray, binom: np.ndarray):
+        self.sizes = sizes
+        self.offsets = offsets
+        self.binom = binom
 
     def __len__(self) -> int:
         return sum(size.distinct for size in self.sizes)

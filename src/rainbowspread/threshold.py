@@ -10,7 +10,7 @@ curve and the threshold are counts of these hit times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +41,13 @@ class ThresholdUnreachable(RainbowSpreadError, RuntimeError):
     pass
 
 
-@dataclass
-class ThresholdEstimate:
+class ThresholdEstimate(NamedTuple):
     m_star: int
     target: float
     trials: int
-    ci_halfwidth: float = 0.0
-    kappa: float = 0.0
-    implied_C: float = 0.0  # m_star * kappa / (N log r)
+    ci_halfwidth: float
+    kappa: float
+    implied_C: float  # m_star * kappa / (N log r)
 
 
 def _rejected_rows(draws: np.ndarray, limits: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, reproducible outputs, bad inputs."""
 
+import gc
 import hashlib
 import json
 import os
@@ -726,6 +727,35 @@ def test_benchmark_hook_sites_exist(hc5_path, tmp_path):
     payload = json.loads(spans.read_text())
     assert payload["missing"] == []
     assert "spread.max_spread" in {payload["names"][span[0]] for span in payload["spans"]}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spread", "{h}", "--check-kappa", "1.01"], 0),
+    (["spread", "{h}", "--check-kappa", "50"], 2),
+    (["moments", "{h}", "--chebyshev", "--q", "5", "--out", "{out}"], 0),
+    (["fragment", "--hypergraph", "{h}", "--q", "5", "--seeds", "0:2", "--seed", "3"], 0),
+    (["spread", "{missing}"], 1),
+], ids=["spread-pass", "spread-fail", "moments-out", "fragment", "missing-input"])
+def test_process_exit_matches_main(hc5_path, tmp_path, capsys, argv, code):
+    # `python -m rainbowspread.cli` exits through `cli.run`, which freezes
+    # the collector before exit; the bytes and the exit code are main()'s
+    def fill(out):
+        return [a.format(h=hc5_path, out=out, missing=tmp_path / "missing.json") for a in argv]
+
+    assert main(fill(tmp_path / "in.txt")) == code
+    assert gc.get_freeze_count() == 0  # main leaves the collector alone
+    here = capsys.readouterr()
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "rainbowspread.cli", *fill(tmp_path / "sub.txt")],
+                          env=env, capture_output=True)
+    assert proc.returncode == code
+    assert proc.stdout == here.out.encode()
+    assert proc.stderr.decode() == here.err
+    if "{out}" in argv:
+        assert (tmp_path / "sub.txt").read_bytes() == (tmp_path / "in.txt").read_bytes()
+    if code == cli.EXIT_USAGE:
+        assert len(here.err.splitlines()) == 1 and here.err.startswith("error: ")
 
 
 def test_library_error_is_one_error_line(hc5_path, monkeypatch, capsys):

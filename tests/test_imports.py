@@ -3,10 +3,13 @@
 The one exception is a name that perfbench's tracer rebinds in that
 module (a binder in `perfbench/tracer.py`'s `SPANS`), imported on a line
 that carries `# noqa: F401`; names listed in a module's `__all__` count
-as used.
+as used.  And what every CLI process imports stays off its fixed cost.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,18 @@ def test_scan_finds_unused_and_honours_noqa():
     )
     assert unused_imports(source, {"a", "c"}) == [(2, "j"), (3, "field"), (4, "b"), (8, "c")]
     assert unused_imports(source) == [(2, "j"), (3, "field"), (4, "a"), (4, "b"), (8, "c")]
+
+
+def test_cli_import_floor():
+    # every process imports the CLI: no dataclass is generated, and only
+    # `generate` compiles and runs the generators, which need no dataclass either
+    code = (
+        "import sys\n"
+        "import rainbowspread.cli\n"
+        "print(sorted({'dataclasses', 'rainbowspread.generators'} & set(sys.modules)))\n"
+        "import rainbowspread.generators\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n") == ["[]", "False", ""]
