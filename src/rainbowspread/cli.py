@@ -20,9 +20,10 @@ from .errors import RainbowSpreadError
 from .fragmentation import check_fragment_inputs, make_schedule, run_fragmentation
 from .hypergraph import read_hypergraph, write_hypergraph
 from .limits import check_bytes
-from .moments import chebyshev_report, check_janson_inputs, janson_chain_check
+from .moments import chebyshev_report, check_chebyshev_inputs, check_janson_inputs, janson_chain_check
 from .rng import RngStream
 from .sampling import (
+    check_model,
     sample_binomial_subset,
     sample_colored_m,
     sample_colored_p,
@@ -111,15 +112,18 @@ def cmd_moments(args) -> int:
         check_kappa(args.kappa)
     h = read_hypergraph(args.hypergraph)
     if args.janson:
-        check_janson_inputs(h, args.q, args.p)  # before the spread oracle runs
+        check_janson_inputs(h, args.q, args.p)
+    else:
+        check_chebyshev_inputs(h, args.q, args.alpha)
+    header = _header(args, seed)  # before the spread oracle and the moments run
+    if args.janson:
         kappa = args.kappa if args.kappa is not None else max_spread(h).kappa
     try:  # exact counts times float weights
         report = janson_chain_check(h, args.q, args.p, kappa) if args.janson else chebyshev_report(h, args.q, args.alpha)
     except OverflowError:
         names = f"q={args.q}, kappa={kappa}" if args.janson else f"q={args.q}"
         raise ValueError(f"{names}: the moments exceed the float range") from None
-    payload = _header(args, seed) + "\n" + json.dumps(report.as_dict(), sort_keys=True) + "\n"
-    _emit(args.out, payload)
+    _emit(args.out, header + "\n" + json.dumps(report.as_dict(), sort_keys=True) + "\n")
     if args.human:
         print(f"mu            = {report.mu:.12g}")
         print(f"delta         = {report.delta:.12g}")
@@ -191,7 +195,9 @@ def cmd_fragment(args) -> int:
     traces = stream_ids.stop - stream_ids.start  # len() stops at 2**63
     check_bytes((512 * traces + 256) * (ell + 2), f"{traces} traces", "use a shorter --seeds range or a larger --gamma")
     sched = make_schedule(h, args.q, max_spread(h).kappa, args.gamma, args.C)
-    body = [run_fragmentation(h, sched, RngStream(seed, sid)).serialize() for sid in stream_ids]
+    body = run_fragmentation(h, sched, (RngStream(seed, sid) for sid in stream_ids))
+    for i, trace in enumerate(body):  # each trace's text replaces it, so the two are not all held at once
+        body[i] = trace.serialize()
     _emit(args.out, _header(args, seed) + "\n", *body)
     return EXIT_OK
 
@@ -203,6 +209,8 @@ def cmd_sample(args) -> int:
     elements = {"uniform-m": args.m, "colored-m": args.m, "lifted-p": args.n * args.q}.get(args.model, args.n)
     check_bytes(256 * elements, f"{elements} sampled elements", "use a smaller --n, --m or --q")
     rng = RngStream(seed, args.stream)
+    check_model(args.model, args.n, args.m, args.p, args.q)
+    header = _header(args, seed)  # before the first draw
     if args.model == "uniform-m":
         body = "".join(f"{v}\n" for v in sample_uniform_subset(args.n, args.m, rng))
     elif args.model == "binomial-p":
@@ -213,7 +221,7 @@ def cmd_sample(args) -> int:
         body = sample_colored_p(args.n, args.p, args.q, rng).serialize()
     else:  # lifted-p
         body = sample_lifted_binomial(args.n, args.q, args.p, rng).serialize()
-    _emit(args.out, _header(args, seed) + "\n" + body)
+    _emit(args.out, header + "\n" + body)
     return EXIT_OK
 
 

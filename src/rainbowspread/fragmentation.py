@@ -6,29 +6,33 @@ surviving fragment by the smallest fragment residue it can point to
 enough.  After the last round a final uniform sample must cover some
 surviving fragment outright.
 
-Fragments live in an integer store (see `FragmentStore`): one row of
-element codes per distinct element set, with a multiplicity, in the one
-fixed order that breaks psi's ties.  Merging equal element sets
-preserves the multiset semantics exactly because psi only looks at
-element sets.
+Seeds run in blocks, and fragments live in an integer store per block
+(see `FragmentStore`): one row of element codes per distinct element
+set of a seed, with a multiplicity, in the one fixed order that breaks
+psi's ties.  Merging equal element sets preserves the multiset
+semantics exactly because psi only looks at element sets.  A block's
+array work, its restricted lift and psi's search, is in `_blocks`.
 tests/oracles.py holds the dict-based reference form of the round.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
+from . import limits
 from .hypergraph import Hypergraph
+from .lifting import check_chromatic, fragment_row_bytes, lift_size
 # lift_rainbow and max_spread are not called here; they stay bound by
 # name because perfbench's tracer wraps them in every module that names them
-from .lifting import check_chromatic, lift_codes, lift_rainbow, lift_size  # noqa: F401
+from .lifting import lift_rainbow  # noqa: F401
 from .limits import block_rows
 from .rng import RngStream, round_half_up
 from .sampling import ColoredSet, contains_rainbow_edge, sample_colored_m, sample_colored_p
-from .spread import max_spread, rank_tables, size_keys  # noqa: F401
+from .spread import max_spread, rank_tables  # noqa: F401
 
 
 class Schedule(NamedTuple):
@@ -100,118 +104,73 @@ def make_schedule(h: Hypergraph, q: int, kappa: float, gamma: float, C: float) -
 # The fragment store.  Element (v, c) of X x [q] is coded v*q + c - 1 (as
 # in `lift_codes`), and a fragment is a row of its element codes in
 # ascending order, padded on the right with pad = N*q; a row's length is
-# its count of codes below pad.  Each row carries a multiplicity.  Rows
-# are distinct, and their order is the one fixed order on fragments that
-# psi needs to break ties between minimal remainders: the order of round
-# 1's restricted lift (by base edge, then colors), each row standing
-# where the lifted edge it descends from stood.  Every round keeps it,
-# so a row's position is its lineage.  A row, or a subset of one, is
-# searched by its `spread` key as a set of N*q elements.
+# its count of codes below pad.  Each row carries a multiplicity and the
+# index of its seed in the store's block of seeds.  Rows are sorted by
+# seed; within a seed they are distinct, and their order is the one fixed
+# order on fragments that psi needs to break ties between minimal
+# remainders: the order of round 1's restricted lift (by base edge, then
+# colors), each row standing where the lifted edge it descends from
+# stood.  Every round keeps it, so a row's position is its lineage.  A
+# row, or a subset of one, is searched by its `spread` key as a set of
+# N*q elements, plus seed * M, where M = offsets[-1] counts every key of
+# one seed, so that the seeds of a block never meet.
 
 
 class FragmentStore:
-    """Surviving fragments, in lineage order: codes (F, r) int64 and
-    mult (F,) int64; pad = N*q."""
+    """Surviving fragments of a block of seeds, in (seed, lineage) order:
+    codes (F, r) in the least unsigned type that holds pad = N*q, and
+    mult, seed and lengths (F,) int64; totals holds each seed's total
+    multiplicity."""
 
-    def __init__(self, codes: np.ndarray, mult: np.ndarray, q: int, pad: int):
+    def __init__(self, codes, mult, seed, seeds: int, q: int, pad: int, lengths):
         self.codes = codes
         self.mult = mult
+        self.seed = seed
+        self.seeds = seeds
         self.q = q
         self.pad = pad
+        self.lengths = lengths
+        self.totals = _per_seed(seed, mult, seeds)
 
     def __len__(self) -> int:
         return len(self.mult)
 
 
-def _sampled_codes(wmap: dict[int, int], q: int):
-    """The sampled vertices and the codes of their sampled elements; a
-    color outside [1, q] has no element."""
-    v = np.fromiter(wmap.keys(), dtype=np.int64, count=len(wmap))
-    c = np.fromiter(wmap.values(), dtype=np.int64, count=len(wmap))
-    return v, (v * q + c - 1)[(1 <= c) & (c <= q)]
+def _per_seed(seed, values, seeds: int):
+    """Each seed's sum of values, over rows sorted by seed."""
+    bounds = np.searchsorted(seed, np.arange(seeds + 1))
+    sums = np.concatenate(([0], np.cumsum(values)))
+    return sums[bounds[1:]] - sums[bounds[:-1]]
 
 
-def _psi_round(store: FragmentStore, wmap: dict[int, int]):
-    """Apply the psi/chi minimization for one sampled colored set.
+def apply_round(survivors: FragmentStore, wmaps, r_i: float):
+    """One fragmentation round against each seed's already-sampled colored
+    set, wmaps[i] for the store's seed i.
 
-    Returns (compat, rem, src, lengths): compat marks the rows that agree
-    with the sample, rem holds their remainders (the elements on
-    unsampled vertices) as padded rows, lengths their sizes, and src[i]
-    is the compatible row whose remainder row i picks: the smallest
-    remainder inside row i's own, ties broken by row order.
-
-    Every remainder is indexed by its key.  Per remainder length k, in
-    blocks of rows, the keys of a row's subsets of each size up to k
-    that some remainder has are looked up at once; a row takes the hit
-    of least size, and there of least row.  Its own remainder is
-    indexed, so every row hits.
+    Returns the new store plus each seed's (compatible, good) counts with
+    multiplicity, as arrays.  Good means the chosen remainder has size
+    <= r_i; the good rows, merged by chosen remainder, are the new store,
+    so good is also its total multiplicity.
     """
-    q, pad = store.q, store.pad
-    offsets, binom = rank_tables(pad, store.codes.shape[1])
-    kind = np.zeros(pad + 1, dtype=np.int8)  # 0 unsampled, 1 sampled or pad, 2 clash
-    kind[pad] = 1
-    v, sampled = _sampled_codes(wmap, q)
-    kind[:pad].reshape(-1, q)[v] = 2
-    kind[sampled] = 1
-    compat = ~(kind[store.codes] == 2).any(axis=1)
-    rem = store.codes[compat]
-    rem[kind[rem] == 1] = pad
-    rem.sort(axis=1)  # pad is the largest code, so this moves it to the end
-    lengths = (rem != pad).sum(axis=1)
+    from . import _blocks
 
-    # only subsets of these sizes can hit; bincount, because np.unique
-    # without index or count outputs imports numpy.ma
-    sizes = np.flatnonzero(np.bincount(lengths)).tolist()
-    if 0 in sizes:  # the empty remainder is inside every row's
-        return compat, rem, np.full(len(rem), np.argmax(lengths == 0)), lengths
-    # a remainder's own key in closed form: code j of a length-k row is the
-    # (k - j)-th smallest reflected element, adding C(pad - 1 - code, k - j)
-    index_keys = offsets[lengths + 1] - 1
-    for j in range(rem.shape[1]):
-        live = np.flatnonzero(lengths > j)
-        index_keys[live] -= binom[lengths[live] - j, pad - 1 - rem[live, j]]
-    # np.unique's index is a key's first row, the least in row order
-    index_keys, index_rows = np.unique(index_keys, return_index=True)
-    src = np.empty(len(rem), dtype=np.int64)
-    # a hit on row j of size s ranks s * span + j: size first, then row
-    span = len(rem) + 1
-    rank = index_rows + span * lengths[index_rows]
-    for k in sizes:
-        rows_k = np.flatnonzero(lengths == k)
-        ks = [s for s in sizes if s <= k]
-        # per row: its k codes, given and reflected, and at most six arrays over
-        # the looked-up keys, the last block's keys and positions among them
-        block = block_rows(2 * k + 6 * sum(math.comb(k, s) for s in ks))
-        for lo in range(0, len(rows_k), block):
-            todo = rows_k[lo : lo + block]
-            found = size_keys(rem[todo, :k], ks, offsets, binom)
-            pos = np.minimum(np.searchsorted(index_keys, found), len(index_keys) - 1)
-            best = np.where(index_keys[pos] == found, rank[pos], span * (k + 1)).min(axis=0)
-            src[todo] = best % span
-    return compat, rem, src, lengths
-
-
-def apply_round(survivors: FragmentStore, wmap: dict[int, int], r_i: float):
-    """One fragmentation round against an already-sampled colored set.
-
-    Returns the new store plus (compatible, good) counts with
-    multiplicity.  Good means the chosen remainder has size <= r_i; the
-    good rows, merged by chosen remainder, are the new store, so good is
-    also its total multiplicity.
-    """
-    compat, rem, src, lengths = _psi_round(survivors, wmap)
-    mult = survivors.mult[compat]
+    compat, rem, src, lengths = _blocks.psi_round(survivors, wmaps)
+    mult, seed = survivors.mult[compat], survivors.seed[compat]
     good = lengths[src] <= r_i
     merged = np.zeros(len(rem), dtype=np.int64)
     np.add.at(merged, src[good], mult[good])
     # every multiplicity is positive, and chosen ascends, so rows keep their order
     chosen = np.flatnonzero(merged)
-    new = FragmentStore(codes=rem[chosen], mult=merged[chosen], q=survivors.q, pad=survivors.pad)
-    return new, int(mult.sum()), int(merged.sum())
+    new = FragmentStore(
+        rem.take(chosen, axis=0), merged[chosen], seed[chosen], survivors.seeds, survivors.q, survivors.pad,
+        lengths[chosen],
+    )
+    return new, _per_seed(seed, mult, survivors.seeds), new.totals
 
 
 def empty_round(survivors: FragmentStore, r_i: float):
-    """`apply_round` with an empty sample on a store that psi made.
+    """`apply_round` with an empty sample for every seed, on a store that
+    psi made.
 
     psi's output is an antichain: a kept row Y inside a kept row X would
     be a smaller remainder inside the row that picked X.  With no sample
@@ -219,17 +178,29 @@ def empty_round(survivors: FragmentStore, r_i: float):
     set inside it, so it picks itself: the round keeps the rows of
     length <= r_i.
     """
-    keep = (survivors.codes != survivors.pad).sum(axis=1) <= r_i
-    new = FragmentStore(survivors.codes[keep], survivors.mult[keep], survivors.q, survivors.pad)
-    return new, int(survivors.mult.sum()), int(new.mult.sum())
+    keep = survivors.lengths <= r_i
+    if keep.all():
+        return survivors, survivors.totals, survivors.totals
+    s = survivors
+    codes = np.compress(keep, s.codes, axis=0)
+    new = FragmentStore(codes, s.mult[keep], s.seed[keep], s.seeds, s.q, s.pad, s.lengths[keep])
+    return new, survivors.totals, new.totals
 
 
-def endgame_hit(survivors: FragmentStore, wmap: dict[int, int]) -> bool:
-    """Whether the colored set wmap covers some surviving fragment outright."""
-    covered = np.zeros(survivors.pad + 1, dtype=bool)
-    covered[survivors.pad] = True
-    covered[_sampled_codes(wmap, survivors.q)[1]] = True
-    return bool(covered[survivors.codes].all(axis=1).any())
+def endgame_hit(survivors: FragmentStore, wmaps):
+    """Per seed, whether its colored set covers one of its surviving
+    fragments outright."""
+    from . import _blocks
+
+    q, pad = survivors.q, survivors.pad
+    kind = _blocks.elements(wmaps, q, pad)
+    at = survivors.seed * (pad + 1)
+    rows = np.ones(len(survivors), dtype=bool)
+    for col in survivors.codes.T:
+        rows &= kind.take(at + col) == 1
+    hit = np.zeros(survivors.seeds, dtype=bool)
+    hit[survivors.seed[rows]] = True
+    return hit
 
 
 class RoundRecord(NamedTuple):
@@ -293,10 +264,11 @@ class FragmentationTrace(NamedTuple):
         return "\n".join([*lines, ""])
 
 
-def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]) -> FragmentStore:
-    """The lift restricted to wmap as a fragment store.
+def initial_survivors(h: Hypergraph, q: int, wmaps) -> FragmentStore:
+    """The lift restricted to each seed's round-1 sample, wmaps[i] for
+    seed i, as one fragment store.
 
-    These are the fragments compatible with round 1's sample wmap.  The
+    These are the fragments compatible with round 1's samples.  The
     clashing ones are left out: psi never indexes them, so round 1 picks
     the same remainders as it would over the full lift.  Rows repeat only
     where an edge repeats, so each distinct edge is lifted once, at its
@@ -305,64 +277,126 @@ def initial_survivors(h: Hypergraph, q: int, wmap: dict[int, int]) -> FragmentSt
     """
     pad = h.num_vertices * q
     rank_tables(pad, h.r_bound, "fragment keys", "use a smaller --q or a smaller hypergraph")
+    from . import _blocks
+
     distinct, copies = h.distinct
-    codes, base = lift_codes(distinct, q, wmap)
-    return FragmentStore(codes=codes, mult=copies[base], q=q, pad=pad)
+    codes, base, seed = _blocks.lift_block(distinct, q, wmaps)
+    return FragmentStore(codes, copies[base], seed, len(wmaps), q, pad, distinct.packed[1][base])
 
 
-def run_fragmentation(h: Hypergraph, sched: Schedule, rng: RngStream) -> FragmentationTrace:
-    """Run the full process once on `sched`, made for h by `make_schedule`,
-    and record per-round statistics.
+class _Draws(NamedTuple):
+    """A stream's samples: rounds maps each round that samples some
+    vertex to its colored set."""
 
-    Round samples use the binomial colored model on the residual ground
-    set.  At desk scale the schedule's total rate often exceeds 1, which
-    only invalidates the size claim of the final union, not the
-    execution; feasibility is recorded in the trace.
-    """
-    q = sched.q
-    residual = list(range(h.num_vertices))
-    w_union: dict[int, int] = {}
-    rounds = []
-    before = sched.lift_size
+    rng: RngStream
+    rounds: dict[int, dict[int, int]]
+    endgame: dict[int, int]
 
+
+def _draw(n: int, sched: Schedule, rng: RngStream) -> _Draws:
+    """Every sample of one run, in the order the run takes them: each
+    depends only on the stream and the residual that the run's own
+    earlier samples leave.  Round samples use the binomial colored model
+    on the residual ground set; the endgame is a uniform N*rho-subset of
+    the residual, randomly colored."""
+    residual = list(range(n))
+    rounds = {}
     for i in range(1, sched.ell + 1):
-        sample = sample_colored_p(len(residual), sched.p, q, rng)
-        wmap = {residual[j]: c for j, c in sample.assignment}
+        sample = sample_colored_p(len(residual), sched.p, sched.q, rng)
+        if sample.assignment:
+            wmap = rounds[i] = {residual[j]: c for j, c in sample.assignment}
+            residual = [v for v in residual if v not in wmap]
+    m_end = min(round_half_up(n * sched.rho), len(residual))
+    sample = sample_colored_m(len(residual), m_end, sched.q, rng)
+    return _Draws(rng, rounds, {residual[j]: c for j, c in sample.assignment})
+
+
+def run_fragmentation(h: Hypergraph, sched: Schedule, rngs) -> list[FragmentationTrace]:
+    """Run the full process once per stream of rngs on `sched`, made for h
+    by `make_schedule`, and record per-round statistics: one trace per
+    stream, in order.
+
+    Each stream's samples are drawn first; then a block of consecutive
+    streams goes through the rounds together, one psi call a round for
+    the block.  A block is one stream, or the most streams whose round-1
+    restricted lifts fit `block_rows` and the byte budget in all.  At
+    desk scale the schedule's total rate often exceeds 1, which only
+    invalidates the size claim of the final union, not the execution;
+    feasibility is recorded in the trace.
+    """
+    # here, so that only a command that fragments compiles it; before the
+    # run's own objects exist, which then reuse the compiler's freed memory
+    from . import _blocks
+
+    pad = h.num_vertices * sched.q
+    offsets, _ = rank_tables(pad, h.r_bound, "fragment keys", "use a smaller --q or a smaller hypergraph")
+    most = (2**63 - 1) // int(offsets[-1])  # seed * M + key stays in int64
+    # a round-1 row holds row_bytes // 8 int64s' worth at the round's peak
+    row_bytes = fragment_row_bytes(h.r_bound)
+    cap = block_rows(row_bytes // 8)
+    distinct = h.distinct[0]
+    streams = iter(rngs)
+    # streams are drawn and their round-1 rows counted a chunk at a time,
+    # the count's array holding edges * r pins per stream
+    ahead = block_rows(len(distinct.edges) * h.r_bound)
+    traces, block, rows = [], [], 0
+    while chunk := [_draw(h.num_vertices, sched, rng) for rng in islice(streams, ahead)]:
+        sizes = _blocks.lift_groups(distinct, sched.q, [draws.rounds.get(1, {}) for draws in chunk])[1]
+        for draws, size in zip(chunk, sizes):
+            n = max(1, size)
+            if block and (rows + n > cap or (rows + n) * row_bytes > limits.MEMORY_BYTES or len(block) == most):
+                traces += _run_block(h, sched, block)
+                block, rows = [], 0
+            block.append(draws)
+            rows += n
+    if block:
+        traces += _run_block(h, sched, block)
+    return traces
+
+
+def _run_block(h: Hypergraph, sched: Schedule, block: list[_Draws]) -> list[FragmentationTrace]:
+    """The traces of a block of streams whose samples are drawn."""
+    survivors = initial_survivors(h, sched.q, [draws.rounds.get(1, {}) for draws in block])
+    before = [sched.lift_size] * len(block)
+    rounds = [[] for _ in block]
+    for i in range(1, sched.ell + 1):
+        wmaps = [draws.rounds.get(i, {}) for draws in block]
         r_i = (1.0 - sched.gamma) ** i * sched.r
-        if i == 1:
-            survivors = initial_survivors(h, q, wmap)
-        if wmap or i == 1:  # round 1's restricted lift need not be an antichain
-            survivors, compatible, after = apply_round(survivors, wmap, r_i)
+        if i == 1 or any(wmaps):  # round 1's restricted lift need not be an antichain
+            survivors, compatible, after = apply_round(survivors, wmaps, r_i)
         else:
             survivors, compatible, after = empty_round(survivors, r_i)
-        rounds.append(
-            RoundRecord(
-                round=i,
-                w_size=len(wmap),
-                survivors_before=before,
-                compatible=compatible,
-                survivors_after=after,
-                good_fraction=after / before if before else 0.0,
-                successful=after >= (1.0 - sched.delta) * before,
+        for s, (c, a) in enumerate(zip(compatible.tolist(), after.tolist())):
+            rounds[s].append(
+                RoundRecord(
+                    round=i,
+                    w_size=len(wmaps[s]),
+                    survivors_before=before[s],
+                    compatible=c,
+                    survivors_after=a,
+                    good_fraction=a / before[s] if before[s] else 0.0,
+                    successful=a >= (1.0 - sched.delta) * before[s],
+                )
+            )
+            before[s] = a
+
+    traces = []
+    hits = endgame_hit(survivors, [draws.endgame for draws in block]).tolist()
+    for draws, records, hit, final in zip(block, rounds, hits, before):
+        w_union = dict(draws.endgame)
+        for wmap in draws.rounds.values():
+            w_union.update(wmap)
+        traces.append(
+            FragmentationTrace(
+                seed=draws.rng.master_seed,
+                stream_id=draws.rng.stream_id,
+                schedule=sched,
+                rounds=records,
+                endgame_w_size=len(draws.endgame),
+                endgame_hit=hit,
+                outcome_rainbow=contains_rainbow_edge(h, ColoredSet.from_dict(w_union)) is not None,
+                all_rounds_successful=all(rec.successful for rec in records),
+                final_survivors=final,
             )
         )
-        before = after
-        w_union.update(wmap)
-        residual = [v for v in residual if v not in wmap]
-
-    # endgame: a uniform Nrho-subset of the residual, randomly colored
-    m_end = min(round_half_up(h.num_vertices * sched.rho), len(residual))
-    sample = sample_colored_m(len(residual), m_end, q, rng)
-    wend = {residual[j]: c for j, c in sample.assignment}
-    w_union.update(wend)
-    return FragmentationTrace(
-        seed=rng.master_seed,
-        stream_id=rng.stream_id,
-        schedule=sched,
-        rounds=rounds,
-        endgame_w_size=len(wend),
-        endgame_hit=endgame_hit(survivors, wend),
-        outcome_rainbow=contains_rainbow_edge(h, ColoredSet.from_dict(w_union)) is not None,
-        all_rounds_successful=all(rec.successful for rec in rounds),
-        final_survivors=before,
-    )
+    return traces

@@ -53,6 +53,13 @@ def check_janson_inputs(h: Hypergraph, q: int, p: float) -> None:
     check_chromatic(h, q)
 
 
+def check_chebyshev_inputs(g: Hypergraph, q: int, alpha: float) -> None:
+    """The endgame report needs alpha in (0, 1) and q >= r."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    check_chromatic(g, q)
+
+
 def janson_mu(h: Hypergraph, q: int, p: float) -> float:
     """mu = |H*| (1-p)^r for an r-uniform H."""
     check_janson_inputs(h, q, p)
@@ -165,9 +172,7 @@ def chebyshev_report(g: Hypergraph, q: int, alpha: float) -> MomentReport:
     the variance-style sum uses the same pair aggregation as Delta with
     weight (alpha/q)^(2r - shared).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    check_chromatic(g, q)
+    check_chebyshev_inputs(g, q, alpha)
     r = g.r_bound
     mu = alpha**r * falling_factorial(q, r) / q**r * len(g.edges)
     delta = _delta_aggregate(g, q, alpha / q)

@@ -52,18 +52,28 @@ class LiftedSample(NamedTuple):
         return "".join(f"{v} {c}\n" for v, c in sorted(self.elements))
 
 
-def sample_uniform_subset(n: int, m: int, rng: RngStream) -> list[int]:
-    """Uniformly random m-subset of range(n), sorted."""
+def check_model(model: str, n: int, m: int, p: float, q: int) -> None:
+    """Refuse what the sampler of `model` (uniform-m, binomial-p,
+    colored-m, colored-p or lifted-p) refuses, in its order, before any
+    draw."""
+    if model in ("colored-m", "colored-p"):
+        _check_colors(q)
+    if model in ("uniform-m", "colored-m"):
+        _check_subset(n, m)
+    elif model in ("binomial-p", "colored-p"):
+        _check_binomial(n, p)
+    else:
+        _check_lifted(n, q, p)
+
+
+def _check_subset(n: int, m: int) -> None:
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    return rng.sample_without_replacement(n, m)
 
 
-def sample_binomial_subset(n: int, p: float, rng: RngStream) -> list[int]:
-    """Each element of range(n) included independently with probability p."""
+def _check_binomial(n: int, p: float) -> None:
     if not (n >= 0 and 0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1] and n >= 0, got p={p}, n={n}")
-    return [v for v in range(n) if rng.bernoulli(p)]
 
 
 def _check_colors(q: int) -> None:
@@ -72,6 +82,23 @@ def _check_colors(q: int) -> None:
         raise ValueError(f"need q >= 1 colors, got q={q}")
     if q > 2**64:
         raise ValueError(f"need q <= 2**64 colors, got q={q}")
+
+
+def _check_lifted(n: int, q: int, p: float) -> None:
+    if not (n >= 0 and q >= 1 and 0.0 <= p <= q):
+        raise ValueError(f"need q >= 1 and 0 <= p <= q and n >= 0, got p={p}, q={q}, n={n}")
+
+
+def sample_uniform_subset(n: int, m: int, rng: RngStream) -> list[int]:
+    """Uniformly random m-subset of range(n), sorted."""
+    _check_subset(n, m)
+    return rng.sample_without_replacement(n, m)
+
+
+def sample_binomial_subset(n: int, p: float, rng: RngStream) -> list[int]:
+    """Each element of range(n) included independently with probability p."""
+    _check_binomial(n, p)
+    return [v for v in range(n) if rng.bernoulli(p)]
 
 
 def sample_colored_m(n: int, m: int, q: int, rng: RngStream) -> ColoredSet:
@@ -90,8 +117,7 @@ def sample_colored_p(n: int, p: float, q: int, rng: RngStream) -> ColoredSet:
 
 def sample_lifted_binomial(n: int, q: int, p: float, rng: RngStream) -> LiftedSample:
     """Each (vertex, color) pair included independently with probability p/q."""
-    if not (n >= 0 and q >= 1 and 0.0 <= p <= q):
-        raise ValueError(f"need q >= 1 and 0 <= p <= q and n >= 0, got p={p}, q={q}, n={n}")
+    _check_lifted(n, q, p)
     pq = p / q
     elems = set()
     for v in range(n):

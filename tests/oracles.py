@@ -20,8 +20,11 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from rainbowspread.fragmentation import FragmentStore, _psi_round as store_psi_round
+from rainbowspread._blocks import psi_round as store_psi_round
+from rainbowspread.fragmentation import FragmentationTrace, FragmentStore, RoundRecord
 from rainbowspread.lifting import LiftedEdge, lift_size
+from rainbowspread.rng import round_half_up
+from rainbowspread.sampling import sample_colored_m, sample_colored_p
 from rainbowspread.spread import containment_count
 
 # a fragment: (elements, multiplicity, lineage)
@@ -205,6 +208,54 @@ def endgame_hit(survivors: dict, wmap: dict[int, int]) -> bool:
     return any(all(wmap.get(v) == c for v, c in elems) for elems in survivors)
 
 
+def fragmentation_trace(h, sched, rng) -> FragmentationTrace:
+    """One run, seed by seed: round i draws its sample from the residual,
+    then runs the dict-form round, full psi on every round, an empty
+    sample's too; the endgame samples the residual, and the outcome is a
+    scan of the edges for one that the union covers in distinct colors."""
+    residual = list(range(h.num_vertices))
+    w_union: dict[int, int] = {}
+    rounds = []
+    before = sched.lift_size
+    for i in range(1, sched.ell + 1):
+        sample = sample_colored_p(len(residual), sched.p, sched.q, rng)
+        wmap = {residual[j]: c for j, c in sample.assignment}
+        if i == 1:
+            survivors = initial_survivors(h, sched.q, wmap)
+        survivors, compatible, after = apply_round(survivors, wmap, (1.0 - sched.gamma) ** i * sched.r)
+        rounds.append(
+            RoundRecord(
+                round=i,
+                w_size=len(wmap),
+                survivors_before=before,
+                compatible=compatible,
+                survivors_after=after,
+                good_fraction=after / before if before else 0.0,
+                successful=after >= (1.0 - sched.delta) * before,
+            )
+        )
+        before = after
+        w_union.update(wmap)
+        residual = [v for v in residual if v not in wmap]
+    m_end = min(round_half_up(h.num_vertices * sched.rho), len(residual))
+    sample = sample_colored_m(len(residual), m_end, sched.q, rng)
+    wend = {residual[j]: c for j, c in sample.assignment}
+    w_union.update(wend)
+    return FragmentationTrace(
+        seed=rng.master_seed,
+        stream_id=rng.stream_id,
+        schedule=sched,
+        rounds=rounds,
+        endgame_w_size=len(wend),
+        endgame_hit=endgame_hit(survivors, wend),
+        outcome_rainbow=any(
+            all(v in w_union for v in e) and len({w_union[v] for v in e}) == len(e) for e in h.edges
+        ),
+        all_rounds_successful=all(rec.successful for rec in rounds),
+        final_survivors=before,
+    )
+
+
 # adapters between the dict form and `FragmentStore`
 
 
@@ -215,14 +266,16 @@ def by_lineage(survivors: dict) -> list:
 
 
 def store_from_dict(survivors: dict, num_vertices: int, q: int, width: int) -> FragmentStore:
-    """A store holding the dict's fragments; lineages must be distinct."""
+    """A store of one seed holding the dict's fragments; lineages must be
+    distinct."""
     rows = by_lineage(survivors)
     pad = num_vertices * q
     codes = np.full((len(rows), width), pad, dtype=np.int64)
     for row, (elems, _) in zip(codes, rows):
         row[: len(elems)] = [v * q + c - 1 for v, c in elems]
     mult = np.array([mult for _, mult in rows], dtype=np.int64)
-    return FragmentStore(codes=codes, mult=mult, q=q, pad=pad)
+    lengths = np.array([len(elems) for elems, _ in rows], dtype=np.int64)
+    return FragmentStore(codes, mult, np.zeros(len(rows), dtype=np.int64), 1, q, pad, lengths)
 
 
 def _elements(store: FragmentStore, row) -> tuple:
@@ -235,10 +288,10 @@ def store_rows(store: FragmentStore) -> list:
 
 
 def store_picks(store: FragmentStore, wmap: dict[int, int]) -> list:
-    """`fragmentation._psi_round` on the store in `psi_round`'s form, one
-    entry per store row, with the store row that the chosen remainder
-    comes from in place of its lineage."""
-    compat, rem, src, _ = store_psi_round(store, wmap)
+    """`_blocks.psi_round` on a store of one seed in `psi_round`'s
+    form, one entry per store row, with the store row that the chosen
+    remainder comes from in place of its lineage."""
+    compat, rem, src, _ = store_psi_round(store, [wmap])
     rows = np.flatnonzero(compat)
     picks = iter(src.tolist())
     out = []

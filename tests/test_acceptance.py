@@ -177,7 +177,7 @@ def test_acceptance_07_fragmentation_consistency():
         star = lift_size(h, q)
         sched = make_schedule(h, q, max_spread(h).kappa, 0.3, 1.0)
         for sid in range(200):
-            tr = run_fragmentation(h, sched, RngStream(700, sid))
+            tr = run_fragmentation(h, sched, [RngStream(700, sid)])[0]
             if tr.endgame_hit:
                 assert tr.outcome_rainbow  # (a)
             for i, rec in enumerate(tr.rounds, start=1):  # (b) via good counting
@@ -186,7 +186,7 @@ def test_acceptance_07_fragmentation_consistency():
             if tr.all_rounds_successful:  # (d)
                 assert 2 * tr.final_survivors > star
             if sid < 25:  # (c)
-                again = run_fragmentation(h, sched, RngStream(700, sid))
+                again = run_fragmentation(h, sched, [RngStream(700, sid)])[0]
                 assert tr.serialize().encode() == again.serialize().encode()
     report("fragmentation: 200 seeded runs per instance consistent, traces byte-identical")
 

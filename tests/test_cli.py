@@ -23,6 +23,10 @@ from rainbowspread.rng import RngStream
 from rainbowspread.threshold import ThresholdUnreachable, TrialPool
 
 
+# sha256 of the trace of `fragment hc7 --q 8 --gamma 0.3 --seeds 0:0`, after the header
+HC7_Q8_SEED0 = "763c852011a7ee92ca6202f01fdb32341ac15d82e3ecf2904d9177cb393869fc"
+
+
 @pytest.fixture()
 def hc5_path(tmp_path):
     path = tmp_path / "hc5.json"
@@ -589,33 +593,84 @@ def test_unread_option_must_be_finite(hc5_path, tmp_path, capsys, argv, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["moments", "{hc7}", "--chebyshev", "--q", "7", "--p", "inf"], "--p inf"),
+    (["moments", "{hc7}", "--janson", "--q", "7", "--alpha", "nan"], "--alpha nan"),
+    (["sample", "--model", "uniform-m", "--n", "10", "--m", "3", "--p=-inf"], "--p -inf"),
+    (["sample", "--model", "colored-m", "--n", "10", "--m", "3", "--q", "3", "--p", "nan"], "--p nan"),
+], ids=["chebyshev-p", "janson-alpha", "uniform-m-p", "colored-m-p"])
+def test_unread_option_refused_before_the_work(tmp_path, monkeypatch, capsys, argv, message):
+    # the header's finite check comes after the command's own checks and
+    # before its first heavy stage
+    def heavy(*args, **kwargs):
+        raise AssertionError("work done before the header was checked")
+
+    for name in ("max_spread", "chebyshev_report", "janson_chain_check", "sample_uniform_subset",
+                 "sample_binomial_subset", "sample_colored_m", "sample_colored_p", "sample_lifted_binomial"):
+        monkeypatch.setattr(cli, name, heavy)
+    path = tmp_path / "hc7.json"
+    write_hypergraph(gen_hamilton(7), str(path))
+    assert main([str(path) if a == "{hc7}" else a for a in argv]) == 1
+    _single_error(capsys, f"{message}: expected a finite number")
+
+
 def test_fragment_lift_over_cap(tmp_path, capsys):
     # pm(8,2) at q=40: round 1's restricted lift has 94,394,734 edges, above the budget
     path = tmp_path / "pm82.json"
     write_hypergraph(gen_perfect_matching(8, 2), str(path))
     assert main(["fragment", "--hypergraph", str(path), "--q", "40"]) == 1
-    _single_error(capsys, "94394734 lifted edges need 14347999568 bytes")
+    _single_error(capsys, "94394734 lifted edges need 14725578504 bytes")
 
 
-def test_fragment_lift_cap_before_allocation(tmp_path, capsys):
-    # hc7 at q=9: round 1's restricted lift has 14,459,760 edges, about
-    # 2.9 GB at the fragmentation's peak; the budget stops the run before
-    # any of it exists
-    path = tmp_path / "hc7.json"
-    write_hypergraph(gen_hamilton(7), str(path))
+def _refused_before_allocation(tmp_path, capsys, n, q, message):
+    path = tmp_path / "h.json"
+    write_hypergraph(gen_hamilton(n), str(path))
     tracemalloc.start()
     try:
-        rc = main(["fragment", "--hypergraph", str(path), "--q", "9", "--seeds", "0:1"])
+        rc = main(["fragment", "--hypergraph", str(path), "--q", str(q), "--seeds", "0:1"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 1
-    _single_error(
-        capsys,
-        "14459760 lifted edges need 2935331280 bytes, above the budget of 1073741824; "
-        "use a smaller --q or a smaller hypergraph",
-    )
+    _single_error(capsys, f"{message}, above the budget of 1073741824; use a smaller --q or a smaller hypergraph")
     assert peak < 64 * 2**20
+
+
+def test_fragment_lift_cap_before_allocation(tmp_path, capsys):
+    # hc7 at q=9: round 1's restricted lift has 14,459,760 edges, about
+    # 2.4 GB at the fragmentation's peak; the budget stops the run before
+    # any of it exists
+    _refused_before_allocation(tmp_path, capsys, 7, 9, "14459760 lifted edges need 2429239680 bytes")
+
+
+def test_fragment_hc8_at_q8_refused_before_allocation(tmp_path, capsys):
+    # hc8 at q=8: 18,396,520 edges, about 3.2 GB
+    _refused_before_allocation(tmp_path, capsys, 8, 8, "18396520 lifted edges need 3164201440 bytes")
+
+
+def test_fragment_hc7_at_q8_runs(tmp_path):
+    # 3,310,800 round-1 rows, charged 556 MB: under the budget, so the run
+    # goes through, with the trace that the seed-by-seed runs wrote
+    path = tmp_path / "hc7.json"
+    write_hypergraph(gen_hamilton(7), str(path))
+    out = tmp_path / "f.txt"
+    assert main(["fragment", "--hypergraph", str(path), "--q", "8", "--gamma", "0.3", "--seeds", "0:0",
+                 "--out", str(out)]) == 0
+    body = out.read_text().split("\n", 1)[1]
+    assert hashlib.sha256(body.encode()).hexdigest() == HC7_Q8_SEED0
+
+
+def test_fragment_seed_range_is_the_single_seeds(hc5_path, capsys):
+    # a range runs in blocks of seeds; its traces are the traces of the
+    # seeds run one by one
+    argv = ["fragment", "--hypergraph", hc5_path, "--q", "5", "--gamma", "0.3"]
+    assert main([*argv, "--seeds", "0:19"]) == 0
+    whole = capsys.readouterr().out.split("\n", 1)[1]
+    singles = []
+    for sid in range(20):
+        assert main([*argv, "--seeds", f"{sid}:{sid}"]) == 0
+        singles.append(capsys.readouterr().out.split("\n", 1)[1])
+    assert whole == "".join(singles)
 
 
 def test_fragment_key_width_is_one_error_line(tmp_path, capsys):

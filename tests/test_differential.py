@@ -1,6 +1,7 @@
 """The fast paths against their references in oracles.py, on random small
 multiset hypergraphs with mixed edge sizes and repeated edges."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from rainbowspread import fragmentation, limits
 from rainbowspread.fragmentation import apply_round, endgame_hit, initial_survivors, make_schedule, run_fragmentation
+from rainbowspread.generators import gen_hamilton
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import lift_rainbow, lift_size
 from rainbowspread.moments import chebyshev_report, exact_uncover_probability, janson_delta_exact
 from rainbowspread.rng import RngStream
+from rainbowspread.sampling import contains_rainbow_edge, sample_colored_p
 from rainbowspread.spread import is_kappa_spread, max_spread, pad_to_uniform
 from rainbowspread.threshold import TrialPool
 
@@ -63,43 +66,78 @@ def test_rounds_match_oracle(data):
     bounds = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0]), min_size=4, max_size=4))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(limits, "BLOCK_ELEMENTS", data.draw(block_elements()))
-        store = initial_survivors(h, q, samples[0])
+        store = initial_survivors(h, q, [samples[0]])
         expected = oracles.initial_survivors(h, q, samples[0])
         assert oracles.store_rows(store) == oracles.by_lineage(expected)
         for wmap, r_i in zip(samples, bounds):
             reference = oracles.apply_round(expected, wmap, r_i)
             assert oracles.apply_round(expected, wmap, r_i, order="subsets") == reference
             assert oracles.apply_round(expected, wmap, r_i, order="candidates") == reference
-            store, compatible, good = apply_round(store, wmap, r_i)
+            store, compatible, good = apply_round(store, [wmap], r_i)
             expected = reference[0]
-            assert (compatible, good) == reference[1:]
+            assert [compatible.tolist(), good.tolist()] == [[count] for count in reference[1:]]
             assert oracles.store_rows(store) == oracles.by_lineage(expected)
     wend = data.draw(colorings(h, q))
-    assert endgame_hit(store, wend) == oracles.endgame_hit(expected, wend)
+    assert endgame_hit(store, [wend]).tolist() == [oracles.endgame_hit(expected, wend)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_traces_match_oracle(data):
-    # whole runs, once on the store and once with the dict-form round
+    # whole runs of a range of streams, in blocks of seeds, against the
+    # per-seed reference loop; small blocks split both the range and psi's
+    # searches, and C = 2 samples more, often a rainbow edge in round 1
     h, q = data.draw(instances(min_r=3))
-    gamma = data.draw(st.sampled_from([0.1, 0.3, 0.5]))
-    seed, stream = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 50))
-    sched = make_schedule(h, q, max_spread(h).kappa, gamma, 1.0)
+    gamma, C = data.draw(st.sampled_from([0.1, 0.3, 0.5])), data.draw(st.sampled_from([1.0, 2.0]))
+    seed, first = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 50))
+    streams = range(first, first + data.draw(st.integers(1, 6)))
+    sched = make_schedule(h, q, max_spread(h).kappa, gamma, C)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "BLOCK_ELEMENTS", data.draw(block_elements()))
+        traces = run_fragmentation(h, sched, [RngStream(seed, sid) for sid in streams])
+    assert [trace.serialize() for trace in traces] == [oracle_trace(h, sched, RngStream(seed, sid)) for sid in streams]
 
-    trace = run_fragmentation(h, sched, RngStream(seed, stream)).serialize()
-    assert oracle_trace(h, sched, RngStream(seed, stream)) == trace
+
+@pytest.mark.parametrize("q, empty", [(5, [5]), (7, [3, 8])])
+def test_seed_blocks_match_the_seeds_one_by_one(monkeypatch, q, empty):
+    # streams 0-11 of hc5 at gamma 0.3: round 1 of the seeds in `empty`
+    # samples a rainbow edge, so their remainders include the empty one,
+    # beside seeds whose remainders do not; in round 2 some seeds sample and
+    # others do not.  Each block size gives the per-seed reference's traces.
+    h = gen_hamilton(5)
+    sched = make_schedule(h, q, max_spread(h).kappa, 0.3, 1.0)
+    streams = range(12)
+    rainbow = [
+        contains_rainbow_edge(h, sample_colored_p(h.num_vertices, sched.p, q, RngStream(0, sid))) is not None
+        for sid in streams
+    ]
+    assert [sid for sid in streams if rainbow[sid]] == empty
+    expected = [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
+    sampled = [json.loads(trace.splitlines()[2])["w_size"] > 0 for trace in expected]
+    assert any(sampled) and not all(sampled)
+
+    blocks = {}
+    run_block = fragmentation._run_block
+
+    def record(h, sched, block):
+        blocks[limits.BLOCK_ELEMENTS].append(len(block))
+        return run_block(h, sched, block)
+
+    monkeypatch.setattr(fragmentation, "_run_block", record)
+    for elements in (1, 600, 6000, 60000, limits.BLOCK_ELEMENTS):
+        blocks[elements] = []
+        monkeypatch.setattr(limits, "BLOCK_ELEMENTS", elements)
+        traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
+        assert [trace.serialize() for trace in traces] == expected
+    # one seed a block, several blocks of several seeds, one block
+    assert blocks.pop(1) == [1] * len(streams)
+    assert blocks.pop(limits.BLOCK_ELEMENTS) == [len(streams)]
+    assert any(len(sizes) > 1 and max(sizes) > 1 for sizes in blocks.values())
 
 
 def oracle_trace(h, sched, rng) -> str:
-    """The serialized run with the dict-form round, full psi on every
-    round, an empty sample's too."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fragmentation, "initial_survivors", oracles.initial_survivors)
-        mp.setattr(fragmentation, "apply_round", oracles.apply_round)
-        mp.setattr(fragmentation, "empty_round", lambda s, r_i: oracles.apply_round(s, {}, r_i))
-        mp.setattr(fragmentation, "endgame_hit", oracles.endgame_hit)
-        return run_fragmentation(h, sched, rng).serialize()
+    """The serialized run of the per-seed reference loop."""
+    return oracles.fragmentation_trace(h, sched, rng).serialize()
 
 
 def test_round_one_runs_psi_on_an_empty_sample():
@@ -108,7 +146,7 @@ def test_round_one_runs_psi_on_an_empty_sample():
     # still shrink them to the sides, which fit r_1 = 2.1
     h = Hypergraph.from_edges(3, [(0, 1, 2), (0, 1), (1, 2), (0, 2), (0, 1, 2)])
     sched = make_schedule(h, 3, max_spread(h).kappa, 0.3, 1.0)
-    trace = run_fragmentation(h, sched, RngStream(0, 37))
+    trace = run_fragmentation(h, sched, [RngStream(0, 37)])[0]
     first = trace.rounds[0]
     assert (first.w_size, first.compatible, first.survivors_after) == (0, 30, 30)
     assert trace.serialize() == oracle_trace(h, sched, RngStream(0, 37))

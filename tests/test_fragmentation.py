@@ -8,7 +8,7 @@ import numpy as np
 import oracles
 import pytest
 
-from rainbowspread import fragmentation
+from rainbowspread import _blocks, fragmentation
 from rainbowspread.errors import RainbowSpreadError
 from rainbowspread.fragmentation import (
     FragmentationTrace,
@@ -105,8 +105,10 @@ def _both_picks(frags, wmap):
 def _both_rounds(survivors, wmap, r_i):
     """The oracle's round and the store's, which must agree."""
     expected = oracles.apply_round(survivors, wmap, r_i)
-    new, compatible, good = apply_round(oracles.store_from_dict(survivors, 3, 2, 3), wmap, r_i)
-    assert (oracles.store_rows(new), compatible, good) == (oracles.by_lineage(expected[0]), *expected[1:])
+    new, compatible, good = apply_round(oracles.store_from_dict(survivors, 3, 2, 3), [wmap], r_i)
+    assert (oracles.store_rows(new), compatible.tolist(), good.tolist()) == (
+        oracles.by_lineage(expected[0]), [expected[1]], [expected[2]]
+    )
     return expected
 
 
@@ -179,9 +181,26 @@ def test_apply_round_full_coloring():
     assert compatible == 0 and new == {}
 
 
+def test_empty_round_keeps_rows_as_long_as_r_i():
+    # gamma 0.5 on r = 4 gives r_1 = 2.0 and r_2 = 1.0; an empty round keeps
+    # a row whose length equals r_i, as the round with an empty sample does
+    s = schedule(4, 10.0, 0.5, 1.0)
+    assert [(1 - s.gamma) ** i * s.r for i in (1, 2)] == [2.0, 1.0]
+    # an antichain with rows of lengths 1, 2 and 3
+    survivors = {((0, 1),): (1, 0), ((1, 2), (2, 2)): (2, 1), ((0, 2), (1, 1), (2, 1)): (3, 2)}
+    store = oracles.store_from_dict(survivors, 3, 2, 3)
+    for r_i in (2.0, 1.0):
+        expected = oracles.apply_round(survivors, {}, r_i)
+        new, compatible, good = empty_round(store, r_i)
+        assert (oracles.store_rows(new), compatible.tolist(), good.tolist()) == (
+            oracles.by_lineage(expected[0]), [expected[1]], [expected[2]]
+        )
+        assert _both_rounds(survivors, {}, r_i) == expected
+
+
 def run_once(h, q, seed, stream=0, gamma=0.3):
     sched = make_schedule(h, q, max_spread(h).kappa, gamma, 1.0)
-    return run_fragmentation(h, sched, RngStream(seed, stream))
+    return run_fragmentation(h, sched, [RngStream(seed, stream)])[0]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -231,7 +250,7 @@ def test_traces_frozen():
 def test_initial_survivors_multiset():
     h = gen_hamilton(4)
     q = 4
-    init = initial_survivors(h, q, {})
+    init = initial_survivors(h, q, [{}])
     assert int(init.mult.sum()) == lift_size(h, q)
     # distinct base edges never share (vertex, color) element tuples here,
     # so every multiplicity is 1, and the rows are the lift in its order
@@ -254,16 +273,16 @@ def test_round_one_from_restricted_lift(seed):
     rnd = random.Random(seed)
     h = _random_hypergraph(rnd)
     q = h.r_bound + rnd.randint(0, 2)
-    full = initial_survivors(h, q, {})
+    full = initial_survivors(h, q, [{}])
     for _ in range(6):
         w1 = {v: rnd.randint(1, q) for v in range(h.num_vertices) if rnd.random() < 0.4}
         r_i = rnd.choice([0.5, 1.0, 2.0, 3.0])
-        new, compatible, good = apply_round(initial_survivors(h, q, w1), w1, r_i)
-        new_full, compatible_full, good_full = apply_round(full, w1, r_i)
-        assert (compatible, good) == (compatible_full, good_full)
+        new, compatible, good = apply_round(initial_survivors(h, q, [w1]), [w1], r_i)
+        new_full, compatible_full, good_full = apply_round(full, [w1], r_i)
+        assert (compatible.tolist(), good.tolist()) == (compatible_full.tolist(), good_full.tolist())
         assert np.array_equal(new.codes, new_full.codes)
         assert np.array_equal(new.mult, new_full.mult)
-        assert compatible == lift_size(h, q, w1)
+        assert compatible.tolist() == [lift_size(h, q, w1)]
 
 
 def test_key_width_boundary():
@@ -285,9 +304,9 @@ def test_key_width_checked_before_the_lift(monkeypatch):
 
     h = Hypergraph.from_edges(700, [range(7)])
     assert max_spread(h).witness == (0,)
-    monkeypatch.setattr(fragmentation, "lift_codes", no_lift)
+    monkeypatch.setattr(_blocks, "lift_block", no_lift)
     with pytest.raises(LimitExceeded, match="all subsets of at most 7 of 14000 elements"):
-        initial_survivors(h, 20, {})
+        initial_survivors(h, 20, [{}])
 
 
 def test_run_rejects_small_q():
@@ -320,11 +339,12 @@ def test_seeds_share_the_schedule(monkeypatch):
     # |H*|, kappa and ell from the schedule and validates nothing again
     h, q = gen_perfect_matching(6, 2), 4
     sched = make_schedule(h, q, max_spread(h).kappa, 0.3, 1.0)
-    expected = [run_fragmentation(h, sched, RngStream(5, sid)).serialize() for sid in range(6)]
+    expected = [run_fragmentation(h, sched, [RngStream(5, sid)])[0].serialize() for sid in range(6)]
 
     def per_run(*args, **kwargs):
         raise AssertionError("seed-independent work done again for a seed")
 
     for name in ("lift_size", "max_spread", "check_fragment_inputs"):
         monkeypatch.setattr(fragmentation, name, per_run)
-    assert [run_fragmentation(h, sched, RngStream(5, sid)).serialize() for sid in range(6)] == expected
+    traces = run_fragmentation(h, sched, [RngStream(5, sid) for sid in range(6)])
+    assert [trace.serialize() for trace in traces] == expected

@@ -12,10 +12,11 @@ import rainbowspread
 from rainbowspread import limits
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
+from rainbowspread._blocks import _permutation_table, lift_block
 from rainbowspread.lifting import (
     ChromaticityError,
-    _permutation_table,
     falling_factorial,
+    fragment_row_bytes,
     lift_codes,
     lift_rainbow,
     lift_size,
@@ -98,6 +99,20 @@ def test_lift_codes_are_the_lifted_edges(w):
         assert row == [v * q + c - 1 for v, c in zip(e, le.colors)] + [pad] * (MIXED.r_bound - len(e))
 
 
+def test_lift_block_is_each_coloring_in_turn():
+    # the rows of several colorings at once are each coloring's lift_codes
+    # rows, one coloring after the other, with its index as owner
+    q = 4
+    ws = [{}, {1: 2}, {0: 3, 4: 1}, {1: 2, 2: 2}, {0: 5}]
+    codes, base, owner = lift_block(MIXED, q, ws)
+    assert owner.tolist() == sorted(owner.tolist())
+    for i, w in enumerate(ws):
+        one_codes, one_base = lift_codes(MIXED, q, w)
+        assert codes[owner == i].tolist() == one_codes.tolist()
+        assert base[owner == i].tolist() == one_base.tolist()
+    assert [lift_size(MIXED, q, w) for w in ws] == [int((owner == i).sum()) for i in range(len(ws))]
+
+
 @pytest.mark.parametrize("n,k", [(0, 0), (1, 1), (3, 0), (3, 2), (4, 4), (6, 3)])
 def test_permutation_table(n, k):
     table = _permutation_table(n, k)
@@ -122,7 +137,7 @@ def test_restricted_lift_cap(monkeypatch):
     w = {v: v % 8 + 1 for v in range(0, 15, 2)}
     n = lift_size(h, 8, w)
     assert 0 < n < lift_size(h, 8)
-    need = n * (17 * h.r_bound + 84)
+    need = n * fragment_row_bytes(h.r_bound)
     monkeypatch.setattr(limits, "MEMORY_BYTES", need)
     assert len(lift_codes(h, 8, w)[0]) == n
     monkeypatch.setattr(limits, "MEMORY_BYTES", need - 1)
@@ -135,7 +150,7 @@ def test_lift_rainbow_budget_covers_its_list(monkeypatch):
     h = gen_hamilton(5)
     n = lift_size(h, 6)
     need = n * (64 * h.r_bound + 320)
-    monkeypatch.setattr(limits, "MEMORY_BYTES", n * (17 * h.r_bound + 84))
+    monkeypatch.setattr(limits, "MEMORY_BYTES", n * fragment_row_bytes(h.r_bound))
     with pytest.raises(LimitExceeded, match=f"{n} listed lifted edges need {need} bytes"):
         lift_rainbow(h, 6)
     monkeypatch.setattr(limits, "MEMORY_BYTES", need - 1)

@@ -128,6 +128,23 @@ def test_estimate_threshold_is_least_m_over_all_trials(h, q, rng, target):
     assert est.ci_halfwidth == (hi - lo) / 2
 
 
+def test_estimate_threshold_at_a_target_equal_to_a_hit_rate():
+    # a target equal to a hit rate read from the pool is reached at that m:
+    # at m = N, where a rate equal to the target is not refused, and at an m
+    # where the rate rises, which is m* and not the next m
+    h, trials = gen_hamilton(5), 500
+    pool = TrialPool(h, 5, RngStream(36, 0))
+    hits = np.cumsum(np.bincount(pool.colored_times(trials), minlength=h.num_vertices + 2))
+    n = h.num_vertices
+    assert hits[n] < trials
+    top = estimate_threshold(pool, hits[n] / trials, trials)
+    assert top.m_star == int(np.argmax(hits == hits[n]))
+    rises = [m for m in range(1, n) if hits[m - 1] < hits[m] < hits[m + 1]]
+    assert rises
+    for m in rises:
+        assert estimate_threshold(pool, hits[m] / trials, trials).m_star == m
+
+
 def test_estimate_threshold_unreachable():
     h = gen_hamilton(5)
     with pytest.raises(ThresholdUnreachable):
