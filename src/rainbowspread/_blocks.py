@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .lifting import check_chromatic, falling_factorial, fragment_row_bytes
+from .lifting import check_chromatic, falling_factorial
 from .limits import block_rows, check_bytes
 from .spread import rank_tables, size_keys
 
@@ -58,10 +58,10 @@ def lift_groups(h: Hypergraph, q: int, ws):
     return groups, sizes, pins
 
 
-def lift_block(h: Hypergraph, q: int, ws):
+def lift_block(h: Hypergraph, q: int, ws, row_bytes: int, what: str):
     """The lift restricted to each partial coloring of ws, one after the
-    other, as integer rows: the one enumerator behind `lift_codes`,
-    `lift_rainbow` and fragmentation.
+    other, as integer rows: the one enumerator behind `lift_rainbow` and
+    fragmentation.
 
     Element (v, c) is coded v*q + c - 1, so each row ascends with its
     vertices.  Returns (codes, base, owner): codes is an array of shape
@@ -72,55 +72,44 @@ def lift_block(h: Hypergraph, q: int, ws):
     The (coloring, edge) pairs of one edge size k and pinned count s are
     written together, with no loop over edges: the pinned colors are
     fixed, and the free vertices take the rows of the cached table of
-    permutations(range(q - s), k - s) over the colors left.  Their bytes
-    are checked against the budget before anything is built.
+    permutations(range(q - s), k - s) over the colors left.  The caller's
+    charge, row_bytes a row, is checked before anything is built.
     """
     check_chromatic(h, q)
     groups, sizes, pins = lift_groups(h, q, ws)
     total = sum(sizes)
-    # a fragmentation round's peak per row, 4r + 140 bytes: per code the
-    # store's and the remainders' one-byte copies and the clash tests; per
-    # row the int64 multiplicity, seed and length in the store and among
-    # the remainders, the own and vertex keys, np.unique's buffers and the
-    # picks, and a margin (tracemalloc over a whole seed-0 run: 136 B/row on
-    # hamilton n=7 at q=7 and q=8, 134 on n=6 at q=8, 140 on pm(8,2) at q=12
-    # and 146 on pm(10,2) at q=8, seed 1)
-    need = total * fragment_row_bytes(h.r_bound)
-    check_bytes(need, f"{total} lifted edges", "use a smaller --q or a smaller hypergraph")
+    check_bytes(total * row_bytes, f"{total} {what}", "use a smaller --q or a smaller hypergraph")
     matrix, _ = h.packed
     m = len(matrix)
     pad = h.num_vertices * q
     dtype = np.min_scalar_type(pad)
     count = np.zeros(len(ws) * m, dtype=np.int64)
-    # each group's rows are written in one run, and then put in canonical
-    # order; run holds where each pair's rows start
+    # each group's rows are written in one run, pair after pair, and then
+    # put in canonical order; run holds where each pair's rows start
     run = np.zeros(len(ws) * m, dtype=np.int64)
     runs = np.full((total, h.r_bound), pad, dtype=dtype)
     at = 0
     for k, s, pairs in groups:
         perms = _permutation_table(q - s, k - s)
         count[pairs] = len(perms)
+        run[pairs] = at + len(perms) * np.arange(len(pairs))
         verts = matrix[pairs % m, :k]
         pin = pins[(pairs // m)[:, None], verts]
         # the colors its pins leave each pair, 0-based and ascending
         used = np.zeros((len(pairs), q + 1), dtype=bool)
         used[np.arange(len(pairs))[:, None], pin] = True
         avail = (np.flatnonzero(~used[:, 1:]).reshape(len(pairs), q - s) % q).astype(dtype)
-        # the run, pair by pair in the order of the slots they pin: each
-        # pair's pinned codes, its free slots' first codes, and then the
-        # colors of a row of the table added to its free slots in turn, for
-        # the pairs that pin the same slots at once
+        # each pair's pinned codes and its free slots' first codes, and then
+        # the colors of a row of the table added to its free slots in turn,
+        # one scatter a turn; free lists each pair's free slots first, ascending
         pinned = pin > 0
-        order = np.lexsort(pinned.T[::-1])
-        run[pairs[order]] = at + len(perms) * np.arange(len(pairs))
         block = runs[at : at + len(pairs) * len(perms)].reshape(len(pairs), len(perms), -1)
-        block[:, :, :k] = (verts * q + pin - pinned).astype(dtype)[order, None]
-        colors = avail[order][:, perms]
-        cuts = np.flatnonzero((pinned[order[1:]] != pinned[order[:-1]]).any(axis=1)) + 1
-        starts = [0, *cuts.tolist()]
-        for lo, hi, free in zip(starts, [*starts[1:], len(pairs)], (~pinned[order[starts]]).tolist()):
-            for turn, j in enumerate(j for j, f in enumerate(free) if f):
-                block[lo:hi, :, j] += colors[lo:hi, :, turn]
+        block[:, :, :k] = (verts * q + pin - pinned).astype(dtype)[:, None]
+        colors = avail[:, perms]
+        free = np.argsort(pinned, axis=1, kind="stable")
+        slots, rows = block.transpose(0, 2, 1), np.arange(len(pairs))
+        for turn in range(k - s):
+            slots[rows, free[:, turn]] += colors[:, :, turn]
         at += len(pairs) * len(perms)
     pair = np.repeat(np.arange(len(ws) * m), count)
     first = np.cumsum(count) - count
@@ -177,7 +166,7 @@ def _keys(rows, lengths, offsets, terms, n: int):
     return keys
 
 
-def psi_round(store, wmaps):
+def psi_round(store, wmaps, idle=None):
     """Apply the psi/chi minimization to a `fragmentation.FragmentStore`,
     for each seed's sampled colored set.
 
@@ -186,7 +175,9 @@ def psi_round(store, wmaps):
     unsampled vertices) as padded rows, lengths their sizes, and src[i]
     is the compatible row whose remainder row i picks: the smallest
     remainder of its seed inside row i's own, ties broken by row order.
-    A seed with an empty remainder has every row pick its first one.
+    A seed with an empty remainder has every row pick its first one, and
+    the rows of a seed i with idle[i] true (no sample, on an antichain)
+    pick themselves.
     """
     q, pad = store.q, store.pad
     kind = elements(wmaps, q, pad)
@@ -212,15 +203,17 @@ def psi_round(store, wmaps):
 
     # the empty remainder is inside every row of its seed
     empty = np.flatnonzero(lengths == 0)
-    if not len(empty):
+    idle = np.zeros(store.seeds, dtype=bool) if idle is None else np.asarray(idle)
+    own = np.flatnonzero(idle[seed])
+    if not len(empty) and not len(own):
         return compat, rem, _search(rem, lengths, seed, q, pad), lengths
     firsts, at = np.unique(seed[empty], return_index=True)
     pick = np.full(store.seeds, -1)
     pick[firsts] = empty[at]
     src = pick[seed]
+    src[own] = own
     live = np.flatnonzero(src < 0)
-    if len(live):
-        src[live] = live[_search(rem[live], lengths[live], seed[live], q, pad)]
+    src[live] = live[_search(rem[live], lengths[live], seed[live], q, pad)]
     return compat, rem, src, lengths
 
 

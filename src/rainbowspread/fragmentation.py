@@ -25,7 +25,7 @@ import numpy as np
 
 from . import limits
 from .hypergraph import Hypergraph
-from .lifting import check_chromatic, fragment_row_bytes, lift_size
+from .lifting import check_chromatic, lift_size
 # lift_rainbow and max_spread are not called here; they stay bound by
 # name because perfbench's tracer wraps them in every module that names them
 from .lifting import lift_rainbow  # noqa: F401
@@ -67,7 +67,7 @@ def check_fragment_inputs(h: Hypergraph, q: int, gamma: float, C: float) -> int:
     target = math.sqrt(math.log(r)) / r
     ell = math.ceil(math.log(target) / math.log(1.0 - gamma))  # >= 1, as target < 1
     # the float test decides, so ell is what stepping up from 1 would give
-    while ell > 1 and (1.0 - gamma) ** (ell - 1) <= target:
+    while (1.0 - gamma) ** (ell - 1) <= target:  # false at ell = 1, as target < 1
         ell -= 1
     while (1.0 - gamma) ** ell > target:
         ell += 1
@@ -102,7 +102,7 @@ def make_schedule(h: Hypergraph, q: int, kappa: float, gamma: float, C: float) -
 
 
 # The fragment store.  Element (v, c) of X x [q] is coded v*q + c - 1 (as
-# in `lift_codes`), and a fragment is a row of its element codes in
+# in `_blocks.lift_block`), and a fragment is a row of its element codes in
 # ascending order, padded on the right with pad = N*q; a row's length is
 # its count of codes below pad.  Each row carries a multiplicity and the
 # index of its seed in the store's block of seeds.  Rows are sorted by
@@ -143,9 +143,10 @@ def _per_seed(seed, values, seeds: int):
     return sums[bounds[1:]] - sums[bounds[:-1]]
 
 
-def apply_round(survivors: FragmentStore, wmaps, r_i: float):
+def apply_round(survivors: FragmentStore, wmaps, r_i: float, idle=None):
     """One fragmentation round against each seed's already-sampled colored
-    set, wmaps[i] for the store's seed i.
+    set, wmaps[i] for the store's seed i.  A seed i with idle[i] true sampled
+    nothing on a store that psi made: its rows pick themselves (`empty_round`).
 
     Returns the new store plus each seed's (compatible, good) counts with
     multiplicity, as arrays.  Good means the chosen remainder has size
@@ -154,7 +155,7 @@ def apply_round(survivors: FragmentStore, wmaps, r_i: float):
     """
     from . import _blocks
 
-    compat, rem, src, lengths = _blocks.psi_round(survivors, wmaps)
+    compat, rem, src, lengths = _blocks.psi_round(survivors, wmaps, idle)
     mult, seed = survivors.mult[compat], survivors.seed[compat]
     good = lengths[src] <= r_i
     merged = np.zeros(len(rem), dtype=np.int64)
@@ -264,6 +265,17 @@ class FragmentationTrace(NamedTuple):
         return "\n".join([*lines, ""])
 
 
+def fragment_row_bytes(r: int) -> int:
+    """A fragmentation round's peak per row of round 1's restricted lift,
+    4r + 140 bytes: per code the store's and the remainders' one-byte
+    copies and the clash tests; per row the int64 multiplicity, seed and
+    length in the store and among the remainders, the own and vertex
+    keys, np.unique's buffers and the picks, and a margin (tracemalloc over
+    a whole seed-0 run: 136 B/row on hamilton n=7 at q=7 and q=8, 134 on
+    n=6 at q=8, 140 on pm(8,2) at q=12 and 146 on pm(10,2) at q=8, seed 1)."""
+    return 4 * r + 140
+
+
 def initial_survivors(h: Hypergraph, q: int, wmaps) -> FragmentStore:
     """The lift restricted to each seed's round-1 sample, wmaps[i] for
     seed i, as one fragment store.
@@ -273,14 +285,14 @@ def initial_survivors(h: Hypergraph, q: int, wmaps) -> FragmentStore:
     the same remainders as it would over the full lift.  Rows repeat only
     where an edge repeats, so each distinct edge is lifted once, at its
     first copy, with the copy count as multiplicity (`Hypergraph.distinct`).
-    psi's keys are checked before the lift exists.
+    psi's keys and the lift's bytes are checked before the lift exists.
     """
     pad = h.num_vertices * q
     rank_tables(pad, h.r_bound, "fragment keys", "use a smaller --q or a smaller hypergraph")
     from . import _blocks
 
     distinct, copies = h.distinct
-    codes, base, seed = _blocks.lift_block(distinct, q, wmaps)
+    codes, base, seed = _blocks.lift_block(distinct, q, wmaps, fragment_row_bytes(h.r_bound), "lifted edges")
     return FragmentStore(codes, copies[base], seed, len(wmaps), q, pad, distinct.packed[1][base])
 
 
@@ -331,9 +343,10 @@ def run_fragmentation(h: Hypergraph, sched: Schedule, rngs) -> list[Fragmentatio
     pad = h.num_vertices * sched.q
     offsets, _ = rank_tables(pad, h.r_bound, "fragment keys", "use a smaller --q or a smaller hypergraph")
     most = (2**63 - 1) // int(offsets[-1])  # seed * M + key stays in int64
-    # a round-1 row holds row_bytes // 8 int64s' worth at the round's peak
+    # a round-1 row holds row_bytes // 8 int64s' worth at the round's peak,
+    # and a block's rows fit the byte budget that `initial_survivors` checks
     row_bytes = fragment_row_bytes(h.r_bound)
-    cap = block_rows(row_bytes // 8)
+    cap = min(block_rows(row_bytes // 8), limits.MEMORY_BYTES // row_bytes)
     distinct = h.distinct[0]
     streams = iter(rngs)
     # streams are drawn and their round-1 rows counted a chunk at a time,
@@ -344,14 +357,12 @@ def run_fragmentation(h: Hypergraph, sched: Schedule, rngs) -> list[Fragmentatio
         sizes = _blocks.lift_groups(distinct, sched.q, [draws.rounds.get(1, {}) for draws in chunk])[1]
         for draws, size in zip(chunk, sizes):
             n = max(1, size)
-            if block and (rows + n > cap or (rows + n) * row_bytes > limits.MEMORY_BYTES or len(block) == most):
+            if block and (rows + n > cap or len(block) == most):
                 traces += _run_block(h, sched, block)
                 block, rows = [], 0
             block.append(draws)
             rows += n
-    if block:
-        traces += _run_block(h, sched, block)
-    return traces
+    return traces + _run_block(h, sched, block)
 
 
 def _run_block(h: Hypergraph, sched: Schedule, block: list[_Draws]) -> list[FragmentationTrace]:
@@ -363,7 +374,8 @@ def _run_block(h: Hypergraph, sched: Schedule, block: list[_Draws]) -> list[Frag
         wmaps = [draws.rounds.get(i, {}) for draws in block]
         r_i = (1.0 - sched.gamma) ** i * sched.r
         if i == 1 or any(wmaps):  # round 1's restricted lift need not be an antichain
-            survivors, compatible, after = apply_round(survivors, wmaps, r_i)
+            idle = [i > 1 and not wmap for wmap in wmaps]
+            survivors, compatible, after = apply_round(survivors, wmaps, r_i, idle)
         else:
             survivors, compatible, after = empty_round(survivors, r_i)
         for s, (c, a) in enumerate(zip(compatible.tolist(), after.tolist())):

@@ -435,6 +435,7 @@ def test_fragment_rejects_non_finite_C(hc5_path, tmp_path, capsys, C):
     (["--seeds", "5:3"], "--seeds 5:3: range end is below its start"),
     (["--gamma", "1e-17"], "gamma=1e-17 is too small: 1 - gamma rounds to 1"),
     (["--gamma", "1e-9"], "1 traces need 1053308509440 bytes"),  # ell = 1,371,495,453
+    (["--gamma", "1"], "gamma must be in (0, 1)"),
 ])
 def test_fragment_arguments_checked_before_spread(hc5_path, tmp_path, monkeypatch, capsys, extra, message):
     def no_spread(h):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rainbowspread import fragmentation, limits
+from rainbowspread import _blocks, fragmentation, limits
 from rainbowspread.fragmentation import apply_round, endgame_hit, initial_survivors, make_schedule, run_fragmentation
 from rainbowspread.generators import gen_hamilton
 from rainbowspread.hypergraph import Hypergraph
@@ -52,7 +52,7 @@ def test_lift_matches_oracle(data):
     w = data.draw(colorings(h, q))
     expected = oracles.lift_rainbow(h, q, w)
     assert lift_rainbow(h, q, w) == expected
-    assert lift_size(h, q, w) == len(expected)
+    assert _blocks.lift_groups(h, q, [w])[1] == [len(expected)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -115,6 +115,7 @@ def test_seed_blocks_match_the_seeds_one_by_one(monkeypatch, q, empty):
     expected = [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
     sampled = [json.loads(trace.splitlines()[2])["w_size"] > 0 for trace in expected]
     assert any(sampled) and not all(sampled)
+    assert run_fragmentation(h, sched, []) == []
 
     blocks = {}
     run_block = fragmentation._run_block
@@ -133,6 +134,54 @@ def test_seed_blocks_match_the_seeds_one_by_one(monkeypatch, q, empty):
     assert blocks.pop(1) == [1] * len(streams)
     assert blocks.pop(limits.BLOCK_ELEMENTS) == [len(streams)]
     assert any(len(sizes) > 1 and max(sizes) > 1 for sizes in blocks.values())
+
+    # a byte budget between the largest seed's round-1 charge and the two
+    # largest seeds' together: the run goes through in blocks that each fit it
+    row_bytes = fragmentation.fragment_row_bytes(h.r_bound)
+    first = [fragmentation._draw(h.num_vertices, sched, RngStream(0, sid)).rounds.get(1, {}) for sid in streams]
+    rows = [max(1, n) for n in _blocks.lift_groups(h, q, first)[1]]
+    largest, second = sorted(rows, reverse=True)[:2]
+    for budget in (largest * row_bytes, (largest + second) * row_bytes - 1):
+        monkeypatch.setattr(limits, "MEMORY_BYTES", budget)
+        blocks[limits.BLOCK_ELEMENTS] = []
+        traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
+        assert [trace.serialize() for trace in traces] == expected
+        at = 0
+        for size in blocks.pop(limits.BLOCK_ELEMENTS):
+            assert sum(rows[at : at + size]) * row_bytes <= budget
+            at += size
+        assert at == len(streams)
+
+
+def test_unsampled_seeds_skip_the_search(monkeypatch):
+    # streams 0-11 of hc5 at q=5 in one block: from round 2 on the store is
+    # psi's output, an antichain, so the rows of a seed that samples nothing
+    # pick themselves, and only the other seeds' rows reach the search
+    h, q = gen_hamilton(5), 5
+    sched = make_schedule(h, q, max_spread(h).kappa, 0.3, 1.0)
+    streams = range(12)
+    calls, psi_round, search = [], _blocks.psi_round, _blocks._search
+
+    def record_round(store, wmaps, idle=None):
+        calls.append((set(store.seed.tolist()), wmaps, idle, set()))
+        return psi_round(store, wmaps, idle)
+
+    def record_search(rem, lengths, seed, q, pad):
+        calls[-1][3].update(seed.tolist())
+        return search(rem, lengths, seed, q, pad)
+
+    monkeypatch.setattr(_blocks, "psi_round", record_round)
+    monkeypatch.setattr(_blocks, "_search", record_search)
+    traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
+    assert [trace.serialize() for trace in traces] == [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
+    (_, _, idle, _), *later = calls
+    assert not any(idle)
+    mixed = 0
+    for held, wmaps, _, searched in later:
+        sampled = {s for s, w in enumerate(wmaps) if w}
+        assert searched <= sampled
+        mixed += bool(searched and held - sampled)
+    assert mixed
 
 
 def oracle_trace(h, sched, rng) -> str:

@@ -54,12 +54,15 @@ def test_schedule_strict_rejections():
     # an infeasible rate is recorded, not rejected
     s = schedule(100, 5.0, 0.1, 1.0)  # 37 * 0.2 + rho > 1
     assert (s.p, s.C / s.kappa, s.feasible) == (0.2, 0.2, False)  # not clamped
+    s = schedule(4, 2 + math.log(4), 0.5, 1.0)  # a total rate of exactly 1 is feasible
+    assert (s.ell, s.ell * s.p + s.rho, s.feasible) == (2, 1.0, True)
     with pytest.raises(ValueError):
         schedule(2, 10.0, 0.3, 1.0)
     with pytest.raises(ValueError):
         schedule(10, 10.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="1 - gamma rounds to 1"):
         schedule(10, 10.0, 1e-17, 1.0)
+    assert schedule(10, 10.0, 1e-16, 1.0).ell > 10**16  # 1 - 1e-16 is below 1, though 1 + 1e-16 is not above it
     for C in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite C >= 1"):
             schedule(10, 10.0, 0.3, C)
@@ -78,6 +81,16 @@ def test_schedule_ell_matches_the_stepping_search():
             while (1 - gamma) ** ell > target:
                 ell += 1
             assert schedule(r, 10.0, gamma, 1.0).ell == ell
+
+
+@pytest.mark.parametrize("r,gamma,estimate,ell", [(3, 0.0839023952417058, 13, 12), (4, 0.33479437596314704, 3, 4)])
+def test_schedule_ell_corrects_the_log_estimate(r, gamma, estimate, ell):
+    # the closed form is one above and one below the least ell here, and the
+    # float test steps it down and up to what stepping up from 1 finds
+    target = math.sqrt(math.log(r)) / r
+    assert math.ceil(math.log(target) / math.log(1.0 - gamma)) == estimate
+    assert (1 - gamma) ** ell <= target < (1 - gamma) ** (ell - 1)
+    assert schedule(r, 10.0, gamma, 1.0).ell == ell
 
 
 def test_schedule_nonstrict_clamps():
@@ -282,7 +295,7 @@ def test_round_one_from_restricted_lift(seed):
         assert (compatible.tolist(), good.tolist()) == (compatible_full.tolist(), good_full.tolist())
         assert np.array_equal(new.codes, new_full.codes)
         assert np.array_equal(new.mult, new_full.mult)
-        assert compatible.tolist() == [lift_size(h, q, w1)]
+        assert compatible.tolist() == _blocks.lift_groups(h, q, [w1])[1]
 
 
 def test_key_width_boundary():
@@ -320,9 +333,9 @@ def test_rounds_get_their_size_bounds(monkeypatch):
     h, q, gamma = gen_hamilton(5), 6, 0.3
     bounds = []
 
-    def record(survivors, wmap, r_i):
+    def record(survivors, wmap, r_i, idle=None):
         bounds.append(r_i)
-        return apply_round(survivors, wmap, r_i)
+        return apply_round(survivors, wmap, r_i, idle)
 
     def record_empty(survivors, r_i):
         bounds.append(r_i)

@@ -12,15 +12,9 @@ import rainbowspread
 from rainbowspread import limits
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
-from rainbowspread._blocks import _permutation_table, lift_block
-from rainbowspread.lifting import (
-    ChromaticityError,
-    falling_factorial,
-    fragment_row_bytes,
-    lift_codes,
-    lift_rainbow,
-    lift_size,
-)
+from rainbowspread._blocks import _permutation_table, lift_block, lift_groups
+from rainbowspread.fragmentation import fragment_row_bytes, initial_survivors
+from rainbowspread.lifting import ChromaticityError, falling_factorial, lift_rainbow, lift_size
 from rainbowspread.limits import LimitExceeded
 from rainbowspread.rng import RngStream
 from rainbowspread.spread import max_spread
@@ -73,7 +67,7 @@ def test_restricted_lift_matches_filter(q):
         # colors up to q + 1: a pin outside [1, q] admits no coloring
         w = {v: rng.randint(1, q + 1) for v in range(5) if rng.bernoulli(0.5)}
         brute = restricted_by_filter(MIXED, q, w)
-        assert lift_size(MIXED, q, w) == len(brute)
+        assert lift_groups(MIXED, q, [w])[1] == [len(brute)]
         assert lift_rainbow(MIXED, q, w) == brute
 
 
@@ -82,15 +76,20 @@ def test_restricted_lift_clashing_pins():
     # (0, 1) twice: 3 each, (2,): 1, (0, 2, 3, 4): (3)_3 = 6
     w = {1: 2, 2: 2}
     lifted = lift_rainbow(MIXED, 4, w)
-    assert lift_size(MIXED, 4, w) == len(lifted) == 13
+    assert lift_groups(MIXED, 4, [w])[1] == [len(lifted)] == [13]
     assert {le.base for le in lifted} == {0, 2, 3, 4}
     assert lifted == restricted_by_filter(MIXED, 4, w)
+
+
+def test_pin_outside_the_colors_needs_two_bytes_at_q255():
+    # a pin outside [1, q] is held as q + 1 = 256, which admits no coloring
+    assert lift_groups(EDGE, 255, [{0: 256}, {0: 255}])[1] == [0, 254]
 
 
 @pytest.mark.parametrize("w", [{}, {1: 2}, {0: 3, 4: 1}, {1: 2, 2: 2}])
 def test_lift_codes_are_the_lifted_edges(w):
     q, pad = 4, MIXED.num_vertices * 4
-    codes, base = lift_codes(MIXED, q, w)
+    codes, base, _ = lift_block(MIXED, q, [w], fragment_row_bytes(MIXED.r_bound), "lifted edges")
     expected = oracles.lift_rainbow(MIXED, q, w)
     assert codes.shape == (len(expected), MIXED.r_bound)
     assert base.tolist() == [le.base for le in expected]
@@ -100,20 +99,21 @@ def test_lift_codes_are_the_lifted_edges(w):
 
 
 def test_lift_block_is_each_coloring_in_turn():
-    # the rows of several colorings at once are each coloring's lift_codes
-    # rows, one coloring after the other, with its index as owner
+    # the rows of several colorings at once are each coloring's own rows,
+    # one coloring after the other, with its index as owner
     q = 4
     ws = [{}, {1: 2}, {0: 3, 4: 1}, {1: 2, 2: 2}, {0: 5}]
-    codes, base, owner = lift_block(MIXED, q, ws)
+    codes, base, owner = lift_block(MIXED, q, ws, 1, "rows")
     assert owner.tolist() == sorted(owner.tolist())
     for i, w in enumerate(ws):
-        one_codes, one_base = lift_codes(MIXED, q, w)
+        one_codes, one_base, _ = lift_block(MIXED, q, [w], 1, "rows")
         assert codes[owner == i].tolist() == one_codes.tolist()
         assert base[owner == i].tolist() == one_base.tolist()
-    assert [lift_size(MIXED, q, w) for w in ws] == [int((owner == i).sum()) for i in range(len(ws))]
+    assert lift_groups(MIXED, q, ws)[1] == [int((owner == i).sum()) for i in range(len(ws))]
 
 
-@pytest.mark.parametrize("n,k", [(0, 0), (1, 1), (3, 0), (3, 2), (4, 4), (6, 3)])
+# 257 entries of up to 256 need a type wider than one byte
+@pytest.mark.parametrize("n,k", [(0, 0), (1, 1), (3, 0), (3, 2), (4, 4), (6, 3), (257, 1)])
 def test_permutation_table(n, k):
     table = _permutation_table(n, k)
     assert [tuple(row) for row in table.tolist()] == list(permutations(range(n), k))
@@ -133,20 +133,21 @@ def test_import_stays_numpy_free():
 
 
 def test_restricted_lift_cap(monkeypatch):
+    # round 1's store is charged fragment_row_bytes a row of the restricted lift
     h = gen_hamilton(6)
     w = {v: v % 8 + 1 for v in range(0, 15, 2)}
-    n = lift_size(h, 8, w)
+    [n] = lift_groups(h, 8, [w])[1]
     assert 0 < n < lift_size(h, 8)
     need = n * fragment_row_bytes(h.r_bound)
     monkeypatch.setattr(limits, "MEMORY_BYTES", need)
-    assert len(lift_codes(h, 8, w)[0]) == n
+    assert len(initial_survivors(h, 8, [w])) == n
     monkeypatch.setattr(limits, "MEMORY_BYTES", need - 1)
     with pytest.raises(LimitExceeded, match=f"{n} lifted edges need {need} bytes, above the budget of {need - 1}"):
-        lift_codes(h, 8, w)
+        initial_survivors(h, 8, [w])
 
 
 def test_lift_rainbow_budget_covers_its_list(monkeypatch):
-    # the LiftedEdge list costs more per row than lift_codes' arrays
+    # the LiftedEdge list costs more per row than a fragmentation round
     h = gen_hamilton(5)
     n = lift_size(h, 6)
     need = n * (64 * h.r_bound + 320)

@@ -13,6 +13,7 @@ import pytest
 from scipy.stats import chi2
 
 from rainbowspread import _kernels
+from rainbowspread._blocks import lift_groups
 from rainbowspread.generators import gen_hamilton, gen_perfect_matching
 from rainbowspread.hypergraph import Hypergraph
 from rainbowspread.lifting import lift_rainbow, lift_size
@@ -199,13 +200,13 @@ def test_restricted_lift_matches_brute_force():
             for le in lifted
             if all(wmap.get(v, c) == c for v, c in le.elements(h))
         ]
-        assert lift_size(h, q, wmap) == len(brute)
+        assert lift_groups(h, q, [wmap])[1] == [len(brute)]
         assert lift_rainbow(h, q, wmap) == brute
 
 
 def test_restricted_lift_empty_restriction_is_whole_lift():
     h = gen_hamilton(4)
-    assert lift_size(h, 4, {}) == len(lift_rainbow(h, 4))
+    assert lift_groups(h, 4, [{}])[1] == [lift_size(h, 4)] == [len(lift_rainbow(h, 4))]
     assert lift_rainbow(h, 4, {}) == lift_rainbow(h, 4)
 
 
