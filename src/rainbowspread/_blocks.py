@@ -100,16 +100,18 @@ def lift_block(h: Hypergraph, q: int, ws, row_bytes: int, what: str):
         used[np.arange(len(pairs))[:, None], pin] = True
         avail = (np.flatnonzero(~used[:, 1:]).reshape(len(pairs), q - s) % q).astype(dtype)
         # each pair's pinned codes and its free slots' first codes, and then
-        # the colors of a row of the table added to its free slots in turn,
-        # one scatter a turn; free lists each pair's free slots first, ascending
+        # the colors of a row of the table added to its free slots: scattered
+        # into add one turn at a time, and added in place at once; free lists
+        # each pair's free slots first, ascending
         pinned = pin > 0
         block = runs[at : at + len(pairs) * len(perms)].reshape(len(pairs), len(perms), -1)
         block[:, :, :k] = (verts * q + pin - pinned).astype(dtype)[:, None]
         colors = avail[:, perms]
         free = np.argsort(pinned, axis=1, kind="stable")
-        slots, rows = block.transpose(0, 2, 1), np.arange(len(pairs))
+        add, rows = np.zeros((len(pairs), k, len(perms)), dtype=dtype), np.arange(len(pairs))
         for turn in range(k - s):
-            slots[rows, free[:, turn]] += colors[:, :, turn]
+            add[rows, free[:, turn]] = colors[:, :, turn]
+        block[:, :, :k] += add.transpose(0, 2, 1)
         at += len(pairs) * len(perms)
     pair = np.repeat(np.arange(len(ws) * m), count)
     first = np.cumsum(count) - count
@@ -268,12 +270,16 @@ def _search(rem, lengths, seed, q: int, pad: int):
     pair_u, pair_w = pair_u[order], np.concatenate(found_w)[order]
     # per pair: the slots of the vertex set that the shadow holds, and where
     # each slot's row of terms starts, its place from the end of the shadow
-    # times pad + 1, or 0, the zero row, for a slot the shadow does not hold
+    # times pad + 1, or 0, the zero row, for a slot the shadow does not hold;
+    # place and codes are slot-major, so a lookup sums its terms a column at
+    # a time, which is faster than along the short rows
     u_verts, w_verts = verts[shadow_rows[pair_u]], verts[shadow_rows[pair_w]]
     held = (u_verts[:, :, None] == w_verts[:, None, :]).any(axis=2) & (u_verts < n)
     w_len = lengths[shadow_rows[pair_w]]
-    place = np.where(held, w_len[:, None] + 1 - np.cumsum(held, axis=1), 0) * (pad + 1)
+    place = np.ascontiguousarray((np.where(held, w_len[:, None] + 1 - np.cumsum(held, axis=1), 0) * (pad + 1)).T)
     top = offsets[w_len + 1] - 1
+    del verts, u_verts, w_verts, held
+    codes = np.ascontiguousarray(rem.T)
     pairs = np.bincount(pair_u, minlength=len(shadow_keys))
     pair_start = np.cumsum(pairs) - pairs
 
@@ -283,10 +289,10 @@ def _search(rem, lengths, seed, q: int, pad: int):
     expand = np.flatnonzero(pairs[vset])
     per_row = pairs[vset[expand]]
     ends = np.cumsum(per_row)
-    # per looked-up subset, every array a block makes: three over its r
-    # slots (the term indices, their sum with the codes, the terms) and
-    # sixteen of one value each
-    block = block_rows(3 * r + 16)
+    # per looked-up subset, every array a block makes: four a slot (the
+    # term indices, the codes, their sum and the terms), made again for each
+    # slot, and fourteen of one value each
+    block = block_rows(4 * r + 14)
     lo = 0
     while lo < len(expand):
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - per_row[lo] + block, side="right")))
@@ -294,7 +300,9 @@ def _search(rem, lengths, seed, q: int, pad: int):
         starts = np.cumsum(counts) - counts
         at = np.repeat(rows, counts)
         pair = np.repeat(pair_start[vset[rows]] - starts, counts) + np.arange(int(starts[-1] + counts[-1]))
-        sub = top[pair] - terms.take(place[pair] + rem[at]).sum(axis=1) + seed[at] * int(offsets[-1])
+        sub = top[pair] + seed[at] * int(offsets[-1])
+        for j in range(r):
+            sub -= terms.take(place[j].take(pair) + codes[j].take(at))
         # no clamp: the subset is smaller than its row, whose own key is indexed
         pos = np.searchsorted(index_keys, sub)
         best = np.minimum.reduceat(np.where(index_keys[pos] == sub, rank[pos], miss), starts)

@@ -6,13 +6,16 @@ surviving fragment by the smallest fragment residue it can point to
 enough.  After the last round a final uniform sample must cover some
 surviving fragment outright.
 
-Seeds run in blocks, and fragments live in an integer store per block
-(see `FragmentStore`): one row of element codes per distinct element
-set of a seed, with a multiplicity, in the one fixed order that breaks
-psi's ties.  Merging equal element sets preserves the multiset
-semantics exactly because psi only looks at element sets.  A block's
-array work, its restricted lift and psi's search, is in `_blocks`.
-tests/oracles.py holds the dict-based reference form of the round.
+Round 1 runs per block of seeds, from each block's restricted lift;
+the later rounds and the endgame run once per group of consecutive
+blocks, on their joined round-1 survivors.  Fragments live in an integer
+store per block or group (see `FragmentStore`): one row of element codes
+per distinct element set of a seed, with a multiplicity, in the one
+fixed order that breaks psi's ties.  Merging equal element sets
+preserves the multiset semantics exactly because psi only looks at
+element sets.  The array work, the restricted lift and psi's search, is
+in `_blocks`.  tests/oracles.py holds the dict-based reference form of
+the round.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ def make_schedule(h: Hypergraph, q: int, kappa: float, gamma: float, C: float) -
 # in `_blocks.lift_block`), and a fragment is a row of its element codes in
 # ascending order, padded on the right with pad = N*q; a row's length is
 # its count of codes below pad.  Each row carries a multiplicity and the
-# index of its seed in the store's block of seeds.  Rows are sorted by
+# index of its seed among the store's seeds.  Rows are sorted by
 # seed; within a seed they are distinct, and their order is the one fixed
 # order on fragments that psi needs to break ties between minimal
 # remainders: the order of round 1's restricted lift (by base edge, then
@@ -113,11 +116,11 @@ def make_schedule(h: Hypergraph, q: int, kappa: float, gamma: float, C: float) -
 # stood.  Every round keeps it, so a row's position is its lineage.  A
 # row, or a subset of one, is searched by its `spread` key as a set of
 # N*q elements, plus seed * M, where M = offsets[-1] counts every key of
-# one seed, so that the seeds of a block never meet.
+# one seed, so that the seeds of a store never meet.
 
 
 class FragmentStore:
-    """Surviving fragments of a block of seeds, in (seed, lineage) order:
+    """Surviving fragments of consecutive seeds, in (seed, lineage) order:
     codes (F, r) in the least unsigned type that holds pad = N*q, and
     mult, seed and lengths (F,) int64; totals holds each seed's total
     multiplicity."""
@@ -328,73 +331,110 @@ def run_fragmentation(h: Hypergraph, sched: Schedule, rngs) -> list[Fragmentatio
     by `make_schedule`, and record per-round statistics: one trace per
     stream, in order.
 
-    Each stream's samples are drawn first; then a block of consecutive
-    streams goes through the rounds together, one psi call a round for
-    the block.  A block is one stream, or the most streams whose round-1
-    restricted lifts fit `block_rows` and the byte budget in all.  At
-    desk scale the schedule's total rate often exceeds 1, which only
-    invalidates the size claim of the final union, not the execution;
-    feasibility is recorded in the trace.
+    Each stream's samples are drawn first.  Round 1 then runs in blocks
+    of consecutive streams, one restricted lift and one psi call a block:
+    a block is one stream, or the most streams whose round-1 restricted
+    lifts fit `block_rows` and the byte budget in all.  Round 1 leaves
+    far fewer rows than its lift, so consecutive blocks' survivors join
+    in groups under the same cap, and the later rounds, the endgame and
+    the traces run once per group, one psi call a round.  At desk scale
+    the schedule's total rate often exceeds 1, which only invalidates the
+    size claim of the final union, not the execution; feasibility is
+    recorded in the trace.
     """
-    # here, so that only a command that fragments compiles it; before the
-    # run's own objects exist, which then reuse the compiler's freed memory
-    from . import _blocks
-
     pad = h.num_vertices * sched.q
     offsets, _ = rank_tables(pad, h.r_bound, "fragment keys", "use a smaller --q or a smaller hypergraph")
     most = (2**63 - 1) // int(offsets[-1])  # seed * M + key stays in int64
     # a round-1 row holds row_bytes // 8 int64s' worth at the round's peak,
-    # and a block's rows fit the byte budget that `initial_survivors` checks
+    # and a block's rows fit the byte budget that `initial_survivors` checks;
+    # a group's rows meet the same cap, so no later round's psi call holds
+    # more rows than the largest block's round 1
     row_bytes = fragment_row_bytes(h.r_bound)
     cap = min(block_rows(row_bytes // 8), limits.MEMORY_BYTES // row_bytes)
+
+    stages = (_round_one(h, sched, block) for block in _packs(_drawn(h, sched, rngs), cap, most))
+    # a stream counts as one row at least, in a group as in a block
+    sized = ((stage, max(len(stage.store), len(stage.draws)), len(stage.draws)) for stage in stages)
+    return [trace for group in _packs(sized, cap, most) for trace in _later_rounds(h, sched, group)]
+
+
+def _drawn(h: Hypergraph, sched: Schedule, rngs):
+    """Each stream's draws, in order, as (draws, rows, 1): rows is the size
+    of its round-1 restricted lift, or 1 if that is empty."""
+    # here, so that only a command that fragments compiles it; before the
+    # run's own objects exist, which then reuse the compiler's freed memory
+    from . import _blocks
+
     distinct = h.distinct[0]
     streams = iter(rngs)
-    # streams are drawn and their round-1 rows counted a chunk at a time,
-    # the count's array holding edges * r pins per stream
+    # streams are drawn and their rows counted a chunk at a time, the
+    # count's array holding edges * r pins per stream
     ahead = block_rows(len(distinct.edges) * h.r_bound)
-    traces, block, rows = [], [], 0
     while chunk := [_draw(h.num_vertices, sched, rng) for rng in islice(streams, ahead)]:
         sizes = _blocks.lift_groups(distinct, sched.q, [draws.rounds.get(1, {}) for draws in chunk])[1]
         for draws, size in zip(chunk, sizes):
-            n = max(1, size)
-            if block and (rows + n > cap or len(block) == most):
-                traces += _run_block(h, sched, block)
-                block, rows = [], 0
-            block.append(draws)
-            rows += n
-    return traces + _run_block(h, sched, block)
+            yield draws, max(1, size), 1
 
 
-def _run_block(h: Hypergraph, sched: Schedule, block: list[_Draws]) -> list[FragmentationTrace]:
-    """The traces of a block of streams whose samples are drawn."""
-    survivors = initial_survivors(h, sched.q, [draws.rounds.get(1, {}) for draws in block])
-    before = [sched.lift_size] * len(block)
-    rounds = [[] for _ in block]
-    for i in range(1, sched.ell + 1):
-        wmaps = [draws.rounds.get(i, {}) for draws in block]
-        r_i = (1.0 - sched.gamma) ** i * sched.r
-        if i == 1 or any(wmaps):  # round 1's restricted lift need not be an antichain
-            idle = [i > 1 and not wmap for wmap in wmaps]
-            survivors, compatible, after = apply_round(survivors, wmaps, r_i, idle)
+def _packs(items, cap: int, most: int):
+    """Consecutive (item, rows, seeds) triples, in order, as lists of
+    items: each list is one item, or the most items whose rows together
+    fit cap and whose seeds fit most."""
+    pack, rows, seeds = [], 0, 0
+    for item, n, s in items:
+        if pack and (rows + n > cap or seeds + s > most):
+            yield pack
+            pack, rows, seeds = [], 0, 0
+        pack.append(item)
+        rows += n
+        seeds += s
+    if pack:
+        yield pack
+
+
+class _Stage(NamedTuple):
+    """A block of streams after round 1: their draws, the store (its seed
+    i is draws[i]) and each stream's records."""
+
+    draws: list[_Draws]
+    store: FragmentStore
+    rounds: list[list[RoundRecord]]
+
+
+def _round_one(h: Hypergraph, sched: Schedule, block: list[_Draws]) -> _Stage:
+    """Round 1 of a block of streams whose samples are drawn.  It runs psi
+    even where no stream samples: the restricted lift need not be an
+    antichain."""
+    wmaps = [draws.rounds.get(1, {}) for draws in block]
+    survivors, compatible, after = apply_round(initial_survivors(h, sched.q, wmaps), wmaps, _bound(sched, 1))
+    rounds = [
+        [_record(sched, 1, wmap, sched.lift_size, c, a)]
+        for wmap, c, a in zip(wmaps, compatible.tolist(), after.tolist())
+    ]
+    return _Stage(block, survivors, rounds)
+
+
+def _later_rounds(h: Hypergraph, sched: Schedule, group: list[_Stage]) -> list[FragmentationTrace]:
+    """The traces of a group of consecutive blocks after their round 1:
+    rounds 2..ell on their joined store, then the endgame."""
+    streams = [draws for stage in group for draws in stage.draws]
+    rounds = [records for stage in group for records in stage.rounds]
+    survivors = _join([stage.store for stage in group])
+    before = [records[-1].survivors_after for records in rounds]
+    for i in range(2, sched.ell + 1):
+        wmaps = [draws.rounds.get(i, {}) for draws in streams]
+        r_i = _bound(sched, i)
+        if any(wmaps):
+            survivors, compatible, after = apply_round(survivors, wmaps, r_i, [not wmap for wmap in wmaps])
         else:
             survivors, compatible, after = empty_round(survivors, r_i)
-        for s, (c, a) in enumerate(zip(compatible.tolist(), after.tolist())):
-            rounds[s].append(
-                RoundRecord(
-                    round=i,
-                    w_size=len(wmaps[s]),
-                    survivors_before=before[s],
-                    compatible=c,
-                    survivors_after=a,
-                    good_fraction=a / before[s] if before[s] else 0.0,
-                    successful=a >= (1.0 - sched.delta) * before[s],
-                )
-            )
+        for s, (wmap, c, a) in enumerate(zip(wmaps, compatible.tolist(), after.tolist())):
+            rounds[s].append(_record(sched, i, wmap, before[s], c, a))
             before[s] = a
 
     traces = []
-    hits = endgame_hit(survivors, [draws.endgame for draws in block]).tolist()
-    for draws, records, hit, final in zip(block, rounds, hits, before):
+    hits = endgame_hit(survivors, [draws.endgame for draws in streams]).tolist()
+    for draws, records, hit, final in zip(streams, rounds, hits, before):
         w_union = dict(draws.endgame)
         for wmap in draws.rounds.values():
             w_union.update(wmap)
@@ -412,3 +452,38 @@ def _run_block(h: Hypergraph, sched: Schedule, block: list[_Draws]) -> list[Frag
             )
         )
     return traces
+
+
+def _join(stores: list[FragmentStore]) -> FragmentStore:
+    """One store of consecutive blocks' stores, their seeds numbered on in
+    order, so that its rows stay sorted by seed."""
+    at = np.cumsum([0] + [store.seeds for store in stores]).tolist()
+    first = stores[0]
+    return FragmentStore(
+        np.concatenate([store.codes for store in stores]),
+        np.concatenate([store.mult for store in stores]),
+        np.concatenate([store.seed + base for store, base in zip(stores, at)]),
+        at[-1],
+        first.q,
+        first.pad,
+        np.concatenate([store.lengths for store in stores]),
+    )
+
+
+def _bound(sched: Schedule, i: int) -> float:
+    """r_i, the largest remainder size that round i keeps."""
+    return (1.0 - sched.gamma) ** i * sched.r
+
+
+def _record(sched: Schedule, i: int, wmap, before: int, compatible: int, after: int) -> RoundRecord:
+    """Round i's record of a stream that sampled wmap, with multiplicities:
+    before fragments held, compatible of them, after kept."""
+    return RoundRecord(
+        round=i,
+        w_size=len(wmap),
+        survivors_before=before,
+        compatible=compatible,
+        survivors_after=after,
+        good_fraction=after / before if before else 0.0,
+        successful=after >= (1.0 - sched.delta) * before,
+    )

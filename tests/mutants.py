@@ -9,6 +9,7 @@ run's whole process group is killed with it.  The changes:
 
 - a comparison flipped: `<` and `<=`, `>` and `>=`, `==` and `!=`;
 - `+` and `-`, `and` and `or`, `min` and `max` swapped;
+- an integer constant moved by + 1, and by - 1;
 - an `if` or `while` test forced to True, and to False;
 - a statement dropped (replaced by `pass`).
 
@@ -78,6 +79,9 @@ def _sites(tree: ast.Module, functions):
                 yield fn.name, node.lineno, node, _swap_op
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in SWAPS:
                 yield fn.name, node.lineno, node, _swap_call
+            elif isinstance(node, ast.Constant) and type(node.value) is int:  # not a bool
+                for step in (1, -1):
+                    yield fn.name, node.lineno, node, lambda n, step=step: _shift(n, step)
             if isinstance(node, (ast.If, ast.While)):
                 for value in (True, False):
                     yield fn.name, node.lineno, node, lambda n, value=value: _force(n, value)
@@ -100,6 +104,12 @@ def _swap_op(node, j=None) -> str:
 def _swap_call(node) -> str:
     old = _text(node)
     node.func.id = SWAPS[node.func.id]
+    return f"{old} -> {_text(node)}"
+
+
+def _shift(node, step: int) -> str:
+    old = _text(node)
+    node.value += step
     return f"{old} -> {_text(node)}"
 
 

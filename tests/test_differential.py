@@ -18,7 +18,7 @@ from rainbowspread.lifting import lift_rainbow, lift_size
 from rainbowspread.moments import chebyshev_report, exact_uncover_probability, janson_delta_exact
 from rainbowspread.rng import RngStream
 from rainbowspread.sampling import contains_rainbow_edge, sample_colored_p
-from rainbowspread.spread import is_kappa_spread, max_spread, pad_to_uniform
+from rainbowspread.spread import is_kappa_spread, max_spread, pad_to_uniform, rank_tables
 from rainbowspread.threshold import TrialPool
 
 
@@ -103,7 +103,8 @@ def test_seed_blocks_match_the_seeds_one_by_one(monkeypatch, q, empty):
     # streams 0-11 of hc5 at gamma 0.3: round 1 of the seeds in `empty`
     # samples a rainbow edge, so their remainders include the empty one,
     # beside seeds whose remainders do not; in round 2 some seeds sample and
-    # others do not.  Each block size gives the per-seed reference's traces.
+    # others do not.  Each block and group size gives the per-seed
+    # reference's traces.
     h = gen_hamilton(5)
     sched = make_schedule(h, q, max_spread(h).kappa, 0.3, 1.0)
     streams = range(12)
@@ -115,42 +116,133 @@ def test_seed_blocks_match_the_seeds_one_by_one(monkeypatch, q, empty):
     expected = [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
     sampled = [json.loads(trace.splitlines()[2])["w_size"] > 0 for trace in expected]
     assert any(sampled) and not all(sampled)
-    assert run_fragmentation(h, sched, []) == []
+    blocks, groups = record_stages(monkeypatch)
+    assert run_fragmentation(h, sched, []) == [] and blocks == groups == []
 
-    blocks = {}
-    run_block = fragmentation._run_block
-
-    def record(h, sched, block):
-        blocks[limits.BLOCK_ELEMENTS].append(len(block))
-        return run_block(h, sched, block)
-
-    monkeypatch.setattr(fragmentation, "_run_block", record)
-    for elements in (1, 600, 6000, 60000, limits.BLOCK_ELEMENTS):
-        blocks[elements] = []
-        monkeypatch.setattr(limits, "BLOCK_ELEMENTS", elements)
-        traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
-        assert [trace.serialize() for trace in traces] == expected
-    # one seed a block, several blocks of several seeds, one block
-    assert blocks.pop(1) == [1] * len(streams)
-    assert blocks.pop(limits.BLOCK_ELEMENTS) == [len(streams)]
-    assert any(len(sizes) > 1 and max(sizes) > 1 for sizes in blocks.values())
-
-    # a byte budget between the largest seed's round-1 charge and the two
-    # largest seeds' together: the run goes through in blocks that each fit it
     row_bytes = fragmentation.fragment_row_bytes(h.r_bound)
     first = [fragmentation._draw(h.num_vertices, sched, RngStream(0, sid)).rounds.get(1, {}) for sid in streams]
     rows = [max(1, n) for n in _blocks.lift_groups(h, q, first)[1]]
-    largest, second = sorted(rows, reverse=True)[:2]
-    for budget in (largest * row_bytes, (largest + second) * row_bytes - 1):
-        monkeypatch.setattr(limits, "MEMORY_BYTES", budget)
-        blocks[limits.BLOCK_ELEMENTS] = []
+
+    def run():
+        """The seeds of each block and the blocks of each group of one run,
+        whose traces are the reference's, and in which each block (group)
+        is one seed (block), or the most of the next ones that fit the cap."""
+        blocks.clear()
+        groups.clear()
         traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
         assert [trace.serialize() for trace in traces] == expected
+        cap = min(limits.block_rows(row_bytes // 8), limits.MEMORY_BYTES // row_bytes)
         at = 0
-        for size in blocks.pop(limits.BLOCK_ELEMENTS):
-            assert sum(rows[at : at + size]) * row_bytes <= budget
+        for size in blocks:
+            assert size == 1 or sum(rows[at : at + size]) <= cap
+            assert at + size == len(rows) or sum(rows[at : at + size + 1]) > cap
             at += size
         assert at == len(streams)
+        stages = [stage for group in groups for stage in group]
+        assert [seeds for seeds, _ in stages] == blocks
+        at = 0
+        for group in groups:
+            held = sum(n for _, n in group)
+            assert len(group) == 1 or held <= cap
+            at += len(group)
+            assert at == len(stages) or held + stages[at][1] > cap
+        return list(blocks), [len(group) for group in groups]
+
+    sizes = {}
+    for elements in (1, 600, 6000, 60000, limits.BLOCK_ELEMENTS):
+        monkeypatch.setattr(limits, "BLOCK_ELEMENTS", elements)
+        sizes[elements] = run()
+    # one seed a block and one block a group; one block and one group
+    assert sizes.pop(1) == ([1] * len(streams), [1] * len(streams))
+    assert sizes.pop(limits.BLOCK_ELEMENTS) == ([len(streams)], [1])
+    # several blocks of several seeds, several blocks in one group, and
+    # groups closed by rows beside one of several blocks
+    assert any(len(seeds) > 1 and max(seeds) > 1 for seeds, _ in sizes.values())
+    assert any(max(group) > 1 for _, group in sizes.values())
+    assert any(len(group) > 1 and max(group) > 1 for _, group in sizes.values())
+
+    # a byte budget between the largest seed's round-1 charge and the two
+    # largest seeds' together: the run goes through in blocks and groups
+    # that each fit it (a lone seed fits, as the budget holds the largest),
+    # and at q=5 the first budget closes a group
+    largest, second = sorted(rows, reverse=True)[:2]
+    counts = []
+    for budget in (largest * row_bytes, (largest + second) * row_bytes - 1):
+        monkeypatch.setattr(limits, "MEMORY_BYTES", budget)
+        counts.append(len(run()[1]))
+    assert counts == ([2, 1] if q == 5 else [1, 1])
+
+
+@pytest.mark.parametrize(
+    "C, elements, blocks, groups",
+    [
+        # blocks closed by the seed bound
+        (1.0, limits.BLOCK_ELEMENTS, [5, 5, 2], [[5], [5], [2]]),
+        # blocks of one seed or five under a cap of 200 rows, and groups
+        # closed by the seed bound: the first 3 seeds and the next 5 hold
+        # 164 rows after round 1, within the cap
+        (1.0, 4000, [1, 1, 1, 5, 1, 1, 2], [[1, 1, 1], [5], [1, 1, 2]]),
+        # p = 1 under a cap of 3 rows: most round-1 lifts are empty, and
+        # each seed counts as one row at least, in a block and in a group
+        (2.0, 60, [3, 3, 3, 3], [[3], [3], [3], [3]]),
+    ],
+)
+def test_stores_hold_the_seeds_whose_keys_fit_int64(monkeypatch, C, elements, blocks, groups):
+    # 550 vertices at q=6 and r=6: a seed has M = sum_{j<=6} C(3300, j)
+    # keys, so seed * M + key stays in int64 for 5 seeds a store
+    h = Hypergraph.from_edges(550, [tuple(range(i, i + 6)) for i in range(0, 36, 3)])
+    offsets, _ = rank_tables(550 * 6, 6)
+    assert (2**63 - 1) // int(offsets[-1]) == 5
+    sched = make_schedule(h, 6, max_spread(h).kappa, 0.3, C)
+    streams = range(12)
+    seen_blocks, seen_groups = record_stages(monkeypatch)
+    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", elements)
+    traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
+    assert [trace.serialize() for trace in traces] == [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
+    assert (seen_blocks, [[seeds for seeds, _ in group] for group in seen_groups]) == (blocks, groups)
+
+
+def record_stages(monkeypatch):
+    """Lists that collect, as a run goes, each round-1 block's seed count
+    and each group's (seeds, rows) per block, a block's rows being its
+    round-1 survivors or its seeds, if more."""
+    blocks, groups = [], []
+    round_one, later_rounds = fragmentation._round_one, fragmentation._later_rounds
+
+    def record_block(h, sched, block):
+        blocks.append(len(block))
+        return round_one(h, sched, block)
+
+    def record_group(h, sched, group):
+        groups.append([(len(stage.draws), max(len(stage.store), len(stage.draws))) for stage in group])
+        return later_rounds(h, sched, group)
+
+    monkeypatch.setattr(fragmentation, "_round_one", record_block)
+    monkeypatch.setattr(fragmentation, "_later_rounds", record_group)
+    return blocks, groups
+
+
+def test_later_rounds_run_once_per_group(monkeypatch):
+    # streams 0-11 of hc5 at q=5 with 6000 block elements: round 1 runs in
+    # two blocks, of 11 streams and 1, whose survivors join in one group;
+    # so each later round, in all of which some stream samples, makes one
+    # psi call over all twelve streams, not one per block
+    h, q = gen_hamilton(5), 5
+    sched = make_schedule(h, q, max_spread(h).kappa, 0.3, 1.0)
+    streams = range(12)
+    calls, apply = [], fragmentation.apply_round
+
+    def record(survivors, wmaps, r_i, idle=None):
+        calls.append((r_i, survivors.seeds))
+        return apply(survivors, wmaps, r_i, idle)
+
+    monkeypatch.setattr(fragmentation, "apply_round", record)
+    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 6000)
+    traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
+    assert [trace.serialize() for trace in traces] == [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
+    r_1 = (1.0 - sched.gamma) * sched.r
+    assert [seeds for r_i, seeds in calls if r_i == r_1] == [11, 1]
+    assert [seeds for r_i, seeds in calls if r_i != r_1] == [len(streams)] * (sched.ell - 1)
 
 
 def test_unsampled_seeds_skip_the_search(monkeypatch):
@@ -175,7 +267,7 @@ def test_unsampled_seeds_skip_the_search(monkeypatch):
     traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
     assert [trace.serialize() for trace in traces] == [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
     (_, _, idle, _), *later = calls
-    assert not any(idle)
+    assert idle is None
     mixed = 0
     for held, wmaps, _, searched in later:
         sampled = {s for s, w in enumerate(wmaps) if w}

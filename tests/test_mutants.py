@@ -1,25 +1,36 @@
-"""The mutation probe in mutants.py, on one mutant that a test kills and on
+"""The mutation probe in mutants.py, on mutants that a test kills and on
 one equivalent mutant that survives it."""
 
 import mutants
 
 FRAGMENTATION = "src/rainbowspread/fragmentation.py"
+BLOCKS = "src/rainbowspread/_blocks.py"
 
 
-def _mutant(function: str, change: str):
-    [mutant] = [m for m in mutants.mutants((mutants.ROOT / FRAGMENTATION).read_text(), [function]) if m.change == change]
+def _mutant(module: str, function: str, change: str, where: str = ""):
+    """The one mutant of the function with this change whose source holds where."""
+    source = (mutants.ROOT / module).read_text()
+    [mutant] = [m for m in mutants.mutants(source, [function]) if m.change == change and where in m.source]
     return mutant
 
 
 def test_probe_kills_a_boundary_mutant():
-    mutant = _mutant("empty_round", "survivors.lengths <= r_i -> survivors.lengths < r_i")
+    mutant = _mutant(FRAGMENTATION, "empty_round", "survivors.lengths <= r_i -> survivors.lengths < r_i")
     test = "tests/test_fragmentation.py::test_empty_round_keeps_rows_as_long_as_r_i"
     assert list(mutants.run(FRAGMENTATION, [mutant], [test], timeout=60)) == ["killed"]
 
 
+def test_probe_kills_a_constant_mutant():
+    # the top key of a shadow one size too high: B's remainder no longer
+    # finds A's inside it
+    mutant = _mutant(BLOCKS, "_search", "1 -> 2", "top = offsets[w_len + 2] - 1")
+    test = "tests/test_fragmentation.py::test_psi_chi_clash_and_selection"
+    assert list(mutants.run(BLOCKS, [mutant], [test], timeout=60)) == ["killed"]
+
+
 def test_probe_keeps_an_equivalent_mutant():
-    # a round in which no seed samples goes through apply_round with every
-    # seed idle, which keeps what empty_round keeps: the bounds are the same
-    mutant = _mutant("_run_block", "i == 1 or any(wmaps) -> True")
+    # a later round in which no seed samples goes through apply_round with
+    # every seed idle, which keeps what empty_round keeps: the bounds are the same
+    mutant = _mutant(FRAGMENTATION, "_later_rounds", "any(wmaps) -> True")
     test = "tests/test_fragmentation.py::test_rounds_get_their_size_bounds"
     assert list(mutants.run(FRAGMENTATION, [mutant], [test], timeout=60)) == ["survived"]
