@@ -1,5 +1,6 @@
 """The array work of fragmentation's seed blocks: the lift restricted to
-each partial coloring of a block, and psi's search over a block's store.
+each partial coloring of a block, the remainders that a block's samples
+leave of its store, and psi's search over them.
 
 `lifting` and `fragmentation` import this module when they first need
 it, so that a command that does not fragment does not compile it.
@@ -168,18 +169,14 @@ def _keys(rows, lengths, offsets, terms, n: int):
     return keys
 
 
-def psi_round(store, wmaps, idle=None):
-    """Apply the psi/chi minimization to a `fragmentation.FragmentStore`,
-    for each seed's sampled colored set.
+def remainders(store, wmaps):
+    """Apply each seed's sampled colored set to a
+    `fragmentation.FragmentStore`: the one place that a sample meets a
+    store, for psi and for the endgame.
 
-    Returns (compat, rem, src, lengths): compat marks the rows that agree
-    with their seed's sample, rem holds their remainders (the elements on
-    unsampled vertices) as padded rows, lengths their sizes, and src[i]
-    is the compatible row whose remainder row i picks: the smallest
-    remainder of its seed inside row i's own, ties broken by row order.
-    A seed with an empty remainder has every row pick its first one, and
-    the rows of a seed i with idle[i] true (no sample, on an antichain)
-    pick themselves.
+    Returns (compat, rem, lengths): compat marks the rows that agree with
+    their seed's sample, rem holds their remainders (the elements on
+    unsampled vertices) as sorted padded rows, and lengths their sizes.
     """
     q, pad = store.q, store.pad
     kind = elements(wmaps, q, pad)
@@ -188,7 +185,7 @@ def psi_round(store, wmaps, idle=None):
     compat = np.ones(len(store), dtype=bool)
     for col in store.codes.T:
         compat &= kind.take(at + col) != 2
-    rem, seed, at = np.compress(compat, store.codes, axis=0), store.seed[compat], at[compat]
+    rem, at = np.compress(compat, store.codes, axis=0), at[compat]
     lengths = np.zeros(len(rem), dtype=np.int64)
     for col in rem.T:
         col[kind.take(at + col) == 1] = pad
@@ -202,20 +199,31 @@ def psi_round(store, wmaps, idle=None):
             low = np.minimum(a, b)
             np.maximum(a, b, out=b)
             a[...] = low
+    return compat, rem, lengths
 
+
+def psi_round(store, wmaps):
+    """Apply the psi/chi minimization to a `fragmentation.FragmentStore`,
+    for each seed's sampled colored set.
+
+    Returns (compat, rem, src, lengths), `remainders`' three plus src:
+    src[i] is the compatible row whose remainder row i picks, the
+    smallest remainder of its seed inside row i's own, ties broken by row
+    order.  A seed with an empty remainder has every row pick its first
+    one.
+    """
+    compat, rem, lengths = remainders(store, wmaps)
+    seed = store.seed[compat]
     # the empty remainder is inside every row of its seed
     empty = np.flatnonzero(lengths == 0)
-    idle = np.zeros(store.seeds, dtype=bool) if idle is None else np.asarray(idle)
-    own = np.flatnonzero(idle[seed])
-    if not len(empty) and not len(own):
-        return compat, rem, _search(rem, lengths, seed, q, pad), lengths
+    if not len(empty):
+        return compat, rem, _search(rem, lengths, seed, store.q, store.pad), lengths
     firsts, at = np.unique(seed[empty], return_index=True)
     pick = np.full(store.seeds, -1)
     pick[firsts] = empty[at]
     src = pick[seed]
-    src[own] = own
     live = np.flatnonzero(src < 0)
-    src[live] = live[_search(rem[live], lengths[live], seed[live], q, pad)]
+    src[live] = live[_search(rem[live], lengths[live], seed[live], store.q, store.pad)]
     return compat, rem, src, lengths
 
 

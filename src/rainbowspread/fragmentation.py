@@ -9,13 +9,16 @@ surviving fragment outright.
 Round 1 runs per block of seeds, from each block's restricted lift;
 the later rounds and the endgame run once per group of consecutive
 blocks, on their joined round-1 survivors.  Fragments live in an integer
-store per block or group (see `FragmentStore`): one row of element codes
-per distinct element set of a seed, with a multiplicity, in the one
-fixed order that breaks psi's ties.  Merging equal element sets
-preserves the multiset semantics exactly because psi only looks at
-element sets.  The array work, the restricted lift and psi's search, is
-in `_blocks`.  tests/oracles.py holds the dict-based reference form of
-the round.
+store per block or group (see `FragmentStore`): rows of element codes,
+each with a multiplicity and its seed, in the one fixed order that
+breaks psi's ties.  Round 1's lift holds one row per lifted edge, so a
+repeated edge's copies give equal rows; psi gives equal rows the first
+one's remainder, so from round 1's merge on each row of a seed is a
+distinct element set.  Merging equal element sets preserves the
+multiset semantics exactly because psi only looks at element sets.  The
+array work, the restricted lift, the remainders and psi's search, is in
+`_blocks`.  tests/oracles.py holds the dict-based reference form of the
+round.
 """
 
 from __future__ import annotations
@@ -109,7 +112,8 @@ def make_schedule(h: Hypergraph, q: int, kappa: float, gamma: float, C: float) -
 # ascending order, padded on the right with pad = N*q; a row's length is
 # its count of codes below pad.  Each row carries a multiplicity and the
 # index of its seed among the store's seeds.  Rows are sorted by
-# seed; within a seed they are distinct, and their order is the one fixed
+# seed; within a seed they are distinct from round 1's merge on (the lift
+# repeats a row where an edge repeats), and their order is the one fixed
 # order on fragments that psi needs to break ties between minimal
 # remainders: the order of round 1's restricted lift (by base edge, then
 # colors), each row standing where the lifted edge it descends from
@@ -146,19 +150,19 @@ def _per_seed(seed, values, seeds: int):
     return sums[bounds[1:]] - sums[bounds[:-1]]
 
 
-def apply_round(survivors: FragmentStore, wmaps, r_i: float, idle=None):
+def apply_round(survivors: FragmentStore, wmaps, r_i: float):
     """One fragmentation round against each seed's already-sampled colored
-    set, wmaps[i] for the store's seed i.  A seed i with idle[i] true sampled
-    nothing on a store that psi made: its rows pick themselves (`empty_round`).
+    set, wmaps[i] for the store's seed i.
 
     Returns the new store plus each seed's (compatible, good) counts with
     multiplicity, as arrays.  Good means the chosen remainder has size
     <= r_i; the good rows, merged by chosen remainder, are the new store,
-    so good is also its total multiplicity.
+    so good is also its total multiplicity.  Equal rows share their first
+    one's remainder, so round 1 merges the copies of a repeated edge here.
     """
     from . import _blocks
 
-    compat, rem, src, lengths = _blocks.psi_round(survivors, wmaps, idle)
+    compat, rem, src, lengths = _blocks.psi_round(survivors, wmaps)
     mult, seed = survivors.mult[compat], survivors.seed[compat]
     good = lengths[src] <= r_i
     merged = np.zeros(len(rem), dtype=np.int64)
@@ -193,17 +197,12 @@ def empty_round(survivors: FragmentStore, r_i: float):
 
 def endgame_hit(survivors: FragmentStore, wmaps):
     """Per seed, whether its colored set covers one of its surviving
-    fragments outright."""
+    fragments outright: leaves one of them an empty remainder."""
     from . import _blocks
 
-    q, pad = survivors.q, survivors.pad
-    kind = _blocks.elements(wmaps, q, pad)
-    at = survivors.seed * (pad + 1)
-    rows = np.ones(len(survivors), dtype=bool)
-    for col in survivors.codes.T:
-        rows &= kind.take(at + col) == 1
+    compat, _, lengths = _blocks.remainders(survivors, wmaps)
     hit = np.zeros(survivors.seeds, dtype=bool)
-    hit[survivors.seed[rows]] = True
+    hit[survivors.seed[compat][lengths == 0]] = True
     return hit
 
 
@@ -285,18 +284,17 @@ def initial_survivors(h: Hypergraph, q: int, wmaps) -> FragmentStore:
 
     These are the fragments compatible with round 1's samples.  The
     clashing ones are left out: psi never indexes them, so round 1 picks
-    the same remainders as it would over the full lift.  Rows repeat only
-    where an edge repeats, so each distinct edge is lifted once, at its
-    first copy, with the copy count as multiplicity (`Hypergraph.distinct`).
-    psi's keys and the lift's bytes are checked before the lift exists.
+    the same remainders as it would over the full lift.  Every row has
+    multiplicity 1, so a repeated edge's copies give equal rows, which
+    round 1's `apply_round` merges.  psi's keys and the lift's bytes are
+    checked before the lift exists.
     """
     pad = h.num_vertices * q
     rank_tables(pad, h.r_bound, "fragment keys", "use a smaller --q or a smaller hypergraph")
     from . import _blocks
 
-    distinct, copies = h.distinct
-    codes, base, seed = _blocks.lift_block(distinct, q, wmaps, fragment_row_bytes(h.r_bound), "lifted edges")
-    return FragmentStore(codes, copies[base], seed, len(wmaps), q, pad, distinct.packed[1][base])
+    codes, base, seed = _blocks.lift_block(h, q, wmaps, fragment_row_bytes(h.r_bound), "lifted edges")
+    return FragmentStore(codes, np.ones(len(codes), dtype=np.int64), seed, len(wmaps), q, pad, h.packed[1][base])
 
 
 class _Draws(NamedTuple):
@@ -365,13 +363,12 @@ def _drawn(h: Hypergraph, sched: Schedule, rngs):
     # run's own objects exist, which then reuse the compiler's freed memory
     from . import _blocks
 
-    distinct = h.distinct[0]
     streams = iter(rngs)
     # streams are drawn and their rows counted a chunk at a time, the
     # count's array holding edges * r pins per stream
-    ahead = block_rows(len(distinct.edges) * h.r_bound)
+    ahead = block_rows(len(h.edges) * h.r_bound)
     while chunk := [_draw(h.num_vertices, sched, rng) for rng in islice(streams, ahead)]:
-        sizes = _blocks.lift_groups(distinct, sched.q, [draws.rounds.get(1, {}) for draws in chunk])[1]
+        sizes = _blocks.lift_groups(h, sched.q, [draws.rounds.get(1, {}) for draws in chunk])[1]
         for draws, size in zip(chunk, sizes):
             yield draws, max(1, size), 1
 
@@ -425,7 +422,7 @@ def _later_rounds(h: Hypergraph, sched: Schedule, group: list[_Stage]) -> list[F
         wmaps = [draws.rounds.get(i, {}) for draws in streams]
         r_i = _bound(sched, i)
         if any(wmaps):
-            survivors, compatible, after = apply_round(survivors, wmaps, r_i, [not wmap for wmap in wmaps])
+            survivors, compatible, after = apply_round(survivors, wmaps, r_i)
         else:
             survivors, compatible, after = empty_round(survivors, r_i)
         for s, (wmap, c, a) in enumerate(zip(wmaps, compatible.tolist(), after.tolist())):

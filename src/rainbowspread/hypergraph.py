@@ -8,7 +8,6 @@ integers 0..n-1, edges are strictly sorted tuples of vertex ids.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -80,20 +79,6 @@ class Hypergraph:
         from . import spread
 
         return spread._candidate_sets(self)
-
-    @cached_property
-    def distinct(self):
-        """(d, copies): the distinct edges in first-copy order as a
-        hypergraph d of the same n and r, this one when no edge repeats,
-        and each one's copy count, a read-only int64 array; built on first
-        use, so that every fragmentation seed of a run shares them."""
-        import numpy as np
-
-        counts = Counter(self.edges)
-        d = self if len(counts) == len(self.edges) else Hypergraph(self.num_vertices, tuple(counts), self.r_bound)
-        copies = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        copies.flags.writeable = False
-        return d, copies
 
     @property
     def is_uniform(self) -> bool:

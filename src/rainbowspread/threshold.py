@@ -177,6 +177,9 @@ def estimate_threshold(pool: TrialPool, target: float, trials: int) -> Threshold
     min_edge = min(len(e) for e in h.edges)
     if q < min_edge:
         raise ThresholdUnreachable(f"q={q} colors cannot make any edge rainbow")
+    # before any trial is drawn, so that an instance the spread oracle
+    # refuses is refused at once
+    kappa = max_spread(h).kappa
     # hits[m] for m = 0..n; a trial that never hits has time n + 1
     hits = np.cumsum(np.bincount(pool.colored_times(trials), minlength=n + 2))
     # below the smallest edge size no sample can contain an edge
@@ -187,7 +190,6 @@ def estimate_threshold(pool: TrialPool, target: float, trials: int) -> Threshold
         )
     m_star = int(np.argmax(hits / trials >= target))
     ci_lo, ci_hi = wilson_interval(int(hits[m_star]), trials)
-    kappa = max_spread(h).kappa
     return ThresholdEstimate(
         m_star=m_star,
         target=target,

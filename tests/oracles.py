@@ -265,6 +265,15 @@ def by_lineage(survivors: dict) -> list:
     return [(elems, mult) for elems, (mult, _) in sorted(survivors.items(), key=lambda item: item[1][1])]
 
 
+def merged(rows: list) -> list:
+    """(elements, multiplicity) rows with equal elements merged, their
+    multiplicities added, in the order the elements first appear."""
+    out: dict[tuple, int] = {}
+    for elems, mult in rows:
+        out[elems] = out.get(elems, 0) + mult
+    return list(out.items())
+
+
 def store_from_dict(survivors: dict, num_vertices: int, q: int, width: int) -> FragmentStore:
     """A store of one seed holding the dict's fragments; lineages must be
     distinct."""

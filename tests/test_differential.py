@@ -68,7 +68,8 @@ def test_rounds_match_oracle(data):
         mp.setattr(limits, "BLOCK_ELEMENTS", data.draw(block_elements()))
         store = initial_survivors(h, q, [samples[0]])
         expected = oracles.initial_survivors(h, q, samples[0])
-        assert oracles.store_rows(store) == oracles.by_lineage(expected)
+        # the lift keeps a repeated edge's copies as equal rows, which round 1 merges
+        assert oracles.merged(oracles.store_rows(store)) == oracles.by_lineage(expected)
         for wmap, r_i in zip(samples, bounds):
             reference = oracles.apply_round(expected, wmap, r_i)
             assert oracles.apply_round(expected, wmap, r_i, order="subsets") == reference
@@ -232,9 +233,9 @@ def test_later_rounds_run_once_per_group(monkeypatch):
     streams = range(12)
     calls, apply = [], fragmentation.apply_round
 
-    def record(survivors, wmaps, r_i, idle=None):
+    def record(survivors, wmaps, r_i):
         calls.append((r_i, survivors.seeds))
-        return apply(survivors, wmaps, r_i, idle)
+        return apply(survivors, wmaps, r_i)
 
     monkeypatch.setattr(fragmentation, "apply_round", record)
     monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 6000)
@@ -243,37 +244,6 @@ def test_later_rounds_run_once_per_group(monkeypatch):
     r_1 = (1.0 - sched.gamma) * sched.r
     assert [seeds for r_i, seeds in calls if r_i == r_1] == [11, 1]
     assert [seeds for r_i, seeds in calls if r_i != r_1] == [len(streams)] * (sched.ell - 1)
-
-
-def test_unsampled_seeds_skip_the_search(monkeypatch):
-    # streams 0-11 of hc5 at q=5 in one block: from round 2 on the store is
-    # psi's output, an antichain, so the rows of a seed that samples nothing
-    # pick themselves, and only the other seeds' rows reach the search
-    h, q = gen_hamilton(5), 5
-    sched = make_schedule(h, q, max_spread(h).kappa, 0.3, 1.0)
-    streams = range(12)
-    calls, psi_round, search = [], _blocks.psi_round, _blocks._search
-
-    def record_round(store, wmaps, idle=None):
-        calls.append((set(store.seed.tolist()), wmaps, idle, set()))
-        return psi_round(store, wmaps, idle)
-
-    def record_search(rem, lengths, seed, q, pad):
-        calls[-1][3].update(seed.tolist())
-        return search(rem, lengths, seed, q, pad)
-
-    monkeypatch.setattr(_blocks, "psi_round", record_round)
-    monkeypatch.setattr(_blocks, "_search", record_search)
-    traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
-    assert [trace.serialize() for trace in traces] == [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
-    (_, _, idle, _), *later = calls
-    assert idle is None
-    mixed = 0
-    for held, wmaps, _, searched in later:
-        sampled = {s for s, w in enumerate(wmaps) if w}
-        assert searched <= sampled
-        mixed += bool(searched and held - sampled)
-    assert mixed
 
 
 def oracle_trace(h, sched, rng) -> str:

@@ -269,6 +269,8 @@ def test_initial_survivors_multiset():
     # so every multiplicity is 1, and the rows are the lift in its order
     assert (init.mult == 1).all()
     assert oracles.store_rows(init) == oracles.by_lineage(oracles.initial_survivors(h, q, {}))
+    # the store's lengths, which round 1 does not read, are its rows' lengths too
+    assert init.lengths.tolist() == (init.codes < init.pad).sum(axis=1).tolist()
 
 
 def _random_hypergraph(rnd):
@@ -333,9 +335,9 @@ def test_rounds_get_their_size_bounds(monkeypatch):
     h, q, gamma = gen_hamilton(5), 6, 0.3
     bounds = []
 
-    def record(survivors, wmap, r_i, idle=None):
+    def record(survivors, wmap, r_i):
         bounds.append(r_i)
-        return apply_round(survivors, wmap, r_i, idle)
+        return apply_round(survivors, wmap, r_i)
 
     def record_empty(survivors, r_i):
         bounds.append(r_i)

@@ -29,8 +29,9 @@ def test_probe_kills_a_constant_mutant():
 
 
 def test_probe_keeps_an_equivalent_mutant():
-    # a later round in which no seed samples goes through apply_round with
-    # every seed idle, which keeps what empty_round keeps: the bounds are the same
+    # a later round in which no seed samples goes through apply_round, whose
+    # search on psi's own antichain has every row pick itself, so it keeps
+    # what empty_round keeps: the bounds are the same
     mutant = _mutant(FRAGMENTATION, "_later_rounds", "any(wmaps) -> True")
     test = "tests/test_fragmentation.py::test_rounds_get_their_size_bounds"
     assert list(mutants.run(FRAGMENTATION, [mutant], [test], timeout=60)) == ["survived"]

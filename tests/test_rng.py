@@ -106,6 +106,15 @@ def test_randrange_bounds_and_determinism():
             s.randrange(n)
 
 
+def test_randrange_rejects_from_its_threshold_up(monkeypatch):
+    # randrange(n) accepts a draw below (2**64 // n) * n and draws again
+    # otherwise; 274177 divides 2**64 + 1, so its threshold is 2**64 - 274176
+    for n, threshold in ((3, 2**64 - 1), (274177, 2**64 - 274176), (2**63 + 1, 2**63 + 1)):
+        draws = iter([threshold, threshold - 1])
+        monkeypatch.setattr(RngStream, "next_u64", lambda self: next(draws))
+        assert RngStream(0).randrange(n) == (threshold - 1) % n == n - 1
+
+
 def test_permutation_and_sample():
     perm = RngStream(9, 0).permutation(8)
     assert sorted(perm) == list(range(8))

@@ -92,6 +92,17 @@ def test_rank_tables_built_once_and_checked_every_call(monkeypatch):
         rank_tables(50, 4)
 
 
+def test_rank_tables_offsets_up_to_the_int64_boundary():
+    # offsets[k] counts the sets of fewer than k elements; the 2^63 subsets
+    # of 63 elements need one key more than int64 holds, and all but the
+    # full set fit
+    assert rank_tables(5, 3)[0].tolist() == [0, 1, 6, 16, 26]
+    assert rank_tables(63, 62)[0][-1] == 2**63 - 1
+    message = r"keys need 9223372036854775808 values \(all subsets of at most 63 of 63 elements\), above int64"
+    with pytest.raises(LimitExceeded, match=message):
+        rank_tables(63, 63)
+
+
 def _check_size_keys(n, r, rows, ks):
     """size_keys gives each k-subset of a row, for each k in ks in turn,
     its index among the subsets of at most r of range(n) ordered by

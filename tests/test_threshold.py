@@ -154,6 +154,19 @@ def test_estimate_threshold_unreachable():
         estimate_threshold(TrialPool(h, 5, RngStream(36, 0)), 0.99999, 500)
 
 
+def test_spread_refusal_comes_before_any_trial(monkeypatch):
+    # the spread keys of 7-sets of 2000 vertices do not fit int64, so
+    # max_spread refuses the instance, and no trial may be drawn first
+    def no_trials(*args):
+        raise AssertionError("a trial was drawn before the spread check")
+
+    rnd = np.random.default_rng(0)
+    h = Hypergraph.from_edges(2000, [rnd.choice(2000, 7, replace=False).tolist() for _ in range(50)])
+    monkeypatch.setattr(TrialPool, "_run_block", no_trials)
+    with pytest.raises(limits.LimitExceeded, match="above int64"):
+        estimate_threshold(TrialPool(h, 7, RngStream(0)), 0.0001, 200000)
+
+
 def test_sweep_rows():
     h = gen_perfect_matching(6, 2)
     m_list = [2, 4, 8, 15]
