@@ -71,10 +71,11 @@ def lift_block(h: Hypergraph, q: int, ws, row_bytes: int, what: str):
     and owner the index in ws of its coloring.  Rows are in canonical
     order: by coloring, then base edge, then colors lexicographically.
     The (coloring, edge) pairs of one edge size k and pinned count s are
-    written together, with no loop over edges: the pinned colors are
-    fixed, and the free vertices take the rows of the cached table of
-    permutations(range(q - s), k - s) over the colors left.  The caller's
-    charge, row_bytes a row, is checked before anything is built.
+    built together, with no loop over edges: the pinned colors are fixed,
+    and the free vertices take the rows of the cached table of
+    permutations(range(q - s), k - s) over the colors left.  Each pair's
+    rows are then put at their canonical place, counted first.  The
+    caller's charge, row_bytes a row, is checked before anything is built.
     """
     check_chromatic(h, q)
     groups, sizes, pins = lift_groups(h, q, ws)
@@ -85,15 +86,13 @@ def lift_block(h: Hypergraph, q: int, ws, row_bytes: int, what: str):
     pad = h.num_vertices * q
     dtype = np.min_scalar_type(pad)
     count = np.zeros(len(ws) * m, dtype=np.int64)
-    # each group's rows are written in one run, pair after pair, and then
-    # put in canonical order; run holds where each pair's rows start
-    run = np.zeros(len(ws) * m, dtype=np.int64)
-    runs = np.full((total, h.r_bound), pad, dtype=dtype)
-    at = 0
+    for k, s, pairs in groups:
+        count[pairs] = falling_factorial(q - s, k - s)
+    first = np.cumsum(count) - count
+    codes = np.empty((total, h.r_bound), dtype=dtype)
+    records = codes.view(np.dtype((np.void, codes.strides[0]))).reshape(-1)  # a put copies whole rows
     for k, s, pairs in groups:
         perms = _permutation_table(q - s, k - s)
-        count[pairs] = len(perms)
-        run[pairs] = at + len(perms) * np.arange(len(pairs))
         verts = matrix[pairs % m, :k]
         pin = pins[(pairs // m)[:, None], verts]
         # the colors its pins leave each pair, 0-based and ascending
@@ -105,7 +104,7 @@ def lift_block(h: Hypergraph, q: int, ws, row_bytes: int, what: str):
         # into add one turn at a time, and added in place at once; free lists
         # each pair's free slots first, ascending
         pinned = pin > 0
-        block = runs[at : at + len(pairs) * len(perms)].reshape(len(pairs), len(perms), -1)
+        block = np.full((len(pairs), len(perms), h.r_bound), pad, dtype=dtype)
         block[:, :, :k] = (verts * q + pin - pinned).astype(dtype)[:, None]
         colors = avail[:, perms]
         free = np.argsort(pinned, axis=1, kind="stable")
@@ -113,10 +112,8 @@ def lift_block(h: Hypergraph, q: int, ws, row_bytes: int, what: str):
         for turn in range(k - s):
             add[rows, free[:, turn]] = colors[:, :, turn]
         block[:, :, :k] += add.transpose(0, 2, 1)
-        at += len(pairs) * len(perms)
+        records.put(first[pairs][:, None] + np.arange(len(perms)), block.view(records.dtype))
     pair = np.repeat(np.arange(len(ws) * m), count)
-    first = np.cumsum(count) - count
-    codes = np.take(runs, (run - first)[pair] + np.arange(total), axis=0)
     return codes, pair % m, pair // m
 
 

@@ -17,8 +17,9 @@ maximum over its r slots.  An edge is rainbow iff its colors differ in
 every pair of its own slots; the pairs of all r slots are compared
 first, then the edges of each shorter size again on their own slots.
 The test compares values only, so it is exact for every q and every
-dtype.  A reduction over edges moves the edge axis last first, so it
-runs along memory.
+dtype.  One gather of the position slots serves both hit times.  A
+reduction over edges moves the edge axis last first, so it runs along
+memory.
 """
 
 from __future__ import annotations
@@ -74,18 +75,24 @@ def _first_hit(last, n: int):
     return int(t) + 1 if t.ndim == 0 else t.astype(np.int64) + 1
 
 
-def rainbow_hit_time(matrix, sizes, pos, colors):
-    """Smallest m such that the first m elements of the trial permutation
-    contain a rainbow edge; len(pos)+1 when no edge is ever rainbow.
+def hit_times(matrix, sizes, pos, colors):
+    """(rainbow, cover): the smallest m such that the first m elements of
+    the trial permutation contain a rainbow edge, and an edge; len(pos)+1
+    when none does.  The edges' last positions, one gather, serve both.
 
     pos[..., v] is the position of vertex v in the permutation (0-based);
-    colors[..., v] >= 1 is the color v would receive once sampled.
+    colors[..., v] is the color of v once sampled, read only for equality.
     """
     n = pos.shape[-1]
-    clash = _clash(_slots(colors, matrix), sizes)
+    last = _slots(pos, matrix).max(axis=0)
     # every position is below n, so the sentinel n wins the maximum
-    last = np.maximum(_slots(pos, matrix).max(axis=0), np.multiply(clash, n, dtype=pos.dtype))
-    return _first_hit(last, n)
+    clash = np.multiply(_clash(_slots(colors, matrix), sizes), n, dtype=pos.dtype)
+    return _first_hit(np.maximum(last, clash), n), _first_hit(last, n)
+
+
+def rainbow_hit_time(matrix, sizes, pos, colors):
+    """The rainbow hit time of `hit_times`."""
+    return hit_times(matrix, sizes, pos, colors)[0]
 
 
 def cover_hit_time(matrix, pos):

@@ -315,6 +315,8 @@ def _draw(n: int, sched: Schedule, rng: RngStream) -> _Draws:
     residual = list(range(n))
     rounds = {}
     for i in range(1, sched.ell + 1):
+        if not residual:
+            break
         sample = sample_colored_p(len(residual), sched.p, sched.q, rng)
         if sample.assignment:
             wmap = rounds[i] = {residual[j]: c for j, c in sample.assignment}

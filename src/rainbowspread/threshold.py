@@ -59,9 +59,9 @@ class TrialPool:
     """Caches per-trial hit times; trial t uses stream_id = t.
 
     Trials are computed in blocks with array draws (`rng.stream_draws`)
-    and one batched kernel call each, bit-exact with `_run_trial`, the
-    scalar reference.  A trial with a draw that randrange would reject
-    (probability below max(n, q) / 2**64 per draw) is recomputed there.
+    and one batched kernel call each.  A trial with a draw that randrange
+    would reject (probability below max(n, q) / 2**64 per draw) is
+    replayed: its picks, not its hit times, come from `_run_trial`.
     """
 
     def __init__(self, h: Hypergraph, q: int, rng: RngStream):
@@ -83,26 +83,23 @@ class TrialPool:
         self._colored = np.empty(0, dtype=np.int64)
         self._uncolored = np.empty(0, dtype=np.int64)
 
-    def _run_trial(self, t: int) -> tuple[int, int]:
+    def _run_trial(self, t: int) -> list[int]:
+        """Trial t's picks as its own stream draws them, rejections included."""
         s = self.rng.child(t)
-        perm = s.permutation(self.n)
-        pos = np.empty(self.n, dtype=np.int64)
-        for i, v in enumerate(perm):
-            pos[v] = i
-        colors = np.array([s.randint(1, self.q) for _ in range(self.n)], dtype=np.int64)
-        ct = _kernels.rainbow_hit_time(self.matrix, self.sizes, pos, colors)
-        ut = _kernels.cover_hit_time(self.matrix, pos)
-        return ct, ut
+        return [s.randrange(m) for m in self._moduli.tolist()]
 
     def _run_block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Hit times of trials lo..hi-1, as _run_trial computes them.
+        """Hit times of trials lo..hi-1, from one kernel call; a replay
+        replaces a row's picks before the shuffle, not its hit times.
 
-        The block is vertex-major, one column per trial, so the kernels
-        get `pos.T` and `colors.T` as views in their own layout."""
+        The block is vertex-major, one column per trial, so the kernel
+        gets transposed views of positions and colors in its own layout."""
         n, b = self.n, hi - lo
-        steps = max(n - 1, 0)
+        steps = n - 1  # n = 0 leaves both slices of picks below empty
         draws = stream_draws(child_keys(self.rng.key, np.arange(lo, hi)), len(self._moduli))
         picks = (draws % self._moduli).T.astype(self._dtype, order="C")  # row i: draw i of each trial
+        for row in _rejected_rows(draws, self._limits):
+            picks[:, row] = self._run_trial(lo + int(row))
         cols = np.arange(b)
         perm = np.repeat(np.arange(n, dtype=self._dtype)[:, None], b, axis=1)
         flat = perm.reshape(-1)  # perm[j, t] is flat[j * b + t]
@@ -112,12 +109,8 @@ class TrialPool:
             perm[i] = swapped
         pos = np.empty_like(perm)
         pos[perm, cols] = np.arange(n, dtype=self._dtype)[:, None]
-        colors = picks[steps:] + 1
-        ct = _kernels.rainbow_hit_time(self.matrix, self.sizes, pos.T, colors.T)
-        ut = _kernels.cover_hit_time(self.matrix, pos.T)
-        for row in _rejected_rows(draws, self._limits):
-            ct[row], ut[row] = self._run_trial(lo + int(row))
-        return ct, ut
+        # the colors less one, as the kernel compares colors only for equality
+        return _kernels.hit_times(self.matrix, self.sizes, pos.T, picks[steps:].T)
 
     def ensure(self, trials: int) -> None:
         have = len(self._colored)

@@ -127,13 +127,17 @@ def _drop(body, j: int) -> str:
 
 def mutants(source: str, functions=()) -> list[Mutant]:
     """Every one-change mutant of the named functions of a module's
-    source (all of its functions when none is named)."""
+    source (all of its functions when none is named).  A change that
+    gives back the unchanged module, such as forcing `while True:` to
+    True, makes no mutant, so no test run is spent on it."""
+    unchanged = ast.unparse(ast.parse(source))
     out = []
     for i in range(sum(1 for _ in _sites(ast.parse(source), functions))):
         tree = ast.parse(source)  # a fresh tree a mutant, changed in place
         name, line, node, apply = list(_sites(tree, functions))[i]
-        change = apply(node)
-        out.append(Mutant(name, line, change, ast.unparse(tree)))
+        change, mutated = apply(node), ast.unparse(tree)
+        if mutated != unchanged:
+            out.append(Mutant(name, line, change, mutated))
     return out
 
 

@@ -94,9 +94,19 @@ def spread_violator(h, kappa: float):
 
 
 def scalar_times(pool, trials: int) -> tuple[list[int], list[int]]:
-    """(colored, uncolored) hit times from the scalar `TrialPool._run_trial`."""
-    ref = [pool._run_trial(t) for t in range(trials)]
-    return [c for c, _ in ref], [u for _, u in ref]
+    """(colored, uncolored) hit times of the pool's first trials, one at a
+    time and without the library's kernels: trial t's stream draws a
+    permutation and then one color per vertex, and an edge is inside the
+    first m vertices from m = its last position + 1 on."""
+    n, colored, uncolored = pool.n, [], []
+    for t in range(trials):
+        s = pool.rng.child(t)
+        pos = {v: i for i, v in enumerate(s.permutation(n))}
+        color = [s.randint(1, pool.q) for _ in range(n)]
+        edges = [(max(pos[v] for v in e) + 1, len({color[v] for v in e}) == len(e)) for e in pool.h.edges]
+        colored.append(min((m for m, rainbow in edges if rainbow), default=n + 1))
+        uncolored.append(min((m for m, _ in edges), default=n + 1))
+    return colored, uncolored
 
 
 def uncover_by_states(g, q: int, alpha: float) -> float:

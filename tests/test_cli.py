@@ -321,20 +321,20 @@ def test_threshold_outputs_frozen(tmp_path, monkeypatch):
 
 
 def test_threshold_m_list_computes_each_trial_once(hc5_path, monkeypatch):
-    computed = {}
-    for name in ("rainbow_hit_time", "cover_hit_time"):
-        kernel = getattr(_kernels, name)
+    computed = {"rainbow": 0, "cover": 0}
+    kernel = _kernels.hit_times
 
-        def counting(*args, kernel=kernel, name=name):
-            times = kernel(*args)
-            computed[name] = computed.get(name, 0) + np.size(times)
-            return times
+    def counting(*args):
+        rainbow, cover = kernel(*args)
+        computed["rainbow"] += np.size(rainbow)
+        computed["cover"] += np.size(cover)
+        return rainbow, cover
 
-        monkeypatch.setattr(_kernels, name, counting)
+    monkeypatch.setattr(_kernels, "hit_times", counting)
     argv = ["threshold", "--hypergraph", hc5_path, "--q", "5", "--trials", "500",
             "--target", "0.2", "--m-list", "3,5"]
     assert main(argv) == 0
-    assert computed == {"rainbow_hit_time": 500, "cover_hit_time": 500}
+    assert computed == {"rainbow": 500, "cover": 500}
 
 
 def test_threshold_unreachable_exit(hc5_path):

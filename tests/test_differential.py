@@ -263,6 +263,22 @@ def test_round_one_runs_psi_on_an_empty_sample():
     assert trace.serialize() == oracle_trace(h, sched, RngStream(0, 37))
 
 
+def test_rounds_stop_at_an_empty_residual(monkeypatch):
+    # at gamma 1e-3 hc5's 10 vertices are all sampled within a few of its
+    # 1,371 rounds; the reference samples every round, and the run makes no
+    # sampler call on an empty residual, yet gives the same traces
+    h = gen_hamilton(5)
+    sched = make_schedule(h, 5, max_spread(h).kappa, 1e-3, 1.0)
+    calls = []
+    sample = fragmentation.sample_colored_p
+    monkeypatch.setattr(fragmentation, "sample_colored_p", lambda n, *args: calls.append(n) or sample(n, *args))
+    streams = range(4)
+    traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
+    assert [trace.serialize() for trace in traces] == [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
+    assert all(sum(r.w_size for r in trace.rounds) == h.num_vertices for trace in traces)
+    assert 0 not in calls and len(calls) < 10 * len(streams) < sched.ell
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_delta_matches_oracle(data):

@@ -10,6 +10,7 @@ import pytest
 from rainbowspread._kernels import (
     cover_hit_time,
     first_rainbow_edge,
+    hit_times,
     pack_edges,
     rainbow_hit_time,
 )
@@ -134,6 +135,26 @@ def test_batched_rows_match_single_rows(stream_id, dtype):
     assert want[0] == [ref_rainbow_hit_time(edges, p, c) for p, c in zip(pos, colors)]
     assert want[2] == [ref_first_rainbow_edge(edges, w) for w in wcolor]
     assert all(g.dtype == np.int64 for g in got)
+
+
+# the fused kernel gives both hit times of each trial, whether it gets
+# one trial or a batch in the trial engine's narrow dtype and layout
+@pytest.mark.parametrize("batch", [(), (7,)])
+@pytest.mark.parametrize("stream_id", range(10))
+def test_hit_times_are_the_two_kernels(stream_id, batch):
+    rows = [random_instance(RngStream(784, 10 * stream_id + k), (10, 10), 12, (1, 5), 1, 4)
+            for k in range(int(np.prod(batch)))]
+    edges = rows[0][0] + [(0, 1, 2, 3, 4), (5,)]
+    matrix, sizes = pack_edges(edges)
+    pos, colors = (np.stack([row[i] for row in rows]).reshape(*batch, 10) for i in (1, 2))
+    if batch:
+        pos, colors = vertex_major(pos.astype(np.uint8)), vertex_major(colors.astype(np.uint8))
+    rainbow, cover = hit_times(matrix, sizes, pos, colors)
+    assert np.array_equal(rainbow, rainbow_hit_time(matrix, sizes, pos, colors))
+    assert np.array_equal(cover, cover_hit_time(matrix, pos))
+    flat_pos, flat_colors = pos.reshape(-1, 10), colors.reshape(-1, 10)
+    assert np.ravel(rainbow).tolist() == [ref_rainbow_hit_time(edges, p, c) for p, c in zip(flat_pos, flat_colors)]
+    assert np.ravel(cover).tolist() == [ref_cover_hit_time(edges, p) for p in flat_pos]
 
 
 def vertex_major(values):

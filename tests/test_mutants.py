@@ -5,6 +5,7 @@ import mutants
 
 FRAGMENTATION = "src/rainbowspread/fragmentation.py"
 BLOCKS = "src/rainbowspread/_blocks.py"
+RNG = "src/rainbowspread/rng.py"
 
 
 def _mutant(module: str, function: str, change: str, where: str = ""):
@@ -35,3 +36,11 @@ def test_probe_keeps_an_equivalent_mutant():
     mutant = _mutant(FRAGMENTATION, "_later_rounds", "any(wmaps) -> True")
     test = "tests/test_fragmentation.py::test_rounds_get_their_size_bounds"
     assert list(mutants.run(FRAGMENTATION, [mutant], [test], timeout=60)) == ["survived"]
+
+
+def test_probe_skips_a_no_op_mutant():
+    # forcing randrange's `while True:` to True gives back the unchanged
+    # module; forcing it to False does not
+    source = (mutants.ROOT / RNG).read_text()
+    changes = [m.change for m in mutants.mutants(source, ["randrange"])]
+    assert "True -> False" in changes and "True -> True" not in changes

@@ -304,15 +304,20 @@ def test_rejected_draw_replayed_on_scalar_path(monkeypatch, counter, n, q, repla
 def test_forced_replay_takes_scalar_results(monkeypatch):
     h = gen_perfect_matching(6, 2)  # 15 edges of 3 vertices: 7 trials per block below
     monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 7 * 45)
-    colored = TrialPool(h, 4, RngStream(44, 0)).colored_times(50).tolist()
-    # every block's first and last trial count as rejected
+    colored, uncolored = oracles.scalar_times(TrialPool(h, 4, RngStream(44, 0)), 50)
+    # every block's first and last trial count as rejected, and their
+    # replays draw another stream's picks
+    other = TrialPool(h, 4, RngStream(45, 0))
+    other_colored, other_uncolored = oracles.scalar_times(other, 50)
     monkeypatch.setattr(threshold, "_rejected_rows", lambda draws, limits: np.array([0, len(draws) - 1]))
-    monkeypatch.setattr(TrialPool, "_run_trial", lambda self, t: (1000 + t, 2000 + t))
+    run_trial = TrialPool._run_trial
+    monkeypatch.setattr(TrialPool, "_run_trial", lambda self, t: run_trial(other, t))
     pool = TrialPool(h, 4, RngStream(44, 0))
     ends = {t for lo in range(0, 50, 7) for t in (lo, min(lo + 7, 50) - 1)}
-    want = [1000 + t if t in ends else c for t, c in enumerate(colored)]
-    assert pool.colored_times(50).tolist() == want
-    assert all(pool.uncolored_times(50)[t] == 2000 + t for t in ends)
+    assert pool.colored_times(50).tolist() == [other_colored[t] if t in ends else c for t, c in enumerate(colored)]
+    assert pool.uncolored_times(50).tolist() == [
+        other_uncolored[t] if t in ends else u for t, u in enumerate(uncolored)]
+    assert [other_colored[t] for t in ends] != [colored[t] for t in ends]
 
 
 def test_shared_pool_gives_the_same_results():
