@@ -77,8 +77,8 @@ def _first_hit(last, n: int):
 
 def hit_times(matrix, sizes, pos, colors):
     """(rainbow, cover): the smallest m such that the first m elements of
-    the trial permutation contain a rainbow edge, and an edge; len(pos)+1
-    when none does.  The edges' last positions, one gather, serve both.
+    the trial permutation contain a rainbow edge, and an edge; n + 1 for
+    n vertices when none does.  One gather of the positions serves both.
 
     pos[..., v] is the position of vertex v in the permutation (0-based);
     colors[..., v] is the color of v once sampled, read only for equality.
