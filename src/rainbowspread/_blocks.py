@@ -61,21 +61,22 @@ def lift_groups(h: Hypergraph, q: int, ws):
 
 def lift_block(h: Hypergraph, q: int, ws, row_bytes: int, what: str):
     """The lift restricted to each partial coloring of ws, one after the
-    other, as integer rows: the one enumerator behind `lift_rainbow` and
-    fragmentation.
+    other, less the pinned elements, as integer rows: the one enumerator
+    behind `lift_rainbow` (with no pins) and fragmentation's round 1.
 
     Element (v, c) is coded v*q + c - 1, so each row ascends with its
-    vertices.  Returns (codes, base, owner): codes is an array of shape
-    (rows, r_bound) in the least unsigned type that holds N*q, each row
-    padded on the right with N*q; base holds each row's base edge index
-    and owner the index in ws of its coloring.  Rows are in canonical
-    order: by coloring, then base edge, then colors lexicographically.
-    The (coloring, edge) pairs of one edge size k and pinned count s are
-    built together, with no loop over edges: the pinned colors are fixed,
-    and the free vertices take the rows of the cached table of
-    permutations(range(q - s), k - s) over the colors left.  Each pair's
-    rows are then put at their canonical place, counted first.  The
-    caller's charge, row_bytes a row, is checked before anything is built.
+    vertices.  Returns (codes, lengths, base, owner): codes is an array of
+    shape (rows, r_bound) in the least unsigned type that holds N*q, each
+    row padded on the right with N*q; lengths holds each row's count of
+    codes, base its base edge index and owner the index in ws of its
+    coloring.  Rows are in canonical order: by coloring, then base edge,
+    then colors lexicographically.  The (coloring, edge) pairs of one edge
+    size k and pinned count s are built together, with no loop over
+    edges: the free vertices take the rows of the cached table of
+    permutations(range(q - s), k - s) over the colors the pins leave.
+    Each pair's rows are then put at their canonical place, counted
+    first.  The caller's charge, row_bytes a row, is checked before
+    anything is built.
     """
     check_chromatic(h, q)
     groups, sizes, pins = lift_groups(h, q, ws)
@@ -85,12 +86,11 @@ def lift_block(h: Hypergraph, q: int, ws, row_bytes: int, what: str):
     m = len(matrix)
     pad = h.num_vertices * q
     dtype = np.min_scalar_type(pad)
-    count = np.zeros(len(ws) * m, dtype=np.int64)
+    count, length = np.zeros((2, len(ws) * m), dtype=np.int64)  # each pair's rows and their length
     for k, s, pairs in groups:
-        count[pairs] = falling_factorial(q - s, k - s)
+        count[pairs], length[pairs] = falling_factorial(q - s, k - s), k - s
     first = np.cumsum(count) - count
-    codes = np.empty((total, h.r_bound), dtype=dtype)
-    records = codes.view(np.dtype((np.void, codes.strides[0]))).reshape(-1)  # a put copies whole rows
+    codes = np.full((total, h.r_bound), pad, dtype=dtype)
     for k, s, pairs in groups:
         perms = _permutation_table(q - s, k - s)
         verts = matrix[pairs % m, :k]
@@ -99,22 +99,13 @@ def lift_block(h: Hypergraph, q: int, ws, row_bytes: int, what: str):
         used = np.zeros((len(pairs), q + 1), dtype=bool)
         used[np.arange(len(pairs))[:, None], pin] = True
         avail = (np.flatnonzero(~used[:, 1:]).reshape(len(pairs), q - s) % q).astype(dtype)
-        # each pair's pinned codes and its free slots' first codes, and then
-        # the colors of a row of the table added to its free slots: scattered
-        # into add one turn at a time, and added in place at once; free lists
-        # each pair's free slots first, ascending
-        pinned = pin > 0
-        block = np.full((len(pairs), len(perms), h.r_bound), pad, dtype=dtype)
-        block[:, :, :k] = (verts * q + pin - pinned).astype(dtype)[:, None]
-        colors = avail[:, perms]
-        free = np.argsort(pinned, axis=1, kind="stable")
-        add, rows = np.zeros((len(pairs), k, len(perms)), dtype=dtype), np.arange(len(pairs))
-        for turn in range(k - s):
-            add[rows, free[:, turn]] = colors[:, :, turn]
-        block[:, :, :k] += add.transpose(0, 2, 1)
-        records.put(first[pairs][:, None] + np.arange(len(perms)), block.view(records.dtype))
-    pair = np.repeat(np.arange(len(ws) * m), count)
-    return codes, pair % m, pair // m
+        # each pair's free vertices, ascending, take the colors of each row of the table
+        rows = avail[:, perms]
+        rows += (verts[pin == 0].reshape(len(pairs), k - s) * q).astype(dtype)[:, None]
+        at = (first[pairs][:, None] + np.arange(len(perms))).ravel()
+        codes[at, : k - s] = rows.reshape(len(at), k - s)
+    pair = np.arange(len(ws) * m)
+    return codes, np.repeat(length, count), np.repeat(pair % m, count), np.repeat(pair // m, count)
 
 
 @lru_cache(maxsize=32)
@@ -174,7 +165,11 @@ def remainders(store, wmaps):
     Returns (compat, rem, lengths): compat marks the rows that agree with
     their seed's sample, rem holds their remainders (the elements on
     unsampled vertices) as sorted padded rows, and lengths their sizes.
+    Where no seed samples, as in round 1, every row is its own remainder:
+    the store's own rows and lengths are returned.
     """
+    if not any(wmaps):
+        return np.ones(len(store), dtype=bool), store.codes, store.lengths
     q, pad = store.q, store.pad
     kind = elements(wmaps, q, pad)
     at = store.seed * (pad + 1)  # where each row's seed's table starts

@@ -147,6 +147,8 @@ def cmd_threshold(args) -> int:
         raise ValueError(f"--m-list {args.m_list}: expected comma-separated integers") from None
     if m_list != sorted(m_list):
         raise ValueError("--m-list must be sorted")
+    if m_list and not 0 <= m_list[0] <= m_list[-1] <= h.num_vertices:
+        raise ValueError(f"--m-list {args.m_list}: each m must lie in [0, {h.num_vertices}]")
     # one pool, so the sweep reads the trials the estimate drew; the
     # estimate validates the instance before any trial is drawn
     pool = TrialPool(h, args.q, RngStream(seed))

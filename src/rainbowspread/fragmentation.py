@@ -6,14 +6,14 @@ surviving fragment by the smallest fragment residue it can point to
 enough.  After the last round a final uniform sample must cover some
 surviving fragment outright.
 
-Round 1 runs per block of seeds, from each block's restricted lift;
-the later rounds and the endgame run once per group of consecutive
-blocks, on their joined round-1 survivors.  Fragments live in an integer
-store per block or group (see `FragmentStore`): rows of element codes,
-each with a multiplicity and its seed, in the one fixed order that
-breaks psi's ties.  Round 1's lift holds one row per lifted edge, so a
-repeated edge's copies give equal rows; psi gives equal rows the first
-one's remainder, so from round 1's merge on each row of a seed is a
+Round 1 runs per block of seeds, from the remainders of each block's
+restricted lift; the later rounds and the endgame run once per group of
+consecutive blocks, on their joined round-1 survivors.  Fragments live in
+an integer store per block or group (see `FragmentStore`): rows of element
+codes, each with a multiplicity and its seed, in the one fixed order that
+breaks psi's ties.  Round 1's store holds one row per lifted edge, so the
+lifted edges of one remainder give equal rows; psi gives equal rows the
+first one's remainder, so from round 1's merge on each row of a seed is a
 distinct element set.  Merging equal element sets preserves the
 multiset semantics exactly because psi only looks at element sets.  The
 array work, the restricted lift, the remainders and psi's search, is in
@@ -111,9 +111,9 @@ def make_schedule(h: Hypergraph, q: int, kappa: float, gamma: float, C: float) -
 # in `_blocks.lift_block`), and a fragment is a row of its element codes in
 # ascending order, padded on the right with pad = N*q; a row's length is
 # its count of codes below pad.  Each row carries a multiplicity and the
-# index of its seed among the store's seeds.  Rows are sorted by
-# seed; within a seed they are distinct from round 1's merge on (the lift
-# repeats a row where an edge repeats), and their order is the one fixed
+# index of its seed among the store's seeds.  Rows are sorted by seed;
+# within a seed they are distinct from round 1's merge on (lifted edges
+# with one remainder give equal rows), and their order is the one fixed
 # order on fragments that psi needs to break ties between minimal
 # remainders: the order of round 1's restricted lift (by base edge, then
 # colors), each row standing where the lifted edge it descends from
@@ -274,27 +274,28 @@ def fragment_row_bytes(r: int) -> int:
     length in the store and among the remainders, the own and vertex
     keys, np.unique's buffers and the picks, and a margin (tracemalloc over
     a whole seed-0 run: 136 B/row on hamilton n=7 at q=7 and q=8, 134 on
-    n=6 at q=8, 140 on pm(8,2) at q=12 and 146 on pm(10,2) at q=8, seed 1)."""
+    n=6 at q=8, 140 on pm(8,2) at q=12 and 146 on pm(10,2) at q=8, seed 1),
+    with round 1 on whole lifted edges: on its remainders, 120 on n=7 at q=8."""
     return 4 * r + 140
 
 
 def initial_survivors(h: Hypergraph, q: int, wmaps) -> FragmentStore:
-    """The lift restricted to each seed's round-1 sample, wmaps[i] for
-    seed i, as one fragment store.
+    """The remainders of the lift restricted to each seed's round-1
+    sample, wmaps[i] for seed i, as one fragment store: round 1's store.
 
-    These are the fragments compatible with round 1's samples.  The
-    clashing ones are left out: psi never indexes them, so round 1 picks
-    the same remainders as it would over the full lift.  Every row has
-    multiplicity 1, so a repeated edge's copies give equal rows, which
-    round 1's `apply_round` merges.  psi's keys and the lift's bytes are
-    checked before the lift exists.
+    The clashing fragments are left out: psi never indexes them, so
+    round 1 picks the same remainders as it would over the full lift.
+    Each row is a compatible lifted edge less the sampled elements, with
+    multiplicity 1; lifted edges with one remainder give equal rows,
+    which round 1's `apply_round` merges.  psi's keys and the lift's
+    bytes are checked before the lift exists.
     """
     pad = h.num_vertices * q
     rank_tables(pad, h.r_bound, "fragment keys", "use a smaller --q or a smaller hypergraph")
     from . import _blocks
 
-    codes, base, seed = _blocks.lift_block(h, q, wmaps, fragment_row_bytes(h.r_bound), "lifted edges")
-    return FragmentStore(codes, np.ones(len(codes), dtype=np.int64), seed, len(wmaps), q, pad, h.packed[1][base])
+    codes, lengths, _, seed = _blocks.lift_block(h, q, wmaps, fragment_row_bytes(h.r_bound), "lifted edges")
+    return FragmentStore(codes, np.ones(len(codes), dtype=np.int64), seed, len(wmaps), q, pad, lengths)
 
 
 class _Draws(NamedTuple):
@@ -401,11 +402,12 @@ class _Stage(NamedTuple):
 
 
 def _round_one(h: Hypergraph, sched: Schedule, block: list[_Draws]) -> _Stage:
-    """Round 1 of a block of streams whose samples are drawn.  It runs psi
-    even where no stream samples: the restricted lift need not be an
-    antichain."""
+    """Round 1 of a block of streams whose samples are drawn, on a store
+    with those samples applied.  It runs psi even where no stream samples:
+    the restricted lift need not be an antichain."""
     wmaps = [draws.rounds.get(1, {}) for draws in block]
-    survivors, compatible, after = apply_round(initial_survivors(h, sched.q, wmaps), wmaps, _bound(sched, 1))
+    store = initial_survivors(h, sched.q, wmaps)
+    survivors, compatible, after = apply_round(store, [{}] * len(block), _bound(sched, 1))
     rounds = [
         [_record(sched, 1, wmap, sched.lift_size, c, a)]
         for wmap, c, a in zip(wmaps, compatible.tolist(), after.tolist())

@@ -51,11 +51,10 @@ def lift_size(h: Hypergraph, q: int) -> int:
     return sum(count * falling_factorial(q, k) for k, count in Counter(map(len, h.edges)).items())
 
 
-def lift_rainbow(h: Hypergraph, q: int, w: dict[int, int] | None = None) -> list[LiftedEdge]:
-    """Materialize every (edge, injective coloring) pair, or with a partial
-    coloring w only those that agree with w on every shared vertex: the
-    rows of `_blocks.lift_block`, in its order, as `LiftedEdge`s.  Their
-    bytes are checked against the budget before anything is listed.
+def lift_rainbow(h: Hypergraph, q: int) -> list[LiftedEdge]:
+    """Materialize every (edge, injective coloring) pair: the rows of
+    `_blocks.lift_block` with no pins, in its order, as `LiftedEdge`s.
+    Their bytes are checked against the budget before anything is listed.
     """
     from . import _blocks  # here, so that importing the package does not load numpy
 
@@ -63,7 +62,7 @@ def lift_rainbow(h: Hypergraph, q: int, w: dict[int, int] | None = None) -> list
     # lists and each LiftedEdge with its colors tuple (tracemalloc: 501 B/row
     # on hamilton n=6 at q=6 in a fresh process, 1,055 at r=16 with colors
     # above 256, which are not cached small ints)
-    codes, base, _ = _blocks.lift_block(h, q, [w or {}], 64 * h.r_bound + 320, "listed lifted edges")
+    codes, _, base, _ = _blocks.lift_block(h, q, [{}], 64 * h.r_bound + 320, "listed lifted edges")
     colors = (codes.astype(int) % q + 1).tolist()
     return [
         LiftedEdge(base=b, colors=tuple(row[: len(h.edges[b])]))

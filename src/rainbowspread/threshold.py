@@ -202,6 +202,8 @@ def sweep(pool: TrialPool, m_list, trials: int):
     _check_trials(trials)
     if sorted(m_list) != list(m_list):
         raise ValueError("m_list must be sorted")
+    if any(not 0 <= m <= pool.n for m in m_list):  # a trial that never hits has time n + 1
+        raise ValueError(f"m_list must lie in [0, {pool.n}]")
     colored = pool.colored_times(trials)
     uncolored = pool.uncolored_times(trials)
     rows = []

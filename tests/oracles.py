@@ -20,6 +20,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
+from rainbowspread._blocks import lift_block
 from rainbowspread._blocks import psi_round as store_psi_round
 from rainbowspread.fragmentation import FragmentationTrace, FragmentStore, RoundRecord
 from rainbowspread.lifting import LiftedEdge, lift_size
@@ -40,6 +41,19 @@ def lift_rainbow(h, q: int, w: dict[int, int] | None = None) -> list[LiftedEdge]
         for colors in permutations(range(1, q + 1), len(e)):
             if all(w.get(v, c) == c for v, c in zip(e, colors)):
                 out.append(LiftedEdge(base=i, colors=colors))
+    return out
+
+
+def remainder_rows(h, q: int, w: dict[int, int], lifted: list[LiftedEdge]) -> list:
+    """The lifted edges of the lift restricted to w in the rows of
+    `_blocks.lift_block`: per edge, its base edge and the codes
+    v*q + c - 1 of its elements on the vertices that w does not pin,
+    ascending, padded to h.r_bound with N*q."""
+    pad = h.num_vertices * q
+    out = []
+    for le in lifted:
+        codes = sorted(v * q + c - 1 for v, c in zip(h.edges[le.base], le.colors) if v not in w)
+        out.append((le.base, codes + [pad] * (h.r_bound - len(codes))))
     return out
 
 
@@ -118,6 +132,30 @@ def uncover_by_states(g, q: int, alpha: float) -> float:
         if not any(all(v in w for v in e) and len({w[v] for v in e}) == len(e) for e in g.edges):
             total += math.prod(alpha / q if c else 1.0 - alpha for c in states)
     return total
+
+
+def hit_curves(h, q: int) -> tuple[list[Fraction], list[Fraction]]:
+    """(rainbow, cover): for m = 0..N, the exact chance that a uniform
+    m-subset of the vertices, each given a uniform color from [q], holds
+    a rainbow edge, and that the m-subset holds an edge at all.  These are
+    P(T <= m) for the coupled trials' colored and uncolored hit times T.
+
+    Every one of the (q+1)^N states (0 = unsampled) with k colored
+    vertices is one equally likely outcome of a k-sample, so the rainbow
+    curve is 1 - U_k / (C(N, k) q^k), U_k counting the uncovered states;
+    the cover curve counts the k-subsets that hold no edge."""
+    n = h.num_vertices
+    uncovered, empty = [0] * (n + 1), [0] * (n + 1)
+    for states in product(range(q + 1), repeat=n):
+        w = {v: c for v, c in enumerate(states) if c}
+        if not any(all(v in w for v in e) and len({w[v] for v in e}) == len(e) for e in h.edges):
+            uncovered[len(w)] += 1
+    for k in range(n + 1):
+        for subset in combinations(range(n), k):
+            empty[k] += not any(set(e) <= set(subset) for e in h.edges)
+    rainbow = [1 - Fraction(uncovered[k], math.comb(n, k) * q**k) for k in range(n + 1)]
+    cover = [1 - Fraction(empty[k], math.comb(n, k)) for k in range(n + 1)]
+    return rainbow, cover
 
 
 def initial_survivors(h, q: int, wmap: dict[int, int]) -> dict:
@@ -295,6 +333,14 @@ def store_from_dict(survivors: dict, num_vertices: int, q: int, width: int) -> F
     mult = np.array([mult for _, mult in rows], dtype=np.int64)
     lengths = np.array([len(elems) for elems, _ in rows], dtype=np.int64)
     return FragmentStore(codes, mult, np.zeros(len(rows), dtype=np.int64), 1, q, pad, lengths)
+
+
+def block_rows(h, q: int, w: dict[int, int]) -> list:
+    """`_blocks.lift_block` on the one coloring w, in the form of
+    `remainder_rows`; each row's length must be its count of codes."""
+    codes, lengths, base, _ = lift_block(h, q, [w], 1, "rows")
+    assert lengths.tolist() == (codes < h.num_vertices * q).sum(axis=1).tolist()
+    return list(zip(base.tolist(), codes.tolist()))
 
 
 def _elements(store: FragmentStore, row) -> tuple:

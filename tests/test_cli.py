@@ -366,6 +366,9 @@ def test_threshold_rejects_bad_trials_and_target(hc5_path, tmp_path, monkeypatch
     ((), "2,3", "hypergraph has no edges"),
     (((0, 1),), "3,2", "--m-list must be sorted"),
     (((0, 1),), ",3", "--m-list ,3: expected comma-separated integers"),
+    # a trial that never hits has time N + 1, which m = N + 1 would count as a hit
+    (((0, 1),), "2,6", "--m-list 2,6: each m must lie in [0, 5]"),
+    (((0, 1),), "-1", "--m-list -1: each m must lie in [0, 5]"),
 ])
 def test_threshold_validates_before_trials(tmp_path, monkeypatch, capsys, edges, m_list, message):
     path = tmp_path / "h.json"

@@ -51,8 +51,9 @@ def test_lift_matches_oracle(data):
     h, q = data.draw(instances())
     w = data.draw(colorings(h, q))
     expected = oracles.lift_rainbow(h, q, w)
-    assert lift_rainbow(h, q, w) == expected
+    assert oracles.block_rows(h, q, w) == oracles.remainder_rows(h, q, w, expected)
     assert _blocks.lift_groups(h, q, [w])[1] == [len(expected)]
+    assert lift_rainbow(h, q) == oracles.lift_rainbow(h, q)
 
 
 @settings(max_examples=150, deadline=None)
@@ -68,8 +69,11 @@ def test_rounds_match_oracle(data):
         mp.setattr(limits, "BLOCK_ELEMENTS", data.draw(block_elements()))
         store = initial_survivors(h, q, [samples[0]])
         expected = oracles.initial_survivors(h, q, samples[0])
-        # the lift keeps a repeated edge's copies as equal rows, which round 1 merges
-        assert oracles.merged(oracles.store_rows(store)) == oracles.by_lineage(expected)
+        # the store holds the restricted lift less the sampled elements: the
+        # lifted edges of one remainder give equal rows, which round 1 merges
+        w = samples[0]
+        unpinned = [(tuple(e for e in elems if e[0] not in w), mult) for elems, mult in oracles.by_lineage(expected)]
+        assert oracles.merged(oracles.store_rows(store)) == oracles.merged(unpinned)
         for wmap, r_i in zip(samples, bounds):
             reference = oracles.apply_round(expected, wmap, r_i)
             assert oracles.apply_round(expected, wmap, r_i, order="subsets") == reference
@@ -261,6 +265,30 @@ def test_round_one_runs_psi_on_an_empty_sample():
     first = trace.rounds[0]
     assert (first.w_size, first.compatible, first.survivors_after) == (0, 30, 30)
     assert trace.serialize() == oracle_trace(h, sched, RngStream(0, 37))
+
+
+def test_round_one_applies_no_sample(monkeypatch):
+    # round 1's store holds its remainders already, so round 1 builds no
+    # sample table; the later rounds and the endgame still apply theirs
+    h = gen_hamilton(5)
+    sched = make_schedule(h, 5, max_spread(h).kappa, 0.3, 1.0)
+    round_one, elements, tables = fragmentation._round_one, _blocks.elements, []
+
+    def no_table(*args):
+        raise AssertionError("round 1 built a sample table")
+
+    def guarded(h, sched, block):
+        monkeypatch.setattr(_blocks, "elements", no_table)
+        try:
+            return round_one(h, sched, block)
+        finally:
+            monkeypatch.setattr(_blocks, "elements", lambda *args: tables.append(args) or elements(*args))
+
+    monkeypatch.setattr(fragmentation, "_round_one", guarded)
+    streams = range(6)
+    traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
+    assert [trace.serialize() for trace in traces] == [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
+    assert all(trace.rounds[0].w_size for trace in traces) and tables
 
 
 def test_rounds_stop_at_an_empty_residual(monkeypatch):

@@ -273,6 +273,18 @@ def test_initial_survivors_multiset():
     assert init.lengths.tolist() == (init.codes < init.pad).sum(axis=1).tolist()
 
 
+def test_remainders_of_no_sample_are_the_store():
+    # with no sample every row is compatible and is its own remainder, so
+    # the store's own arrays come back, uncopied
+    h, q = gen_hamilton(5), 5
+    store = initial_survivors(h, q, [{0: 1, 3: 2}, {}, {4: 5}])
+    codes, lengths = store.codes.copy(), store.lengths.copy()
+    compat, rem, rem_lengths = _blocks.remainders(store, [{}, {}, {}])
+    assert compat.all() and len(compat) == len(store)
+    assert rem is store.codes and rem_lengths is store.lengths
+    assert np.array_equal(rem, codes) and np.array_equal(rem_lengths, lengths)
+
+
 def _random_hypergraph(rnd):
     n = rnd.randint(4, 7)
     edges = [tuple(rnd.sample(range(n), rnd.randint(1, 3))) for _ in range(rnd.randint(1, 6))]

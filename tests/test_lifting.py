@@ -68,17 +68,17 @@ def test_restricted_lift_matches_filter(q):
         w = {v: rng.randint(1, q + 1) for v in range(5) if rng.bernoulli(0.5)}
         brute = restricted_by_filter(MIXED, q, w)
         assert lift_groups(MIXED, q, [w])[1] == [len(brute)]
-        assert lift_rainbow(MIXED, q, w) == brute
+        assert oracles.block_rows(MIXED, q, w) == oracles.remainder_rows(MIXED, q, w, brute)
 
 
 def test_restricted_lift_clashing_pins():
     # w colors vertices 1 and 2 alike, so both copies of (1, 2, 3) drop out;
     # (0, 1) twice: 3 each, (2,): 1, (0, 2, 3, 4): (3)_3 = 6
     w = {1: 2, 2: 2}
-    lifted = lift_rainbow(MIXED, 4, w)
-    assert lift_groups(MIXED, 4, [w])[1] == [len(lifted)] == [13]
-    assert {le.base for le in lifted} == {0, 2, 3, 4}
-    assert lifted == restricted_by_filter(MIXED, 4, w)
+    rows = oracles.block_rows(MIXED, 4, w)
+    assert lift_groups(MIXED, 4, [w])[1] == [len(rows)] == [13]
+    assert {base for base, _ in rows} == {0, 2, 3, 4}
+    assert rows == oracles.remainder_rows(MIXED, 4, w, restricted_by_filter(MIXED, 4, w))
 
 
 def test_pin_outside_the_colors_needs_two_bytes_at_q255():
@@ -88,14 +88,15 @@ def test_pin_outside_the_colors_needs_two_bytes_at_q255():
 
 @pytest.mark.parametrize("w", [{}, {1: 2}, {0: 3, 4: 1}, {1: 2, 2: 2}])
 def test_lift_codes_are_the_lifted_edges(w):
+    # each row holds a lifted edge's elements on the vertices that w leaves free
     q, pad = 4, MIXED.num_vertices * 4
-    codes, base, _ = lift_block(MIXED, q, [w], fragment_row_bytes(MIXED.r_bound), "lifted edges")
+    codes, lengths, base, _ = lift_block(MIXED, q, [w], fragment_row_bytes(MIXED.r_bound), "lifted edges")
     expected = oracles.lift_rainbow(MIXED, q, w)
     assert codes.shape == (len(expected), MIXED.r_bound)
     assert base.tolist() == [le.base for le in expected]
-    for row, le in zip(codes.tolist(), expected):
-        e = MIXED.edges[le.base]
-        assert row == [v * q + c - 1 for v, c in zip(e, le.colors)] + [pad] * (MIXED.r_bound - len(e))
+    for row, length, le in zip(codes.tolist(), lengths.tolist(), expected):
+        free = [v * q + c - 1 for v, c in zip(MIXED.edges[le.base], le.colors) if v not in w]
+        assert (row, length) == (free + [pad] * (MIXED.r_bound - len(free)), len(free))
 
 
 def test_lift_block_is_each_coloring_in_turn():
@@ -103,11 +104,12 @@ def test_lift_block_is_each_coloring_in_turn():
     # one coloring after the other, with its index as owner
     q = 4
     ws = [{}, {1: 2}, {0: 3, 4: 1}, {1: 2, 2: 2}, {0: 5}]
-    codes, base, owner = lift_block(MIXED, q, ws, 1, "rows")
+    codes, lengths, base, owner = lift_block(MIXED, q, ws, 1, "rows")
     assert owner.tolist() == sorted(owner.tolist())
     for i, w in enumerate(ws):
-        one_codes, one_base, _ = lift_block(MIXED, q, [w], 1, "rows")
+        one_codes, one_lengths, one_base, _ = lift_block(MIXED, q, [w], 1, "rows")
         assert codes[owner == i].tolist() == one_codes.tolist()
+        assert lengths[owner == i].tolist() == one_lengths.tolist()
         assert base[owner == i].tolist() == one_base.tolist()
     assert lift_groups(MIXED, q, ws)[1] == [int((owner == i).sum()) for i in range(len(ws))]
 

@@ -52,6 +52,30 @@ def test_uncolored_time_never_later():
     assert np.all(ut <= ct)
 
 
+@pytest.mark.parametrize("h,q", [
+    (gen_hamilton(4), 4),
+    (gen_hamilton(4), 5),
+    (gen_perfect_matching(4, 2), 3),
+    (Hypergraph.from_edges(6, [(0, 1), (1, 2, 3), (3, 4), (0, 2, 4, 5), (5,), (1, 2, 3)]), 4),
+    (Hypergraph.from_edges(5, [(0,), (1, 2), (2, 3, 4)]), 3),
+])
+def test_trials_have_the_model_distribution(h, q):
+    # X_m is a uniform m-subset with a uniform color on each vertex: both hit
+    # times' counts of fixed-seed trials against the exact curves, every m at
+    # once within one |z| bound (a pool drawing colors from q + 1 values
+    # reads |z| 62.9 on hamilton n=4 at q=4); the edge (0,) sees X_1, which a
+    # shuffle that skips its last swap leaves at vertex 0 too often
+    trials = 20_000
+    pool = TrialPool(h, q, RngStream(0, 0))
+    for times, curve in zip((pool.colored_times(trials), pool.uncolored_times(trials)), oracles.hit_curves(h, q)):
+        for m, p in enumerate(curve):
+            hits = int(np.count_nonzero(times <= m))
+            if p in (0, 1):
+                assert hits == p * trials
+            else:
+                assert abs(hits - trials * p) <= 4 * math.sqrt(trials * p * (1 - p)), (m, hits / trials, float(p))
+
+
 def test_single_edge_closed_form():
     # one edge on all of [n], q >= n: the colored m-sample contains the
     # edge iff m = n and the n colors are pairwise distinct
@@ -181,6 +205,13 @@ def test_sweep_rows():
         assert uhits >= hits  # dropping the color requirement only helps
     with pytest.raises(ValueError):
         sweep(pool, [5, 2], 100)
+    # the trials that never hit have time N + 1 = 16
+    assert sweep(pool, [0, 15], 100)[0][1] == 0
+    for m_list in ([2, 16], [-1, 2]):
+        with pytest.raises(ValueError, match=r"m_list must lie in \[0, 15\]"):
+            sweep(pool, m_list, 100)
+    with pytest.raises(ValueError, match="trials must be positive"):
+        sweep(pool, m_list, 0)
 
 
 def test_hit_probability_validation():
