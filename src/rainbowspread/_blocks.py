@@ -21,15 +21,16 @@ from .spread import rank_tables, size_keys
 
 
 def pin_colors(ws, n: int, q: int):
-    """The partial colorings ws as an (len(ws), n) array: the color each
-    pins on each vertex, 0 where it pins none and q + 1 for a color
-    outside [1, q], in the least unsigned type that holds q + 1."""
+    """The partial colorings ws as an (len(ws), n + 1) array: the color
+    each pins on each vertex, 0 where it pins none and q + 1 for a color
+    outside [1, q], in the least unsigned type that holds q + 1.  Column
+    n is the vertex of the pad code n*q, which none pins."""
     counts = [len(w) for w in ws]
     total = sum(counts)
     row = np.repeat(np.arange(len(ws)), counts)
     v = np.fromiter(chain.from_iterable(ws), dtype=np.int64, count=total)
     c = np.fromiter(chain.from_iterable(w.values() for w in ws), dtype=np.int64, count=total)
-    pins = np.zeros((len(ws), n), dtype=np.min_scalar_type(q + 1))
+    pins = np.zeros((len(ws), n + 1), dtype=np.min_scalar_type(q + 1))
     pins[row, v] = np.where((1 <= c) & (c <= q), c, q + 1)
     return pins
 
@@ -122,22 +123,6 @@ def _permutation_table(n: int, k: int):
     return table
 
 
-def elements(wmaps, q: int, pad: int):
-    """Per seed of the block, a table over the pad + 1 codes, the tables
-    one after another: 1 for the sampled elements and pad, 2 for the other
-    elements of sampled vertices, and 0 for the rest.  A color outside
-    [1, q] has no element."""
-    pins = pin_colors(wmaps, pad // q, q)
-    seeds, n = pins.shape
-    table = np.zeros((seeds, pad + 1), dtype=np.int8)
-    table[:, pad] = 1
-    sampled = pins > 0
-    table[:, :pad].reshape(seeds, n, q)[sampled] = 2
-    s, v = np.nonzero(sampled & (pins <= q))
-    table[s, v * q + pins[s, v] - 1] = 1
-    return table.ravel()
-
-
 def _terms(binom):
     """The flat (r + 1, n + 1) table whose [i, c] is C(n - 1 - c, i), code
     c's term in the `spread` key of a set in which it is the i-th largest:
@@ -165,22 +150,26 @@ def remainders(store, wmaps):
     Returns (compat, rem, lengths): compat marks the rows that agree with
     their seed's sample, rem holds their remainders (the elements on
     unsampled vertices) as sorted padded rows, and lengths their sizes.
-    Where no seed samples, as in round 1, every row is its own remainder:
-    the store's own rows and lengths are returned.
+    A sample is read through its seed's row of `pin_colors`: code c
+    agrees with it when the pin of its vertex c // q is 0 or c % q + 1,
+    and is stripped to pad when that pin is not 0.  Where no seed
+    samples, as in round 1, every row is its own remainder: the store's
+    own rows and lengths are returned.
     """
     if not any(wmaps):
         return np.ones(len(store), dtype=bool), store.codes, store.lengths
     q, pad = store.q, store.pad
-    kind = elements(wmaps, q, pad)
-    at = store.seed * (pad + 1)  # where each row's seed's table starts
+    pins = pin_colors(wmaps, pad // q, q)
+    at = store.seed * pins.shape[1]  # where each row's seed's pins start, flat as take reads them
     # column by column, which is faster than along the short rows
     compat = np.ones(len(store), dtype=bool)
     for col in store.codes.T:
-        compat &= kind.take(at + col) != 2
+        pin = pins.take(at + col // q)
+        compat &= (pin == 0) | (pin == col % q + 1)
     rem, at = np.compress(compat, store.codes, axis=0), at[compat]
     lengths = np.zeros(len(rem), dtype=np.int64)
     for col in rem.T:
-        col[kind.take(at + col) == 1] = pad
+        col[pins.take(at + col // q) > 0] = pad
         lengths += col != pad
     del at
     # sort each row, which moves pad, the largest code, to the end: an

@@ -59,15 +59,19 @@ def stream_draws(keys, count: int):
 def accept_limits(moduli):
     """Largest draw that randrange(m) accepts, per modulus m, as uint64.
 
-    randrange accepts v < (2**64 // m) * m; for a power of two m that
-    bound is 2**64 itself, one past what uint64 holds, so the limit is
-    kept as the bound minus 1.
+    randrange accepts v < (2**64 // m) * m, which is 2**64 for a power of
+    two m, one past what uint64 holds; so the limit is kept as the bound
+    minus 1, 2**64 - 1 - (2**64 % m), in uint64 arithmetic on the moduli.
     """
     import numpy as np
 
-    if not all(1 <= m <= _MASK for m in moduli):
+    try:
+        m = np.asarray(moduli, dtype=np.uint64)
+    except OverflowError:  # a modulus below 0 or above 2**64 - 1
+        m = None
+    if m is None or not m.all():
         raise ValueError("array draws need 1 <= n < 2**64")
-    return np.array([((_MASK + 1) // m) * m - 1 for m in moduli], dtype=np.uint64)
+    return _MASK - (_MASK % m + 1) % m
 
 
 class RngStream:

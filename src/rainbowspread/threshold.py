@@ -22,6 +22,9 @@ from .rng import RngStream, accept_limits, child_keys, stream_draws
 from .spread import max_spread
 
 Z95 = 1.959963984540054
+# A trial pool's peak bytes a vertex, with one trial a block (tracemalloc,
+# N = 17,000 to 1,000,000): the moduli and limits, 32, and the trial's draws.
+VERTEX_BYTES = 80
 
 
 def wilson_interval(hits: int, n: int) -> tuple[float, float]:
@@ -62,11 +65,14 @@ class TrialPool:
     and one batched kernel call each.  A trial with a draw that randrange
     would reject (probability below max(n, q) / 2**64 per draw) is
     replayed: its picks, not its hit times, come from `_run_trial`.
+    Before it builds anything, the pool charges VERTEX_BYTES a vertex:
+    its uint64 moduli and accept limits, and a block of one trial.
     """
 
     def __init__(self, h: Hypergraph, q: int, rng: RngStream):
         if not 1 <= q < 2**64:  # a color draw is randint(1, q) on one uint64
             raise ValueError(f"q={q}: the trials need 1 <= q < 2**64 colors")
+        check_bytes(VERTEX_BYTES * h.num_vertices, f"trials on {h.num_vertices} vertices", "use a smaller hypergraph")
         self.h = h
         self.q = q
         self.rng = rng
@@ -77,9 +83,8 @@ class TrialPool:
         self._block = block_rows(max(self.matrix.size, 2 * self.n))  # per trial: entries or draws
         # a trial's draws: Fisher-Yates steps randrange(n), ..., randrange(2),
         # then randint(1, q) for each vertex
-        moduli = [*range(self.n, 1, -1), *[q] * self.n]
-        self._moduli = np.array(moduli, dtype=np.uint64)
-        self._limits = accept_limits(moduli)
+        self._moduli = np.concatenate([np.arange(self.n, 1, -1, dtype=np.uint64), np.full(self.n, q, np.uint64)])
+        self._limits = accept_limits(self._moduli)
         self._colored = np.empty(0, dtype=np.int64)
         self._uncolored = np.empty(0, dtype=np.int64)
 
@@ -105,7 +110,7 @@ class TrialPool:
         flat = perm.reshape(-1)  # perm[j, t] is flat[j * b + t]
         for i, at in zip(range(n - 1, 0, -1), picks[:steps].astype(np.intp) * b + cols):
             swapped = flat.take(at)
-            flat.put(at, perm[i])
+            flat[at] = perm[i]  # put would copy all of flat, as perm[i] is a view of it
             perm[i] = swapped
         pos = np.empty_like(perm)
         pos[perm, cols] = np.arange(n, dtype=self._dtype)[:, None]

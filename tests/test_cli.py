@@ -392,6 +392,21 @@ def test_threshold_refuses_q_out_of_range(hc5_path, monkeypatch, capsys, q):
     _single_error(capsys, f"q={q}: the trials need 1 <= q < 2**64 colors")
 
 
+def test_threshold_refuses_a_pool_above_the_budget(tmp_path, monkeypatch, capsys):
+    # one edge on 3 * 10**7 vertices: the pool's 80 B a vertex is refused
+    # before any of its arrays is built
+    path = tmp_path / "h.json"
+    path.write_text('{"n": 30000000, "r": 2, "edges": [[0, 1]]}')
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("pool array built before its charge")
+
+    for name in ("arange", "full", "concatenate"):
+        monkeypatch.setattr(np, name, no_array)
+    assert main(["threshold", "--hypergraph", str(path), "--q", "2"]) == 1
+    _single_error(capsys, f"trials on 30000000 vertices need 2400000000 bytes, above the budget of {2**30}")
+
+
 def test_threshold_trials_ceiling(hc5_path, monkeypatch, capsys):
     # 32 bytes a trial: at a budget of 32,000 bytes 1,000 trials run and
     # 1,001 are refused before any trial is drawn

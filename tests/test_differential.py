@@ -268,27 +268,41 @@ def test_round_one_runs_psi_on_an_empty_sample():
 
 
 def test_round_one_applies_no_sample(monkeypatch):
-    # round 1's store holds its remainders already, so round 1 builds no
-    # sample table; the later rounds and the endgame still apply theirs
+    # round 1's store holds its remainders already, so round 1 never
+    # reaches the sample path: each of its `remainders` calls has empty
+    # samples and gets the store back as it is; the later rounds and the
+    # endgame still apply theirs
     h = gen_hamilton(5)
     sched = make_schedule(h, 5, max_spread(h).kappa, 0.3, 1.0)
-    round_one, elements, tables = fragmentation._round_one, _blocks.elements, []
+    remainders, calls, stage = _blocks.remainders, [], ["later"]
 
-    def no_table(*args):
-        raise AssertionError("round 1 built a sample table")
+    def recorded(store, wmaps):
+        out = remainders(store, wmaps)
+        calls.append((stage[0], store, wmaps, out))
+        return out
 
-    def guarded(h, sched, block):
-        monkeypatch.setattr(_blocks, "elements", no_table)
-        try:
-            return round_one(h, sched, block)
-        finally:
-            monkeypatch.setattr(_blocks, "elements", lambda *args: tables.append(args) or elements(*args))
+    def staged(name, run):
+        def wrapped(*args):
+            stage[0] = name
+            try:
+                return run(*args)
+            finally:
+                stage[0] = "later"
+        return wrapped
 
-    monkeypatch.setattr(fragmentation, "_round_one", guarded)
+    monkeypatch.setattr(_blocks, "remainders", recorded)
+    monkeypatch.setattr(fragmentation, "_round_one", staged("round 1", fragmentation._round_one))
+    monkeypatch.setattr(fragmentation, "endgame_hit", staged("endgame", fragmentation.endgame_hit))
     streams = range(6)
     traces = run_fragmentation(h, sched, [RngStream(0, sid) for sid in streams])
     assert [trace.serialize() for trace in traces] == [oracle_trace(h, sched, RngStream(0, sid)) for sid in streams]
-    assert all(trace.rounds[0].w_size for trace in traces) and tables
+    assert all(trace.rounds[0].w_size for trace in traces)
+    firsts = [(store, wmaps, out) for name, store, wmaps, out in calls if name == "round 1"]
+    assert firsts
+    for store, wmaps, (compat, rem, lengths) in firsts:
+        assert not any(wmaps) and compat.all() and rem is store.codes and lengths is store.lengths
+    sampled = {name for name, _, wmaps, _ in calls if any(wmaps)}
+    assert sampled == {"later", "endgame"}
 
 
 def test_rounds_stop_at_an_empty_residual(monkeypatch):

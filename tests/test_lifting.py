@@ -82,8 +82,11 @@ def test_restricted_lift_clashing_pins():
 
 
 def test_pin_outside_the_colors_needs_two_bytes_at_q255():
-    # a pin outside [1, q] is held as q + 1 = 256, which admits no coloring
-    assert lift_groups(EDGE, 255, [{0: 256}, {0: 255}])[1] == [0, 254]
+    # a pin outside [1, q] is held as q + 1, which admits no coloring: 256
+    # at q = 255 needs two bytes, and 255 at q = 254 fits one; color 0 is
+    # outside [1, q] too, not an unpinned vertex
+    assert lift_groups(EDGE, 255, [{0: 256}, {0: 255}, {0: 0}])[1] == [0, 254, 0]
+    assert lift_groups(EDGE, 254, [{0: 255}, {0: 254}])[1] == [0, 253]
 
 
 @pytest.mark.parametrize("w", [{}, {1: 2}, {0: 3, 4: 1}, {1: 2, 2: 2}])

@@ -13,6 +13,8 @@ from rainbowspread.hypergraph import Hypergraph, HypergraphError
 from rainbowspread.lifting import falling_factorial, lift_rainbow, lift_size
 from rainbowspread.limits import LimitExceeded
 from rainbowspread.moments import (
+    FINAL_GATE_MAX_P,
+    FINAL_GATE_MIN_KAPPA,
     chebyshev_report,
     exact_uncover_probability,
     janson_chain_check,
@@ -119,6 +121,10 @@ def test_chebyshev_bound_when_mu_squared_underflows():
     # mu is positive but mu^2 is 0.0; Delta >= mu, so the bound is 1
     report = chebyshev_report(Hypergraph.from_edges(4, [(0,)]), 1, 5e-324)
     assert report.mu == report.delta == 5e-324
+    assert dict(report.chain_bounds)["chebyshev_zero_bound"] == 1.0
+    # where mu and Delta both underflow, the Janson bound reads 0
+    report = chebyshev_report(SINGLE, 2, 1e-300)
+    assert (report.mu, report.delta, report.janson_bound) == (0.0, 0.0, 0.0)
     assert dict(report.chain_bounds)["chebyshev_zero_bound"] == 1.0
 
 
@@ -242,6 +248,32 @@ def test_chain_check_rejects_bad_kappa():
     h = gen_hamilton(5)
     with pytest.raises(ValueError):
         janson_chain_check(h, 5, 0.1, 1000.0)
+
+
+def test_chain_check_at_p_one_and_its_input_checks_first():
+    # at p = 1, x = e / (q kappa (1 - p)) is undefined: mu, Delta and the
+    # intermediate bound are 0, and so is the Janson bound; at p = 0.99,
+    # 0 < Delta < 1 still takes the Janson formula; a p outside [0, 1] is
+    # refused before the spread check, which kappa = 1000 would fail
+    h = gen_hamilton(5)
+    kappa = max_spread(h).kappa
+    rep = janson_chain_check(h, 5, 1.0, kappa)
+    assert (rep.mu, rep.delta, rep.janson_bound) == (0.0, 0.0, 0.0)
+    assert dict(rep.chain_bounds)["intermediate_bound"] == 0.0
+    assert dict(rep.checks) == {"delta_le_intermediate": True}
+    rep = janson_chain_check(h, 5, 0.99, kappa)
+    assert 0 < rep.delta < 1 and rep.janson_bound == math.exp(-rep.mu**2 / (8 * rep.delta))
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        janson_chain_check(h, 5, 1.5, 1000.0)
+
+
+def test_chain_check_gate_is_closed_at_its_bounds():
+    # q = r, p = 0.09 and kappa = 11 each sit on the final gate's bound
+    n = 60
+    h = Hypergraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    rep = janson_chain_check(h, 2, FINAL_GATE_MAX_P, FINAL_GATE_MIN_KAPPA)
+    assert dict(rep.chain_bounds)["final_gate_active"] == 1.0
+    assert dict(rep.checks) == {"delta_le_intermediate": True, "delta_le_final": True}
 
 
 def test_chebyshev_report_and_miss_bound():

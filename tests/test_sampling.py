@@ -5,6 +5,7 @@ over at least 1e5 draws, with frozen seeds so reruns are stable.
 """
 
 import math
+import re
 from collections import Counter
 from itertools import combinations, product
 
@@ -209,6 +210,21 @@ def test_restricted_lift_empty_restriction_is_whole_lift():
     h = gen_hamilton(4)
     assert lift_groups(h, 4, [{}])[1] == [lift_size(h, 4)] == [len(lift_rainbow(h, 4))]
     assert oracles.block_rows(h, 4, {}) == oracles.remainder_rows(h, 4, {}, lift_rainbow(h, 4))
+
+
+@pytest.mark.parametrize("sample,args,message", [
+    (sample_uniform_subset, (3, 4), "need 0 <= m <= n, got m=4, n=3"),
+    (sample_binomial_subset, (3, 1.5), "p must be in [0, 1] and n >= 0"),
+    (sample_colored_m, (3, 0, 0), "need q >= 1 colors"),
+    (sample_colored_p, (3, 0.0, 0), "need q >= 1 colors"),
+    (sample_lifted_binomial, (3, 2, 2.5), "need q >= 1 and 0 <= p <= q"),
+])
+def test_samplers_refuse_before_any_draw(sample, args, message):
+    # each sampler checks its own inputs, not only the CLI's check_model
+    rng = RngStream(56, 0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample(*args, rng)
+    assert rng.counter == 0
 
 
 def test_sampling_determinism():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -246,7 +247,7 @@ def random_hypergraph(rng, n, max_edges=12, max_size=6, min_size=1):
 # n and q on both sides of the uint8 and uint16 boundaries of the block dtype
 @pytest.mark.parametrize("n,q", [
     (1, 1), (2, 1), (6, 2), (9, 5), (12, 127), (12, 128), (16, 255), (16, 256), (12, 1000),
-    (127, 4), (128, 4), (255, 7), (256, 7), (300, 1000), (100, 70_000),
+    (127, 4), (128, 4), (255, 7), (256, 7), (300, 1000), (100, 70_000), (5, 2**64 - 1),
 ])
 def test_batched_trials_match_scalar_reference(n, q):
     rng = RngStream(900 + n, q)
@@ -273,12 +274,14 @@ def test_incremental_ensure_matches_scalar_reference(monkeypatch):
 # one path for every block size: one trial per block (as on hamilton
 # n=9), a handful (hamilton n=8) and dozens (hamilton n=7)
 @pytest.mark.parametrize("per_block", [1, 6, 52])
-@pytest.mark.parametrize("case", ["hamilton", "mixed"])
+@pytest.mark.parametrize("case", ["hamilton", "mixed", "sparse"])
 def test_block_sizes_match_scalar_reference(monkeypatch, per_block, case):
     if case == "hamilton":
         h, q, rng = gen_hamilton(5), 5, RngStream(49, 0)
-    else:
+    elif case == "mixed":
         h, q, rng = random_hypergraph(RngStream(49, 1), 11), 4, RngStream(49, 2)
+    else:  # a trial's 2N draws outnumber its slot entries
+        h, q, rng = Hypergraph.from_edges(30, [(0, 1), (5, 7, 9)]), 3, RngStream(49, 3)
     m = h.packed[0]
     monkeypatch.setattr(limits, "BLOCK_ELEMENTS", per_block * max(m.size, 2 * h.num_vertices))
     pool = TrialPool(h, q, rng)
@@ -391,3 +394,29 @@ def test_trial_pool_holds_at_most_32_bytes_a_trial(grown, monkeypatch):
         tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 32 * 8_000
 
+
+
+def test_one_trial_on_many_vertices_takes_linear_time():
+    # 200,000 vertices make a block of one trial and 199,999 Fisher-Yates
+    # steps; a step that copied the whole block would make the trial
+    # quadratic, about 8 s here, where a linear one takes about 0.2 s
+    n = 200_000
+    pool = TrialPool(Hypergraph.from_edges(n, [(0, 1)]), 7, RngStream(5))
+    assert pool._block == 1
+    start = time.process_time()
+    colored, uncolored = pool.colored_times(1), pool.uncolored_times(1)
+    assert time.process_time() - start < 3.0
+    assert 2 <= uncolored[0] <= colored[0] <= n + 1
+
+
+def test_trial_pool_charges_its_peak_per_vertex():
+    # the pool's set-up and one trial peak at VERTEX_BYTES a vertex, give
+    # or take a few fixed arrays: the figure the pool charges
+    n = 70_000
+    h = Hypergraph.from_edges(n, [(0, 1), (2, 3, 4)])
+    h.packed
+    tracemalloc.start()
+    TrialPool(h, 7, RngStream(6)).ensure(1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert threshold.VERTEX_BYTES * n - 2**14 < peak <= threshold.VERTEX_BYTES * n + 2**14
