@@ -172,14 +172,7 @@ def remainders(store, wmaps):
         col[pins.take(at + col // q) > 0] = pad
         lengths += col != pad
     del at
-    # sort each row, which moves pad, the largest code, to the end: an
-    # odd-even transposition network over the columns, faster than a sort
-    # along the short rows
-    for step in range(rem.shape[1]):
-        for a, b in zip(rem.T[step % 2 :: 2], rem.T[step % 2 + 1 :: 2]):
-            low = np.minimum(a, b)
-            np.maximum(a, b, out=b)
-            a[...] = low
+    rem.sort(axis=1)  # moves pad, the largest code, to the end
     return compat, rem, lengths
 
 

@@ -217,12 +217,14 @@ def cmd_sample(args) -> int:
         body = "".join(f"{v}\n" for v in sample_uniform_subset(args.n, args.m, rng))
     elif args.model == "binomial-p":
         body = "".join(f"{v}\n" for v in sample_binomial_subset(args.n, args.p, rng))
-    elif args.model == "colored-m":
-        body = sample_colored_m(args.n, args.m, args.q, rng).serialize()
-    elif args.model == "colored-p":
-        body = sample_colored_p(args.n, args.p, args.q, rng).serialize()
-    else:  # lifted-p
-        body = sample_lifted_binomial(args.n, args.q, args.p, rng).serialize()
+    else:
+        if args.model == "colored-m":
+            pairs = sample_colored_m(args.n, args.m, args.q, rng).items()
+        elif args.model == "colored-p":
+            pairs = sample_colored_p(args.n, args.p, args.q, rng).items()
+        else:  # lifted-p
+            pairs = sorted(sample_lifted_binomial(args.n, args.q, args.p, rng))
+        body = "".join(f"{v} {c}\n" for v, c in pairs)
     _emit(args.out, header + "\n" + body)
     return EXIT_OK
 

@@ -37,7 +37,7 @@ from .lifting import check_chromatic, lift_size
 from .lifting import lift_rainbow  # noqa: F401
 from .limits import block_rows
 from .rng import RngStream, round_half_up
-from .sampling import ColoredSet, contains_rainbow_edge, sample_colored_m, sample_colored_p
+from .sampling import contains_rainbow_edge, sample_colored_m, sample_colored_p
 from .spread import max_spread, rank_tables  # noqa: F401
 
 
@@ -319,12 +319,12 @@ def _draw(n: int, sched: Schedule, rng: RngStream) -> _Draws:
         if not residual:
             break
         sample = sample_colored_p(len(residual), sched.p, sched.q, rng)
-        if sample.assignment:
-            wmap = rounds[i] = {residual[j]: c for j, c in sample.assignment}
+        if sample:
+            wmap = rounds[i] = {residual[j]: c for j, c in sample.items()}
             residual = [v for v in residual if v not in wmap]
     m_end = min(round_half_up(n * sched.rho), len(residual))
     sample = sample_colored_m(len(residual), m_end, sched.q, rng)
-    return _Draws(rng, rounds, {residual[j]: c for j, c in sample.assignment})
+    return _Draws(rng, rounds, {residual[j]: c for j, c in sample.items()})
 
 
 def run_fragmentation(h: Hypergraph, sched: Schedule, rngs) -> list[FragmentationTrace]:
@@ -447,7 +447,7 @@ def _later_rounds(h: Hypergraph, sched: Schedule, group: list[_Stage]) -> list[F
                 rounds=records,
                 endgame_w_size=len(draws.endgame),
                 endgame_hit=hit,
-                outcome_rainbow=contains_rainbow_edge(h, ColoredSet.from_dict(w_union)) is not None,
+                outcome_rainbow=contains_rainbow_edge(h, w_union) is not None,
                 all_rounds_successful=all(rec.successful for rec in records),
                 final_survivors=final,
             )

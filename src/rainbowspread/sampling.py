@@ -1,55 +1,20 @@
 """Random models on a colored ground set, and rainbow-edge detection.
 
 Models implemented: uniform m-subsets, binomial subsets, their randomly
-colored versions (always one color per vertex, so never a collision),
-and the fully product-independent model on X x [q] which *can* give one
-vertex two colors.
+colored versions and the fully product-independent model on X x [q].
+A colored sample is a partial coloring W: a dict from each sampled vertex
+to its color in [1, q], in ascending vertex order, so one color per
+vertex.  A lifted sample is the frozenset of its (vertex, color) pairs,
+which *can* give one vertex two colors.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .hypergraph import Hypergraph
 from .rng import RngStream
-
-
-class ColoredSet:
-    """A partial map vertex -> color in [1, q]; at most one color per vertex."""
-
-    def __init__(self, assignment: tuple[tuple[int, int], ...]):
-        self.assignment = assignment  # sorted by vertex id
-
-    def __eq__(self, other):
-        return self.assignment == other.assignment if isinstance(other, ColoredSet) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.assignment)
-
-    def __repr__(self) -> str:
-        return f"ColoredSet(assignment={self.assignment})"
-
-    @staticmethod
-    def from_dict(d: dict[int, int]) -> "ColoredSet":
-        return ColoredSet(tuple(sorted(d.items())))
-
-    def __len__(self) -> int:
-        return len(self.assignment)
-
-    def serialize(self) -> str:
-        return "".join(f"{v} {c}\n" for v, c in self.assignment)
-
-
-class LiftedSample(NamedTuple):
-    """A subset of X x [q]; one vertex may carry several colors."""
-
-    elements: frozenset[tuple[int, int]]
-
-    def serialize(self) -> str:
-        return "".join(f"{v} {c}\n" for v, c in sorted(self.elements))
 
 
 def check_model(model: str, n: int, m: int, p: float, q: int) -> None:
@@ -101,21 +66,19 @@ def sample_binomial_subset(n: int, p: float, rng: RngStream) -> list[int]:
     return [v for v in range(n) if rng.bernoulli(p)]
 
 
-def sample_colored_m(n: int, m: int, q: int, rng: RngStream) -> ColoredSet:
+def sample_colored_m(n: int, m: int, q: int, rng: RngStream) -> dict[int, int]:
     """Uniform m-subset, each chosen vertex colored uniformly from [1, q]."""
     _check_colors(q)
-    verts = sample_uniform_subset(n, m, rng)
-    return ColoredSet(tuple((v, rng.randint(1, q)) for v in verts))
+    return {v: rng.randint(1, q) for v in sample_uniform_subset(n, m, rng)}
 
 
-def sample_colored_p(n: int, p: float, q: int, rng: RngStream) -> ColoredSet:
+def sample_colored_p(n: int, p: float, q: int, rng: RngStream) -> dict[int, int]:
     """Binomial vertex set, independent uniform colors."""
     _check_colors(q)
-    verts = sample_binomial_subset(n, p, rng)
-    return ColoredSet(tuple((v, rng.randint(1, q)) for v in verts))
+    return {v: rng.randint(1, q) for v in sample_binomial_subset(n, p, rng)}
 
 
-def sample_lifted_binomial(n: int, q: int, p: float, rng: RngStream) -> LiftedSample:
+def sample_lifted_binomial(n: int, q: int, p: float, rng: RngStream) -> frozenset[tuple[int, int]]:
     """Each (vertex, color) pair included independently with probability p/q."""
     _check_lifted(n, q, p)
     pq = p / q
@@ -124,16 +87,17 @@ def sample_lifted_binomial(n: int, q: int, p: float, rng: RngStream) -> LiftedSa
         for c in range(1, q + 1):
             if rng.bernoulli(pq):
                 elems.add((v, c))
-    return LiftedSample(frozenset(elems))
+    return frozenset(elems)
 
 
-def contains_rainbow_edge(h: Hypergraph, w: ColoredSet):
-    """An edge of H inside dom(W) with pairwise-distinct colors, or None.
+def contains_rainbow_edge(h: Hypergraph, w: dict[int, int]):
+    """An edge of H inside dom(W) with pairwise-distinct colors under the
+    partial coloring w (vertex -> color in [1, q]), or None.
 
     Deterministic witness: the lowest edge index.
     """
     wcolor = np.zeros(h.num_vertices, dtype=np.int64)
-    for v, c in w.assignment:
+    for v, c in w.items():
         wcolor[v] = c
     idx = _kernels.first_rainbow_edge(*h.packed, wcolor)
     return h.edges[idx] if idx >= 0 else None

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, limits
 from .errors import RainbowSpreadError
 from .hypergraph import Hypergraph
 from .limits import block_rows, check_bytes
@@ -23,7 +23,8 @@ from .spread import max_spread
 
 Z95 = 1.959963984540054
 # A trial pool's peak bytes a vertex, with one trial a block (tracemalloc,
-# N = 17,000 to 1,000,000): the moduli and limits, 32, and the trial's draws.
+# N = 17,000 to 1,000,000, replayed or not): the moduli and limits, 32, and
+# the trial's draws.
 VERTEX_BYTES = 80
 
 
@@ -62,11 +63,15 @@ class TrialPool:
     """Caches per-trial hit times; trial t uses stream_id = t.
 
     Trials are computed in blocks with array draws (`rng.stream_draws`)
-    and one batched kernel call each.  A trial with a draw that randrange
-    would reject (probability below max(n, q) / 2**64 per draw) is
-    replayed: its picks, not its hit times, come from `_run_trial`.
+    and one batched kernel call each; a block holds up to 32 trials where
+    a trial's slot entries alone would make it smaller, each gather at
+    most 64 * BLOCK_ELEMENTS bytes, and one trial where its draws fill
+    it.  A trial with a draw that randrange would reject (probability
+    below max(n, q) / 2**64 per draw) is replayed: its picks, not its
+    hit times, come from `_run_trial`.
     Before it builds anything, the pool charges VERTEX_BYTES a vertex:
-    its uint64 moduli and accept limits, and a block of one trial.
+    its uint64 moduli and accept limits, and a block of one trial,
+    replayed or not.
     """
 
     def __init__(self, h: Hypergraph, q: int, rng: RngStream):
@@ -80,7 +85,13 @@ class TrialPool:
         self.matrix, self.sizes = h.packed
         # narrowest type holding every position, the sentinel n and every color
         self._dtype = np.min_scalar_type(max(self.n, q))
-        self._block = block_rows(max(self.matrix.size, 2 * self.n))  # per trial: entries or draws
+        # a trial counts its 2N draws in full and its gathered slot entries up
+        # to BLOCK_ELEMENTS // 32, so that a gather-bound block holds 32 trials;
+        # the ceiling of its gathered bytes / 64 keeps each of a block's
+        # gathers within 64 * BLOCK_ELEMENTS bytes
+        size = self.matrix.size
+        gathered = -(-size * self._dtype.itemsize // 64)
+        self._block = block_rows(max(min(size, limits.BLOCK_ELEMENTS // 32), gathered, 2 * self.n))
         # a trial's draws: Fisher-Yates steps randrange(n), ..., randrange(2),
         # then randint(1, q) for each vertex
         self._moduli = np.concatenate([np.arange(self.n, 1, -1, dtype=np.uint64), np.full(self.n, q, np.uint64)])
@@ -88,10 +99,11 @@ class TrialPool:
         self._colored = np.empty(0, dtype=np.int64)
         self._uncolored = np.empty(0, dtype=np.int64)
 
-    def _run_trial(self, t: int) -> list[int]:
-        """Trial t's picks as its own stream draws them, rejections included."""
+    def _run_trial(self, t: int) -> np.ndarray:
+        """Trial t's picks as its own stream draws them, rejections included,
+        as uint64: 8 B a draw, where a list would hold a Python int each."""
         s = self.rng.child(t)
-        return [s.randrange(m) for m in self._moduli.tolist()]
+        return np.fromiter((s.randrange(int(m)) for m in self._moduli), np.uint64, len(self._moduli))
 
     def _run_block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Hit times of trials lo..hi-1, from one kernel call; a replay
@@ -102,8 +114,10 @@ class TrialPool:
         n, b = self.n, hi - lo
         steps = n - 1  # n = 0 leaves both slices of picks below empty
         draws = stream_draws(child_keys(self.rng.key, np.arange(lo, hi)), len(self._moduli))
+        rejected = _rejected_rows(draws, self._limits)
         picks = (draws % self._moduli).T.astype(self._dtype, order="C")  # row i: draw i of each trial
-        for row in _rejected_rows(draws, self._limits):
+        del draws  # before the replays and the shuffle, which VERTEX_BYTES counts without it
+        for row in rejected:
             picks[:, row] = self._run_trial(lo + int(row))
         cols = np.arange(b)
         perm = np.repeat(np.arange(n, dtype=self._dtype)[:, None], b, axis=1)
@@ -112,6 +126,7 @@ class TrialPool:
             swapped = flat.take(at)
             flat[at] = perm[i]  # put would copy all of flat, as perm[i] is a view of it
             perm[i] = swapped
+        at = None  # the last step's row is a view that holds every step's indices
         pos = np.empty_like(perm)
         pos[perm, cols] = np.arange(n, dtype=self._dtype)[:, None]
         # the colors less one, as the kernel compares colors only for equality

@@ -267,7 +267,7 @@ def fragmentation_trace(h, sched, rng) -> FragmentationTrace:
     before = sched.lift_size
     for i in range(1, sched.ell + 1):
         sample = sample_colored_p(len(residual), sched.p, sched.q, rng)
-        wmap = {residual[j]: c for j, c in sample.assignment}
+        wmap = {residual[j]: c for j, c in sample.items()}
         if i == 1:
             survivors = initial_survivors(h, sched.q, wmap)
         survivors, compatible, after = apply_round(survivors, wmap, (1.0 - sched.gamma) ** i * sched.r)
@@ -287,7 +287,7 @@ def fragmentation_trace(h, sched, rng) -> FragmentationTrace:
         residual = [v for v in residual if v not in wmap]
     m_end = min(round_half_up(h.num_vertices * sched.rho), len(residual))
     sample = sample_colored_m(len(residual), m_end, sched.q, rng)
-    wend = {residual[j]: c for j, c in sample.assignment}
+    wend = {residual[j]: c for j, c in sample.items()}
     w_union.update(wend)
     return FragmentationTrace(
         seed=rng.master_seed,

@@ -767,6 +767,20 @@ def test_sample_models(tmp_path):
     assert rc == 1  # m > n
 
 
+def test_sample_outputs_frozen(tmp_path):
+    # sha256 of these outputs, frozen: one "v" or "v c" line per element, in
+    # ascending vertex order
+    out = tmp_path / "s.txt"
+    digest = hashlib.sha256()
+    for model in ("uniform-m", "binomial-p", "colored-m", "colored-p", "lifted-p"):
+        for seed, stream in ((0, 0), (1, 3), (7, 3)):
+            argv = ["sample", "--model", model, "--n", "40", "--m", "13", "--p", "0.4", "--q", "5",
+                    "--seed", str(seed), "--stream", str(stream), "--out", str(out)]
+            assert main(argv) == 0
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == "9da564350987a32adfbdcad0140a8eb7d666f27046e68f4f53377ab7742ba9b3"
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     out_a = tmp_path / "ea.txt"
     out_b = tmp_path / "eb.txt"

@@ -184,8 +184,7 @@ def test_mu_empirical():
     total = 0
     sq = 0
     for _ in range(trials):
-        cs = sample_colored_p(h.num_vertices, keep, q, rng)
-        wmap = dict(cs.assignment)
+        wmap = sample_colored_p(h.num_vertices, keep, q, rng)
         x = sum(
             1
             for le in lifted

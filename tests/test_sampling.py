@@ -22,7 +22,6 @@ from rainbowspread.lifting import lift_rainbow, lift_size
 from rainbowspread.moments import exact_uncover_probability
 from rainbowspread.rng import RngStream
 from rainbowspread.sampling import (
-    ColoredSet,
     contains_rainbow_edge,
     sample_binomial_subset,
     sample_colored_m,
@@ -38,12 +37,6 @@ SIG = 1e-3
 def chi_square_ok(observed, expected):
     stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
     return stat <= chi2.ppf(1 - SIG, df=len(observed) - 1)
-
-
-def test_colored_set_basics():
-    c = ColoredSet.from_dict({3: 1, 1: 2})
-    assert c.assignment == ((1, 2), (3, 1))
-    assert c.serialize() == "1 2\n3 1\n"
 
 
 def test_uniform_subset_law():
@@ -77,7 +70,7 @@ def test_colored_m_law():
         for cols in product(range(1, q + 1), repeat=m):
             cells[tuple(zip(dom, cols))] = 0
     for _ in range(trials):
-        cells[sample_colored_m(n, m, q, rng).assignment] += 1
+        cells[tuple(sample_colored_m(n, m, q, rng).items())] += 1
     exp = [trials / len(cells)] * len(cells)
     assert chi_square_ok(list(cells.values()), exp)
 
@@ -91,8 +84,8 @@ def test_colored_p_conditional_law():
     got = 0
     for _ in range(trials):
         cs = sample_colored_p(n, p, q, rng)
-        if len(cs.assignment) == 1:
-            size_one[cs.assignment] += 1
+        if len(cs) == 1:
+            size_one[tuple(cs.items())] += 1
             got += 1
     exp = [got / len(size_one)] * len(size_one)
     assert got > 10_000
@@ -104,7 +97,7 @@ def test_colored_p_size_law():
     rng = RngStream(105, 0)
     counts = [0] * (n + 1)
     for _ in range(trials):
-        counts[len(sample_colored_p(n, p, q, rng).assignment)] += 1
+        counts[len(sample_colored_p(n, p, q, rng))] += 1
     exp = [trials * math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
     assert chi_square_ok(counts, exp)
 
@@ -116,7 +109,7 @@ def test_lifted_binomial_collisions():
     rng = RngStream(106, 0)
     total_pairs = 0
     for _ in range(trials):
-        per_vertex = Counter(v for v, _ in sample_lifted_binomial(n, q, p, rng).elements)
+        per_vertex = Counter(v for v, _ in sample_lifted_binomial(n, q, p, rng))
         total_pairs += sum(math.comb(k, 2) for k in per_vertex.values())
     mean = total_pairs / trials
     pq2 = (p / q) ** 2
@@ -150,11 +143,11 @@ def test_expected_collisions_monte_carlo():
 
 def test_contains_rainbow_edge_examples():
     h = Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)])
-    assert contains_rainbow_edge(h, ColoredSet.from_dict({0: 1, 1: 2})) == (0, 1)
-    assert contains_rainbow_edge(h, ColoredSet.from_dict({0: 1, 1: 1})) is None
-    assert contains_rainbow_edge(h, ColoredSet.from_dict({1: 1, 2: 2, 3: 3})) == (1, 2, 3)
-    assert contains_rainbow_edge(h, ColoredSet.from_dict({1: 1, 2: 2, 3: 2})) is None
-    assert contains_rainbow_edge(h, ColoredSet.from_dict({})) is None
+    assert contains_rainbow_edge(h, {0: 1, 1: 2}) == (0, 1)
+    assert contains_rainbow_edge(h, {0: 1, 1: 1}) is None
+    assert contains_rainbow_edge(h, {1: 1, 2: 2, 3: 3}) == (1, 2, 3)
+    assert contains_rainbow_edge(h, {1: 1, 2: 2, 3: 2}) is None
+    assert contains_rainbow_edge(h, {}) is None
 
 
 def test_edges_packed_once_per_hypergraph(monkeypatch):
@@ -184,9 +177,8 @@ def test_contains_rainbow_edge_monotone():
         if hit is not None:
             # adding more colored vertices never destroys the hit
             extra = sample_colored_p(6, 0.5, 3, rng)
-            merged = dict(extra.assignment)
-            merged.update(cs.assignment)  # cs wins clashes
-            assert contains_rainbow_edge(h, ColoredSet.from_dict(merged)) is not None
+            merged = {**extra, **cs}  # cs wins clashes
+            assert contains_rainbow_edge(h, merged) is not None
 
 
 def test_restricted_lift_matches_brute_force():
@@ -195,7 +187,7 @@ def test_restricted_lift_matches_brute_force():
     lifted = lift_rainbow(h, q)
     rng = RngStream(109, 0)
     for _ in range(20):
-        wmap = dict(sample_colored_p(5, 0.4, q, rng).assignment)
+        wmap = sample_colored_p(5, 0.4, q, rng)
         # an edge survives when its colors agree with w on every shared vertex
         brute = [
             le

@@ -271,24 +271,48 @@ def test_incremental_ensure_matches_scalar_reference(monkeypatch):
     assert np.array_equal(TrialPool(h, 5, RngStream(47, 1)).colored_times(2000), colored)
 
 
-# one path for every block size: one trial per block (as on hamilton
-# n=9), a handful (hamilton n=8) and dozens (hamilton n=7)
+# one path for every block size: one trial per block (as on many
+# vertices), a handful and dozens (hamilton n=7)
 @pytest.mark.parametrize("per_block", [1, 6, 52])
 @pytest.mark.parametrize("case", ["hamilton", "mixed", "sparse"])
-def test_block_sizes_match_scalar_reference(monkeypatch, per_block, case):
+def test_block_sizes_match_scalar_reference(per_block, case):
     if case == "hamilton":
         h, q, rng = gen_hamilton(5), 5, RngStream(49, 0)
     elif case == "mixed":
         h, q, rng = random_hypergraph(RngStream(49, 1), 11), 4, RngStream(49, 2)
     else:  # a trial's 2N draws outnumber its slot entries
         h, q, rng = Hypergraph.from_edges(30, [(0, 1), (5, 7, 9)]), 3, RngStream(49, 3)
-    m = h.packed[0]
-    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", per_block * max(m.size, 2 * h.num_vertices))
     pool = TrialPool(h, q, rng)
-    assert pool._block == per_block
+    pool._block = per_block
     colored, uncolored = oracles.scalar_times(pool, 110)
     assert pool.colored_times(110).tolist() == colored
     assert pool.uncolored_times(110).tolist() == uncolored
+
+
+# a trial counts its 2N draws in full and its slot entries up to
+# BLOCK_ELEMENTS // 32; each gather of a block takes at most
+# 64 * BLOCK_ELEMENTS bytes
+@pytest.mark.parametrize("case,q,block_elements,block", [
+    ("hamilton7", 9, 1 << 17, 52),  # 2,520 entries a trial, under the cap
+    ("hamilton8", 9, 1 << 17, 32),  # 20,160 entries count as 4,096
+    ("sparse", 9, 1 << 17, 2184),  # 60 draws outnumber 6 entries
+    ("one-edge", 9, 1 << 17, 1),  # 140,000 draws fill a block alone
+    ("hamilton8", 9, 4095, 13),  # 13 trials gather 262,080 bytes, exactly 64 * 4,095
+    ("hamilton8", 9, 4400, 13),  # 14 trials would gather 282,240 bytes, above 64 * 4,400
+    ("hamilton8", 2**40, 1 << 14, 6),  # 8 B an entry: 7 trials would gather 1,128,960 bytes
+])
+def test_trial_block_rule(monkeypatch, case, q, block_elements, block):
+    h = {
+        "hamilton7": lambda: gen_hamilton(7),
+        "hamilton8": lambda: gen_hamilton(8),
+        "sparse": lambda: Hypergraph.from_edges(30, [(0, 1), (5, 7, 9)]),
+        "one-edge": lambda: Hypergraph.from_edges(70_000, [(0, 1)]),
+    }[case]()
+    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", block_elements)
+    pool = TrialPool(h, q, RngStream(0))
+    assert pool._block == block
+    assert block == 1 or block * 2 * h.num_vertices <= block_elements
+    assert block * h.packed[0].size * pool._dtype.itemsize <= 64 * block_elements
 
 
 def _unxorshift(y, shift):
@@ -336,8 +360,7 @@ def test_rejected_draw_replayed_on_scalar_path(monkeypatch, counter, n, q, repla
 
 
 def test_forced_replay_takes_scalar_results(monkeypatch):
-    h = gen_perfect_matching(6, 2)  # 15 edges of 3 vertices: 7 trials per block below
-    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 7 * 45)
+    h = gen_perfect_matching(6, 2)
     colored, uncolored = oracles.scalar_times(TrialPool(h, 4, RngStream(44, 0)), 50)
     # every block's first and last trial count as rejected, and their
     # replays draw another stream's picks
@@ -347,6 +370,7 @@ def test_forced_replay_takes_scalar_results(monkeypatch):
     run_trial = TrialPool._run_trial
     monkeypatch.setattr(TrialPool, "_run_trial", lambda self, t: run_trial(other, t))
     pool = TrialPool(h, 4, RngStream(44, 0))
+    pool._block = 7
     ends = {t for lo in range(0, 50, 7) for t in (lo, min(lo + 7, 50) - 1)}
     assert pool.colored_times(50).tolist() == [other_colored[t] if t in ends else c for t, c in enumerate(colored)]
     assert pool.uncolored_times(50).tolist() == [
@@ -381,7 +405,7 @@ def test_trial_pool_holds_at_most_32_bytes_a_trial(grown, monkeypatch):
     # trial that `_check_trials` budgets, whether the pool starts empty or
     # grows from half the trials; blocks of 10 trials, so that nothing
     # kept per block hides in the count
-    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 600)
+    monkeypatch.setattr(limits, "BLOCK_ELEMENTS", 200)  # 2N = 20 draws a trial
     h = gen_hamilton(5)
     peaks = []
     for trials in (2_000, 10_000):
@@ -409,14 +433,17 @@ def test_one_trial_on_many_vertices_takes_linear_time():
     assert 2 <= uncolored[0] <= colored[0] <= n + 1
 
 
-def test_trial_pool_charges_its_peak_per_vertex():
+# q = 2**63 + 1 rejects about half of all color draws, so the trial is
+# replayed through _run_trial; below about 16,400 vertices the pool's fixed
+# arrays show, so both cases keep N above that
+@pytest.mark.parametrize("n,q", [(70_000, 7), (20_000, 2**63 + 1)], ids=["one-pass", "replayed"])
+def test_trial_pool_charges_its_peak_per_vertex(n, q):
     # the pool's set-up and one trial peak at VERTEX_BYTES a vertex, give
     # or take a few fixed arrays: the figure the pool charges
-    n = 70_000
     h = Hypergraph.from_edges(n, [(0, 1), (2, 3, 4)])
     h.packed
     tracemalloc.start()
-    TrialPool(h, 7, RngStream(6)).ensure(1)
+    TrialPool(h, q, RngStream(6)).ensure(1)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert threshold.VERTEX_BYTES * n - 2**14 < peak <= threshold.VERTEX_BYTES * n + 2**14
