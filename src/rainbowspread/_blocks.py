@@ -1,6 +1,7 @@
 """The array work of fragmentation's seed blocks: the lift restricted to
 each partial coloring of a block, the remainders that a block's samples
-leave of its store, and psi's search over them.
+leave of its store, and psi, the one search that maps each remainder to
+the smallest remainder of its seed inside it.
 
 `lifting` and `fragmentation` import this module when they first need
 it, so that a command that does not fragment does not compile it.
@@ -176,33 +177,11 @@ def remainders(store, wmaps):
     return compat, rem, lengths
 
 
-def psi_round(store, wmaps):
-    """Apply the psi/chi minimization to a `fragmentation.FragmentStore`,
-    for each seed's sampled colored set.
-
-    Returns (compat, rem, src, lengths), `remainders`' three plus src:
-    src[i] is the compatible row whose remainder row i picks, the
-    smallest remainder of its seed inside row i's own, ties broken by row
-    order.  A seed with an empty remainder has every row pick its first
-    one.
-    """
-    compat, rem, lengths = remainders(store, wmaps)
-    seed = store.seed[compat]
-    # the empty remainder is inside every row of its seed
-    empty = np.flatnonzero(lengths == 0)
-    if not len(empty):
-        return compat, rem, _search(rem, lengths, seed, store.q, store.pad), lengths
-    firsts, at = np.unique(seed[empty], return_index=True)
-    pick = np.full(store.seeds, -1)
-    pick[firsts] = empty[at]
-    src = pick[seed]
-    live = np.flatnonzero(src < 0)
-    src[live] = live[_search(rem[live], lengths[live], seed[live], store.q, store.pad)]
-    return compat, rem, src, lengths
-
-
-def _search(rem, lengths, seed, q: int, pad: int):
-    """psi's picks for rows with no empty remainder in their seed.
+def psi(rem, lengths, seed, q: int, pad: int):
+    """psi's picks for the remainders that `remainders` returns, with
+    seed[i] the seed of remainder row i: src[i] is the row whose
+    remainder row i picks, the smallest remainder of its seed inside row
+    i's own, ties broken by row order.
 
     Every remainder is indexed by its key, and a row's own key is its
     pick unless a smaller remainder lies inside it.  That one's vertex
@@ -212,6 +191,12 @@ def _search(rem, lengths, seed, q: int, pad: int):
     sets once, and a row looks up, per shadow of its vertex set, the
     subset of its codes on that shadow.  A row takes the hit of least
     size, and there of least row.
+
+    The empty remainder needs no case of its own.  Its vertex set, the
+    empty set, is a shadow of every vertex set of its seed, since size 0
+    is among the sizes looked up whenever a row of that size exists.
+    Size 0 ranks first, and np.unique's index is the seed's first empty
+    row, so every row of that seed picks that one.
     """
     n, r = pad // q, rem.shape[1]
     offsets, binom = rank_tables(pad, r)

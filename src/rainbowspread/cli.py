@@ -240,6 +240,10 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="rainbowspread", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # the options that moments, threshold, fragment and sample share
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
+    seeded.add_argument("--out", default=None)
 
     sp = sub.add_parser("spread", help="exact spread certificate for a hypergraph file")
     sp.add_argument("hypergraph")
@@ -251,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("-o", "--out", default=None)
     gp.set_defaults(func=cmd_generate)
 
-    mp = sub.add_parser("moments", help="Janson chain or Chebyshev endgame report")
+    mp = sub.add_parser("moments", parents=[seeded], help="Janson chain or Chebyshev endgame report")
     mp.add_argument("hypergraph")
     group = mp.add_mutually_exclusive_group(required=True)
     group.add_argument("--janson", action="store_true")
@@ -260,32 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--p", type=float, default=0.1)
     mp.add_argument("--alpha", type=float, default=0.5)
     mp.add_argument("--kappa", type=float, default=None)
-    mp.add_argument("--seed", type=int, default=None)
-    mp.add_argument("--out", default=None)
     mp.add_argument("--human", action="store_true")
     mp.set_defaults(func=cmd_moments)
 
-    tp = sub.add_parser("threshold", help="Monte Carlo threshold estimate")
+    tp = sub.add_parser("threshold", parents=[seeded], help="Monte Carlo threshold estimate")
     tp.add_argument("--hypergraph", required=True)
     tp.add_argument("--q", type=int, required=True)
     tp.add_argument("--target", type=float, default=0.5)
     tp.add_argument("--trials", type=int, default=2000)
     tp.add_argument("--m-list", default=None, help="comma-separated m values for a sweep")
-    tp.add_argument("--seed", type=int, default=None)
-    tp.add_argument("--out", default=None)
     tp.set_defaults(func=cmd_threshold)
 
-    fp = sub.add_parser("fragment", help="run the fragmentation process")
+    fp = sub.add_parser("fragment", parents=[seeded], help="run the fragmentation process")
     fp.add_argument("--hypergraph", required=True)
     fp.add_argument("--q", type=int, required=True)
     fp.add_argument("--gamma", type=float, default=0.1)
     fp.add_argument("--C", type=float, default=1.0)
     fp.add_argument("--seeds", default="0", help="stream id or range a:b")
-    fp.add_argument("--seed", type=int, default=None)
-    fp.add_argument("--out", default=None)
     fp.set_defaults(func=cmd_fragment)
 
-    xp = sub.add_parser("sample", help="draw from one of the random models")
+    xp = sub.add_parser("sample", parents=[seeded], help="draw from one of the random models")
     xp.add_argument("--model", required=True,
                     choices=["uniform-m", "binomial-p", "colored-m", "colored-p", "lifted-p"])
     xp.add_argument("--n", type=int, required=True)
@@ -293,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     xp.add_argument("--p", type=float, default=0.0)
     xp.add_argument("--q", type=int, default=1)
     xp.add_argument("--stream", type=int, default=0)
-    xp.add_argument("--seed", type=int, default=None)
-    xp.add_argument("--out", default=None)
     xp.set_defaults(func=cmd_sample)
 
     return ap

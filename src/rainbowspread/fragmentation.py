@@ -154,7 +154,9 @@ def apply_round(survivors: FragmentStore, wmaps, r_i: float):
     """One fragmentation round against each seed's already-sampled colored
     set, wmaps[i] for the store's seed i.
 
-    Returns the new store plus each seed's (compatible, good) counts with
+    Each compatible row's remainder (`_blocks.remainders`) picks the
+    smallest remainder of its seed inside it (`_blocks.psi`).  Returns
+    the new store plus each seed's (compatible, good) counts with
     multiplicity, as arrays.  Good means the chosen remainder has size
     <= r_i; the good rows, merged by chosen remainder, are the new store,
     so good is also its total multiplicity.  Equal rows share their first
@@ -162,8 +164,9 @@ def apply_round(survivors: FragmentStore, wmaps, r_i: float):
     """
     from . import _blocks
 
-    compat, rem, src, lengths = _blocks.psi_round(survivors, wmaps)
+    compat, rem, lengths = _blocks.remainders(survivors, wmaps)
     mult, seed = survivors.mult[compat], survivors.seed[compat]
+    src = _blocks.psi(rem, lengths, seed, survivors.q, survivors.pad)
     good = lengths[src] <= r_i
     merged = np.zeros(len(rem), dtype=np.int64)
     np.add.at(merged, src[good], mult[good])

@@ -36,7 +36,8 @@ def mix64_array(z):
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def child_keys(key: int, stream_ids):
@@ -52,8 +53,12 @@ def stream_draws(keys, count: int):
     next_u64() values of the stream whose key is keys[k]."""
     import numpy as np
 
-    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_PHI)
-    return mix64_array(keys[:, None] + steps)
+    # in place, the steps released before the mix: three arrays of draws
+    # at most, where numpy reuses a temporary by itself only above 256 KiB
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_PHI)
+    z = keys[:, None] + z
+    return mix64_array(z)
 
 
 def accept_limits(moduli):

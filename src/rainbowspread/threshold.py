@@ -166,8 +166,8 @@ def _check_trials(trials: int) -> None:
 def hit_probability(pool: TrialPool, m: int, trials: int):
     """(p_hat, (ci_lo, ci_hi)) for a rainbow edge inside a colored m-sample."""
     _check_trials(trials)
-    if m > pool.n:
-        raise ValueError(f"m={m} exceeds ground set size {pool.n}")
+    if not 0 <= m <= pool.n:  # as in sweep
+        raise ValueError(f"m must lie in [0, {pool.n}]")
     hits = int(np.count_nonzero(pool.colored_times(trials) <= m))
     return hits / trials, wilson_interval(hits, trials)
 

@@ -20,8 +20,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from rainbowspread._blocks import lift_block
-from rainbowspread._blocks import psi_round as store_psi_round
+from rainbowspread._blocks import lift_block, psi, remainders
 from rainbowspread.fragmentation import FragmentationTrace, FragmentStore, RoundRecord
 from rainbowspread.lifting import LiftedEdge, lift_size
 from rainbowspread.rng import round_half_up
@@ -322,17 +321,18 @@ def merged(rows: list) -> list:
     return list(out.items())
 
 
-def store_from_dict(survivors: dict, num_vertices: int, q: int, width: int) -> FragmentStore:
-    """A store of one seed holding the dict's fragments; lineages must be
-    distinct."""
-    rows = by_lineage(survivors)
+def store_from_dicts(seeds: list[dict], num_vertices: int, q: int, width: int) -> FragmentStore:
+    """A store of one seed per dict, seed i holding the fragments of
+    seeds[i]; the lineages of one dict must be distinct."""
+    rows = [(i, elems, mult) for i, survivors in enumerate(seeds) for elems, mult in by_lineage(survivors)]
     pad = num_vertices * q
     codes = np.full((len(rows), width), pad, dtype=np.int64)
-    for row, (elems, _) in zip(codes, rows):
+    for row, (_, elems, _) in zip(codes, rows):
         row[: len(elems)] = [v * q + c - 1 for v, c in elems]
-    mult = np.array([mult for _, mult in rows], dtype=np.int64)
-    lengths = np.array([len(elems) for elems, _ in rows], dtype=np.int64)
-    return FragmentStore(codes, mult, np.zeros(len(rows), dtype=np.int64), 1, q, pad, lengths)
+    seed = np.array([i for i, _, _ in rows], dtype=np.int64)
+    mult = np.array([mult for _, _, mult in rows], dtype=np.int64)
+    lengths = np.array([len(elems) for _, elems, _ in rows], dtype=np.int64)
+    return FragmentStore(codes, mult, seed, len(seeds), q, pad, lengths)
 
 
 def block_rows(h, q: int, w: dict[int, int]) -> list:
@@ -353,10 +353,11 @@ def store_rows(store: FragmentStore) -> list:
 
 
 def store_picks(store: FragmentStore, wmap: dict[int, int]) -> list:
-    """`_blocks.psi_round` on a store of one seed in `psi_round`'s
-    form, one entry per store row, with the store row that the chosen
-    remainder comes from in place of its lineage."""
-    compat, rem, src, _ = store_psi_round(store, [wmap])
+    """`_blocks.psi` on a store of one seed in `psi_round`'s form, one
+    entry per store row, with the store row that the chosen remainder
+    comes from in place of its lineage."""
+    compat, rem, lengths = remainders(store, [wmap])
+    src = psi(rem, lengths, store.seed[compat], store.q, store.pad)
     rows = np.flatnonzero(compat)
     picks = iter(src.tolist())
     out = []

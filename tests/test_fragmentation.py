@@ -107,7 +107,7 @@ FRAG_B = (((0, 1), (1, 1), (2, 2)), 1, 1)
 
 def _both_picks(frags, wmap):
     """The oracle's picks and the store's, which must agree."""
-    store = oracles.store_from_dict({e: (m, lin) for e, m, lin in frags}, 3, 2, 3)
+    store = oracles.store_from_dicts([{e: (m, lin) for e, m, lin in frags}], 3, 2, 3)
     picks = oracles.psi_round(frags, wmap)
     for order in ("subsets", "candidates"):
         assert oracles.psi_round(frags, wmap, order) == picks
@@ -117,11 +117,20 @@ def _both_picks(frags, wmap):
 
 def _both_rounds(survivors, wmap, r_i):
     """The oracle's round and the store's, which must agree."""
-    expected = oracles.apply_round(survivors, wmap, r_i)
-    new, compatible, good = apply_round(oracles.store_from_dict(survivors, 3, 2, 3), [wmap], r_i)
-    assert (oracles.store_rows(new), compatible.tolist(), good.tolist()) == (
-        oracles.by_lineage(expected[0]), [expected[1]], [expected[2]]
-    )
+    [expected] = _seed_rounds([survivors], [wmap], r_i)
+    return expected
+
+
+def _seed_rounds(seeds, wmaps, r_i):
+    """The oracle's round of each seed's survivors and the store's round of
+    them all, which must agree seed by seed."""
+    expected = [oracles.apply_round(survivors, wmap, r_i) for survivors, wmap in zip(seeds, wmaps)]
+    new, compatible, good = apply_round(oracles.store_from_dicts(seeds, 3, 2, 3), wmaps, r_i)
+    rows = oracles.store_rows(new)
+    assert [[row for row, s in zip(rows, new.seed.tolist()) if s == i] for i in range(len(seeds))] == [
+        oracles.by_lineage(survivors) for survivors, _, _ in expected
+    ]
+    assert (compatible.tolist(), good.tolist()) == ([e[1] for e in expected], [e[2] for e in expected])
     return expected
 
 
@@ -157,7 +166,7 @@ def test_row_order_breaks_ties():
     a, b, x = ((0, 1),), ((1, 1),), ((0, 1), (1, 1))
     for first, second in ((a, b), (b, a)):
         survivors = {first: (1, 0), second: (1, 1), x: (1, 2)}
-        store = oracles.store_from_dict(survivors, 3, 2, 3)
+        store = oracles.store_from_dicts([survivors], 3, 2, 3)
         assert [elems for elems, _ in oracles.store_rows(store)] == [first, second, x]
         picks = oracles.store_picks(store, {})
         assert picks == [(first, 0), (second, 1), (first, 0)]
@@ -192,6 +201,17 @@ def test_apply_round_full_coloring():
     # one wrong color and nothing survives
     new, compatible, _ = _both_rounds(survivors, {0: 1, 1: 2}, r_i=5.0)
     assert compatible == 0 and new == {}
+    # two seeds with equal rows.  Seed 0's sample leaves e an empty
+    # remainder, which every row of seed 0 picks, y too, whose remainder
+    # holds x's nonempty one; seed 1 has no empty remainder, and its
+    # compatible rows pick e, which lies inside each of them
+    x, e, y = ((0, 1), (1, 1)), ((0, 1),), ((1, 1), (2, 2))
+    seeds = [
+        {x: (2, 0), e: (1, 1), y: (3, 2), ((0, 2), (1, 1)): (1, 3)},
+        {e: (1, 0), x: (2, 1), y: (1, 2), ((0, 1), (2, 1)): (4, 3)},
+    ]
+    expected = _seed_rounds(seeds, [{0: 1}, {2: 1}], r_i=1.0)
+    assert expected == [({(): (6, 1)}, 6, 6), ({e: (7, 0)}, 7, 7)]
 
 
 def test_empty_round_keeps_rows_as_long_as_r_i():
@@ -201,7 +221,7 @@ def test_empty_round_keeps_rows_as_long_as_r_i():
     assert [(1 - s.gamma) ** i * s.r for i in (1, 2)] == [2.0, 1.0]
     # an antichain with rows of lengths 1, 2 and 3
     survivors = {((0, 1),): (1, 0), ((1, 2), (2, 2)): (2, 1), ((0, 2), (1, 1), (2, 1)): (3, 2)}
-    store = oracles.store_from_dict(survivors, 3, 2, 3)
+    store = oracles.store_from_dicts([survivors], 3, 2, 3)
     for r_i in (2.0, 1.0):
         expected = oracles.apply_round(survivors, {}, r_i)
         new, compatible, good = empty_round(store, r_i)

@@ -24,7 +24,7 @@ def test_probe_kills_a_boundary_mutant():
 def test_probe_kills_a_constant_mutant():
     # the top key of a shadow one size too high: B's remainder no longer
     # finds A's inside it
-    mutant = _mutant(BLOCKS, "_search", "1 -> 2", "top = offsets[w_len + 2] - 1")
+    mutant = _mutant(BLOCKS, "psi", "1 -> 2", "top = offsets[w_len + 2] - 1")
     test = "tests/test_fragmentation.py::test_psi_chi_clash_and_selection"
     assert list(mutants.run(BLOCKS, [mutant], [test], timeout=60)) == ["killed"]
 

@@ -217,8 +217,9 @@ def test_sweep_rows():
 
 def test_hit_probability_validation():
     pool = TrialPool(gen_hamilton(4), 4, RngStream(38, 0))
-    with pytest.raises(ValueError):
-        hit_probability(pool, 99, 100)
+    for m in (-1, 99):
+        with pytest.raises(ValueError, match=r"m must lie in \[0, 6\]"):
+            hit_probability(pool, m, 100)
     with pytest.raises(ValueError):
         hit_probability(pool, 2, 0)
 
@@ -434,9 +435,14 @@ def test_one_trial_on_many_vertices_takes_linear_time():
 
 
 # q = 2**63 + 1 rejects about half of all color draws, so the trial is
-# replayed through _run_trial; below about 16,400 vertices the pool's fixed
-# arrays show, so both cases keep N above that
-@pytest.mark.parametrize("n,q", [(70_000, 7), (20_000, 2**63 + 1)], ids=["one-pass", "replayed"])
+# replayed through _run_trial.  Below about 16,400 vertices a trial's
+# draws fill less than 256 KiB, where numpy reuses no temporary by itself,
+# so N = 5,000 checks that `rng.stream_draws` keeps its own peak
+@pytest.mark.parametrize(
+    "n,q",
+    [(70_000, 7), (20_000, 2**63 + 1), (5_000, 7), (5_000, 2**63 + 1)],
+    ids=["one-pass", "replayed", "one-pass-small", "replayed-small"],
+)
 def test_trial_pool_charges_its_peak_per_vertex(n, q):
     # the pool's set-up and one trial peak at VERTEX_BYTES a vertex, give
     # or take a few fixed arrays: the figure the pool charges
